@@ -102,9 +102,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			}
 			n = v
 		}
-		depth := snap.DriftDepth(rest[0])
-		for _, e := range snap.TopDrifted(rest[0], n) {
-			fmt.Fprintf(stdout, "%-30s chain depth %d\n", e, depth[e])
+		for _, r := range snap.DriftRanking(rest[0], n) {
+			fmt.Fprintf(stdout, "%-30s chain depth %d\n", r.Name, r.Depth)
 		}
 	case "subs":
 		for _, s := range snap.SubInstances(rest[0], rest[1]) {

@@ -85,7 +85,7 @@ func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache) *Ext
 	for _, p := range pairs {
 		s, ok := conceptsOf[p.Instance]
 		if !ok {
-			s = arena[used:used : used+counts[p.Instance]]
+			s = arena[used : used : used+counts[p.Instance]]
 			used += counts[p.Instance]
 		}
 		conceptsOf[p.Instance] = append(s, p.Concept)

@@ -98,11 +98,6 @@ func assertViewsAgree(tb testing.TB, want kb.View, got kb.View) {
 		if !reflect.DeepEqual(want.DriftDepth(c), got.DriftDepth(c)) {
 			tb.Fatalf("DriftDepth(%q) differs", c)
 		}
-		for _, n := range []int{1, 3, 1 << 20} {
-			if w, g := want.TopDrifted(c, n), got.TopDrifted(c, n); !reflect.DeepEqual(w, g) {
-				tb.Fatalf("TopDrifted(%q, %d): got %v, want %v", c, n, g, w)
-			}
-		}
 		for _, e := range append(wi, "no-such-name") {
 			if w, g := want.Has(c, e), got.Has(c, e); w != g {
 				tb.Fatalf("Has(%q,%q): got %v, want %v", c, e, g, w)

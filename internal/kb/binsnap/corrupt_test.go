@@ -211,7 +211,6 @@ func FuzzDecode(f *testing.F) {
 				v.ConceptsOfInstance(e)
 			}
 			v.DriftDepth(c)
-			v.TopDrifted(c, 3)
 		}
 		v.ScanActiveExtractions(func(string) {})
 		for i := 0; i < v.NumExtractions(); i++ {

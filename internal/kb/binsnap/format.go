@@ -65,30 +65,30 @@ func corruptf(format string, args ...any) error {
 // Section indices of the section table, in file order. Each section is
 // a flat array: u32 columns, u8 flags, or raw string bytes.
 const (
-	secStrOffsets  = iota // (nStrings+1) × u32: byte offsets into the blob
-	secStrBlob            // raw string bytes, lexicographically sorted
-	secConceptIDs         // nConcepts × u32: string IDs, strictly ascending
-	secConceptPair        // (nConcepts+1) × u32: pair-range CSR per concept
-	secPairInstance       // nPairs × u32: instance string ID per pair
-	secPairCount          // nPairs × u32: active support count
-	secPairFirst          // nPairs × u32: first supporting iteration
-	secPairExtStart       // (nPairs+1) × u32: supporting-extraction CSR
-	secPairExtIDs         // u32 extraction IDs supporting each pair
-	secTrigStart          // (nPairs+1) × u32: triggered-extraction CSR
-	secTrigExtIDs         // u32 extraction IDs each pair triggered
-	secExtSentence        // nExts × u32: sentence ID
-	secExtConcept         // nExts × u32: concept string ID
-	secExtIter            // nExts × u32: extraction iteration
-	secExtActive          // nExts × u8: 1 = active, 0 = rolled back
-	secExtCandStart       // (nExts+1) × u32: candidate CSR
-	secExtCandIDs         // u32 candidate string IDs
-	secExtInstStart       // (nExts+1) × u32: instance CSR
-	secExtInstIDs         // u32 instance string IDs
-	secExtTrigStart       // (nExts+1) × u32: trigger CSR
-	secExtTrigIDs         // u32 trigger string IDs
-	secRevStart           // (nStrings+1) × u32: instance→concept reverse CSR
-	secRevConceptIDs      // u32 concept string IDs of active pairs
-	secActiveConcepts     // u32 string IDs of concepts with ≥1 active pair
+	secStrOffsets     = iota // (nStrings+1) × u32: byte offsets into the blob
+	secStrBlob               // raw string bytes, lexicographically sorted
+	secConceptIDs            // nConcepts × u32: string IDs, strictly ascending
+	secConceptPair           // (nConcepts+1) × u32: pair-range CSR per concept
+	secPairInstance          // nPairs × u32: instance string ID per pair
+	secPairCount             // nPairs × u32: active support count
+	secPairFirst             // nPairs × u32: first supporting iteration
+	secPairExtStart          // (nPairs+1) × u32: supporting-extraction CSR
+	secPairExtIDs            // u32 extraction IDs supporting each pair
+	secTrigStart             // (nPairs+1) × u32: triggered-extraction CSR
+	secTrigExtIDs            // u32 extraction IDs each pair triggered
+	secExtSentence           // nExts × u32: sentence ID
+	secExtConcept            // nExts × u32: concept string ID
+	secExtIter               // nExts × u32: extraction iteration
+	secExtActive             // nExts × u8: 1 = active, 0 = rolled back
+	secExtCandStart          // (nExts+1) × u32: candidate CSR
+	secExtCandIDs            // u32 candidate string IDs
+	secExtInstStart          // (nExts+1) × u32: instance CSR
+	secExtInstIDs            // u32 instance string IDs
+	secExtTrigStart          // (nExts+1) × u32: trigger CSR
+	secExtTrigIDs            // u32 trigger string IDs
+	secRevStart              // (nStrings+1) × u32: instance→concept reverse CSR
+	secRevConceptIDs         // u32 concept string IDs of active pairs
+	secActiveConcepts        // u32 string IDs of concepts with ≥1 active pair
 	numSections
 )
 

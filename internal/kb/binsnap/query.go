@@ -265,26 +265,6 @@ func (v *View) DriftDepth(concept string) map[string]int {
 	return out
 }
 
-// TopDrifted returns up to n instances of the concept with the deepest
-// provenance chains, deepest first (ties by name).
-func (v *View) TopDrifted(concept string, n int) []string {
-	depth := v.DriftDepth(concept)
-	names := make([]string, 0, len(depth))
-	for e := range depth {
-		names = append(names, e)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if depth[names[i]] != depth[names[j]] {
-			return depth[names[i]] > depth[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	if n < len(names) {
-		names = names[:n]
-	}
-	return names
-}
-
 // ToKB materializes a fully mutable heap KB from the view, validating
 // through kb.Build exactly as a gob load does. This is the escape hatch
 // for tools that need to mutate (cmd/kbsnap converting binary → gob);

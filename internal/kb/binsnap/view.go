@@ -183,10 +183,10 @@ func (v *View) validate() error {
 
 	// Column lengths must match the header counts.
 	wantLen := [numSections]int{
-		secStrOffsets:  (nStr + 1) * 4,
-		secStrBlob:     -1,
-		secConceptIDs:  nCon * 4,
-		secConceptPair: (nCon + 1) * 4,
+		secStrOffsets:   (nStr + 1) * 4,
+		secStrBlob:      -1,
+		secConceptIDs:   nCon * 4,
+		secConceptPair:  (nCon + 1) * 4,
 		secPairInstance: nPairs * 4, secPairCount: nPairs * 4, secPairFirst: nPairs * 4,
 		secPairExtStart: (nPairs + 1) * 4, secPairExtIDs: -1,
 		secTrigStart: (nPairs + 1) * 4, secTrigExtIDs: -1,

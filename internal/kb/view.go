@@ -36,9 +36,6 @@ type View interface {
 	// DriftDepth returns, per active instance of the concept, the
 	// length of its provenance chain back to the core.
 	DriftDepth(concept string) map[string]int
-	// TopDrifted returns up to n instances of the concept with the
-	// deepest provenance chains, deepest first (ties by name).
-	TopDrifted(concept string, n int) []string
 	// ScanActiveExtractions calls yield with the concept of every
 	// active extraction, in extraction-ID order. The snapshot
 	// partitioner attributes extractions to shards through this without

@@ -12,7 +12,7 @@ import (
 )
 
 // wantRe extracts the expected-diagnostic annotation from a fixture
-// line: a trailing comment of the form `// want `+"`regex`"+``.
+// line: a trailing comment of the form `// want `+"`regex`"+“.
 var wantRe = regexp.MustCompile("// want `([^`]*)`")
 
 type expectation struct {

@@ -23,6 +23,7 @@ import (
 
 	"driftclean/internal/fault"
 	"driftclean/internal/kb"
+	"driftclean/internal/snapshot"
 )
 
 // ErrShard is wrapped into every scatter-gather error caused by a shard
@@ -224,14 +225,12 @@ func (r *Router) Drifted(ctx context.Context, concept string, n int) ([]DriftedI
 			rows = append(rows, rs...)
 		}
 	}
-	sortDrifted(rows)
-	if len(rows) > n {
-		rows = rows[:n:n]
-	}
-	if rows == nil {
-		rows = []DriftedInstance{}
-	}
-	return rows, nil
+	snapshot.SortDrifted(rows)
+	// Copy the top n out so the response does not pin the whole union
+	// of shard rankings.
+	top := make([]DriftedInstance, max(0, min(n, len(rows))))
+	copy(top, rows)
+	return top, nil
 }
 
 // Metrics returns the fleet-wide aggregate of every shard's metrics.

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -163,11 +162,7 @@ type InstanceInfo struct {
 // fleet-wide rankings (Drifted with an empty concept), where rows from
 // different concepts mix; concept-scoped rankings omit it, keeping
 // their wire format unchanged.
-type DriftedInstance struct {
-	Concept string `json:"concept,omitempty"`
-	Name    string `json:"name"`
-	Depth   int    `json:"depth"`
-}
+type DriftedInstance = snapshot.DriftRow
 
 // Stats returns aggregate statistics of the current snapshot.
 func (s *Service) Stats(ctx context.Context) (StatsResult, error) {
@@ -253,77 +248,25 @@ func (s *Service) Explain(ctx context.Context, concept, instance string, maxSupp
 // every concept the service holds (rows carry their concept), ordered
 // by depth descending, then concept, then instance — the deterministic
 // order a sharded router's gather-merge reproduces exactly.
+//
+// Every answer is a prefix of the snapshot's drift index, shared by all
+// callers and cached results of the generation: it must not be
+// modified, and its capacity equals its length, so an append copies.
 func (s *Service) Drifted(ctx context.Context, concept string, n int) ([]DriftedInstance, error) {
 	key := concept + "\x1f" + strconv.Itoa(n)
 	v, err := s.do(ctx, "drifted", key, func(snap *snapshot.Snapshot) (any, error) {
 		if concept == "" {
-			return driftedAll(ctx, snap, n)
+			return snap.FleetDriftRanking(n), nil
 		}
 		if !snap.HasConcept(concept) {
 			return nil, fmt.Errorf("%w: concept %q", ErrNotFound, concept)
 		}
-		depth := snap.DriftDepth(concept)
-		names := snap.TopDrifted(concept, n)
-		out := make([]DriftedInstance, 0, len(names))
-		for i, e := range names {
-			if i%1024 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			out = append(out, DriftedInstance{Name: e, Depth: depth[e]})
-		}
-		return out, nil
+		return snap.DriftRanking(concept, n), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.([]DriftedInstance), nil
-}
-
-// driftedAll computes the fleet-wide drift ranking of one snapshot: the
-// n deepest provenance chains across every concept, ordered by depth
-// descending, then concept, then instance name.
-func driftedAll(ctx context.Context, snap *snapshot.Snapshot, n int) (any, error) {
-	var rows []DriftedInstance
-	for i, c := range snap.Concepts() {
-		if i%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		depth := snap.DriftDepth(c)
-		// Instances() is the deterministic iteration surface; the depth
-		// map itself must never be ranged into an ordered sink.
-		for _, e := range snap.Instances(c) {
-			rows = append(rows, DriftedInstance{Concept: c, Name: e, Depth: depth[e]})
-		}
-	}
-	sortDrifted(rows)
-	if len(rows) > n {
-		rows = rows[:n:n]
-	}
-	if rows == nil {
-		rows = []DriftedInstance{} // empty snapshots answer [], matching Router
-	}
-	return rows, nil
-}
-
-// sortDrifted orders fleet-wide drift rows canonically: depth
-// descending, then concept, then instance name. Router merges and
-// single-service rankings share this exact order, which is what makes
-// scatter-gather responses byte-identical across shard counts.
-func sortDrifted(rows []DriftedInstance) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Depth != b.Depth {
-			return a.Depth > b.Depth
-		}
-		if a.Concept != b.Concept {
-			return a.Concept < b.Concept
-		}
-		return a.Name < b.Name
-	})
 }
 
 // Metrics returns an exported snapshot of all service metrics.

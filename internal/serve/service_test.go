@@ -166,6 +166,62 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestDriftedAnswersAreAppendSafe: drift answers share the snapshot's
+// index (and a router's answer is built from shard answers), so each is
+// clipped to cap == len — also when n reaches past the ranking — and
+// appending to one response never changes the next.
+func TestDriftedAnswersAreAppendSafe(t *testing.T) {
+	snap := snapshot.Freeze(chainKB(10))
+	router, _ := buildFleet(t, snap, 2, nil, RouterOptions{})
+	ctx := context.Background()
+	for name, q := range map[string]Querier{
+		"cached":   New(snap, Options{}),
+		"uncached": New(snap, Options{CacheSize: -1}),
+		"router":   router,
+	} {
+		for _, concept := range []string{"", "c"} {
+			for _, n := range []int{1, 3, 12, 1000} {
+				what := fmt.Sprintf("%s Drifted(%q, %d)", name, concept, n)
+				first, err := q.Drifted(ctx, concept, n)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if cap(first) != len(first) {
+					t.Fatalf("%s: cap %d != len %d", what, cap(first), len(first))
+				}
+				want := asJSON(t, first)
+				_ = append(first, DriftedInstance{Name: "intruder", Depth: 99})
+				next, err := q.Drifted(ctx, concept, n)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if got := asJSON(t, next); got != want {
+					t.Fatalf("%s: append leaked into a later response:\n got %s\nwant %s", what, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDriftedCancelledCallerDoesNotPoisonIndex: a caller whose context
+// is already done gets ctx.Err() before any work, and the next caller
+// on the same fresh snapshot still gets the full ranking.
+func TestDriftedCancelledCallerDoesNotPoisonIndex(t *testing.T) {
+	svc, _ := testService(t, 6, Options{CacheSize: -1})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := svc.Drifted(cancelled, "", 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Drifted err = %v, want context.Canceled", err)
+	}
+	rows, err := svc.Drifted(context.Background(), "", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 || rows[0] != (DriftedInstance{Concept: "c", Name: "i5", Depth: 6}) {
+		t.Fatalf("Drifted after a cancelled caller = %+v", rows)
+	}
+}
+
 // TestCoalescing proves that identical in-flight queries compute once:
 // one goroutine blocks inside compute while followers pile up on the
 // same key, then everyone gets the single result.

@@ -8,10 +8,12 @@
 // every read method is safe for unbounded concurrent use without locks.
 //
 // Snapshot deliberately delegates all traversal — instance listing,
-// provenance explanation, drift ranking — to the kb package itself, so
+// provenance explanation, drift depth — to the kb package itself, so
 // the CLI and the server answer queries with the exact same code that
 // the cleaning pipeline uses, rather than a parallel reimplementation
-// that could drift out of sync.
+// that could drift out of sync. The one thing it adds is memoization a
+// mutable KB cannot have: drift rankings are built once per snapshot
+// and served as prefixes (drift.go).
 package snapshot
 
 import (
@@ -54,6 +56,10 @@ type Snapshot struct {
 	// Partition call assigned to this shard; reads about any other
 	// concept answer "not here". nil means the full, unpartitioned view.
 	owned map[string]struct{}
+
+	// drift is built lazily on the first drift query, so freezing and
+	// publishing pay nothing for it.
+	drift driftIndex
 }
 
 // Freeze deep-clones the KB into a new immutable snapshot. The caller
@@ -181,12 +187,18 @@ func (s *Snapshot) DriftDepth(concept string) map[string]int {
 }
 
 // TopDrifted returns up to n instances of the concept with the deepest
-// provenance chains, deepest first (ties by name).
+// provenance chains, deepest first (ties by name). It answers from the
+// snapshot's drift index.
 func (s *Snapshot) TopDrifted(concept string, n int) []string {
 	if !s.owns(concept) {
 		return nil
 	}
-	return s.k.TopDrifted(concept, n)
+	rows := prefix(s.driftIndex().byConcept[concept], n)
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = r.Name
+	}
+	return names
 }
 
 // NumPairs returns the number of distinct active pairs.

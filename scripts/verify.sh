@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # verify.sh — driftclean's full verification gate.
 #
-# Runs, in order: build, go vet, driftlint (the project-native static
+# Runs, in order: build, gofmt, go vet, driftlint (the project-native static
 # analyzers in internal/lint), the chaos/fault-injection suites, the
 # hearst fuzz seed corpus, the full test suite under the race detector,
 # and a total-statement-coverage ratchet (override with COVER_MIN). Any
@@ -20,6 +20,18 @@ go build ./...
 echo "==> go build ./cmd/driftserve (serving binary)"
 go build -o "$(mktemp -d)/driftserve" ./cmd/driftserve
 
+# Checks the repository's own Go files (tracked or new, not ignored
+# build output). internal/lint/testdata holds analyzer fixtures whose
+# diagnostics are pinned to line and column, so it stays as written.
+echo "==> gofmt -l (excluding internal/lint/testdata)"
+unformatted=$(git ls-files --cached --others --exclude-standard -- '*.go' ':!internal/lint/testdata' \
+  | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "gofmt would reformat:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -33,8 +45,8 @@ echo "==> driftlint (serving + snapshot-format packages)"
 go run ./cmd/driftlint ./internal/snapshot/... ./internal/serve/... ./internal/kb/... \
   ./cmd/driftserve/... ./cmd/kbquery/... ./cmd/kbsnap/...
 
-echo "==> go test -race (serving: snapshot swap under concurrent readers)"
-go test -race -run 'TestSwapUnderConcurrentReaders|TestConcurrentReads|TestCoalescing' \
+echo "==> go test -race (serving: snapshot swap under concurrent readers, drift index built once)"
+go test -race -run 'TestSwapUnderConcurrentReaders|TestConcurrentReads|TestCoalescing|TestDriftIndex|TestDrifted' \
   ./internal/snapshot ./internal/serve
 
 echo "==> go test -race (sharded serving: router scatter-gather, admission, partitioning)"
@@ -72,7 +84,7 @@ awk -v got="$total" -v min="$COVER_MIN" 'BEGIN { exit got >= min ? 0 : 1 }' || {
 
 echo "==> hot-path benchmarks (compile + one iteration each)"
 go test -run '^$' -bench . -benchtime=1x \
-  ./internal/linalg ./internal/kpca ./internal/rank ./internal/feature
+  ./internal/linalg ./internal/kpca ./internal/rank ./internal/feature ./internal/serve
 
 echo "==> driftbench smoke (serial vs parallel A/B + old-vs-new fingerprint check)"
 go run ./cmd/driftbench -smoke -check BENCH_pipeline.json -out BENCH_pipeline.smoke.json
