@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,12 +101,14 @@ func TestChaosLatencyOnlyIsByteIdentical(t *testing.T) {
 		"clean.*":   {Latency: time.Millisecond, LatencyProb: 0.5},
 		"core.*":    {Latency: time.Millisecond, LatencyProb: 0.5},
 	})
-	var sleeps int
-	lat.SetSleep(func(time.Duration) { sleeps++ })
+	// The injector sleeps on whichever worker hit the site, so the
+	// counter must be safe for concurrent use.
+	var sleeps atomic.Int64
+	lat.SetSleep(func(time.Duration) { sleeps.Add(1) })
 	if got := run(lat); got != baseline {
 		t.Fatalf("latency-only chaos changed the KB: %s vs %s", got, baseline)
 	}
-	if sleeps == 0 {
+	if sleeps.Load() == 0 {
 		t.Fatal("latency schedule never slept — chaos exercised nothing")
 	}
 }

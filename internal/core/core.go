@@ -57,7 +57,8 @@ type Config struct {
 
 	// Parallelism is the single worker-count knob for every parallel
 	// stage of the pipeline: corpus sharding, the extraction parse and
-	// disambiguation scans, the per-concept analysis fan-out, and the
+	// disambiguation scans, the per-concept analysis fan-out, the
+	// per-task manifold builds of multi-task detection, and the
 	// cleaning score prewarm. The default (0, or any value below 1) uses
 	// every CPU; 1 forces the serial path everywhere, which is the A/B
 	// lever behind the determinism guarantee — output is identical at any
@@ -170,8 +171,7 @@ type System struct {
 	// under the fixed config — so pointer identity is exactly "same
 	// matrix", and detection skips the O(n²) k-NN graph for every
 	// concept whose task survived from the previous pass. Guarded by
-	// manifoldMu (TrainMultiTask builds task states serially today, but
-	// the cache must not rely on that).
+	// manifoldMu: Detect fills it from several workers before training.
 	manifoldMu    sync.Mutex
 	manifoldCache map[string]manifoldEntry
 }
@@ -251,8 +251,9 @@ type Analysis struct {
 // Analyze runs mutual-exclusion discovery, seed labeling, feature
 // extraction and KPCA over the current state of the given KB (use
 // sys.KB, or a KB mid-cleaning). Per-concept work (random walks,
-// features, KPCA) is fanned out across CPUs; results are deterministic
-// regardless of parallelism.
+// features, KPCA) is fanned out one concept at a time over the
+// Config.Parallelism workers; results are deterministic regardless of
+// parallelism.
 //
 // Analysis is a pure function of the KB state and the (fixed) config,
 // so a repeated call on an unmutated KB — detected by pointer identity
@@ -280,13 +281,16 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 	parallelism := s.Cfg.workers()
 	a.Features.Warm(eligible, parallelism)
 
-	// par.For (rather than a raw goroutine pool) so a panic inside a
+	// One concept per claim: a task build costs from nothing (a cache
+	// hit) to a full KPCA fit, and a world has only tens of eligible
+	// concepts, so any coarser chunk hands them all to one worker. The
+	// par pool (rather than raw goroutines) captures a panic inside a
 	// task build — including one injected at the core.solve fault site —
-	// is captured and re-thrown on this goroutine, where the public API's
-	// stage recovery can turn it into ErrStagePanic.
+	// and re-throws it on this goroutine, where the public API's stage
+	// recovery can turn it into ErrStagePanic.
 	tasks := make([]*learn.Task, len(eligible))
 	errs := make([]error, len(eligible))
-	par.For(len(eligible), parallelism, func(i int) {
+	par.ForChunked(len(eligible), parallelism, 1, func(i int) {
 		tasks[i], errs[i] = s.buildTask(k, a, eligible[i])
 	})
 	for i, err := range errs {
@@ -534,6 +538,7 @@ func (s *System) Detect(a *Analysis, kind DetectorKind) (clean.Labels, error) {
 	case DetectMultiTask:
 		mtCfg := s.Cfg.MultiTask
 		mtCfg.ManifoldOf = s.manifoldFor
+		s.warmManifolds(a.Tasks, mtCfg.Manifold.WithDefaults())
 		res, err := learn.TrainMultiTask(a.Tasks, mtCfg, nil)
 		if err != nil {
 			return nil, err
@@ -596,6 +601,23 @@ func (s *System) Detect(a *Analysis, kind DetectorKind) (clean.Labels, error) {
 		guardDPs(out[t.Concept], t)
 	}
 	return out, nil
+}
+
+// warmManifolds fills the manifold cache for every task TrainMultiTask
+// will train (those with labels and a non-empty representation), one
+// task per worker claim, so training reads only cache hits. Each matrix
+// is a pure function of its task, so the build order cannot change a
+// bit.
+func (s *System) warmManifolds(tasks []*learn.Task, cfg learn.ManifoldConfig) {
+	var active []*learn.Task
+	for _, t := range tasks {
+		if t.LabeledCount() > 0 && t.Dim() > 0 {
+			active = append(active, t)
+		}
+	}
+	par.ForChunked(len(active), s.Cfg.workers(), 1, func(i int) {
+		s.manifoldFor(active[i], cfg)
+	})
 }
 
 // manifoldFor is the memoizing learn.MultiTaskConfig.ManifoldOf

@@ -102,6 +102,8 @@ func New(seed int64, rules map[string]Rule) *Injector {
 
 // SetSleep replaces the latency sleeper (tests record delays instead of
 // actually waiting). It must be called before the injector is shared.
+// fn runs on whichever goroutine hit the site, parallel workers
+// included, so it must be safe for concurrent use.
 func (in *Injector) SetSleep(fn func(time.Duration)) {
 	if in == nil {
 		return

@@ -1,11 +1,6 @@
 package learn
 
-import (
-	"sort"
-
-	"driftclean/internal/floats"
-	"driftclean/internal/linalg"
-)
+import "driftclean/internal/linalg"
 
 // ManifoldConfig controls the semi-supervised manifold regularizer of
 // Eqs 9–14.
@@ -24,6 +19,17 @@ type ManifoldConfig struct {
 // DefaultManifoldConfig returns k=5 neighborhoods with mild local ridge.
 func DefaultManifoldConfig() ManifoldConfig {
 	return ManifoldConfig{K: 5, LocalLambda: 0.1, MaxPoints: 500}
+}
+
+// WithDefaults returns the config TrainMultiTask builds manifold
+// matrices with: c itself, or DefaultManifoldConfig when c.K is unset.
+// A caller that prebuilds matrices for TrainMultiTask's ManifoldOf
+// resolves its config here so both sides agree.
+func (c ManifoldConfig) WithDefaults() ManifoldConfig {
+	if c.K <= 0 {
+		return DefaultManifoldConfig()
+	}
+	return c
 }
 
 // ManifoldMatrix computes a task's manifold regularizer matrix A. It is
@@ -54,19 +60,20 @@ func buildManifoldMatrix(t *Task, cfg ManifoldConfig) *linalg.Matrix {
 		return a
 	}
 	neigh := nearestNeighbors(t, k)
-	h := centeringMatrix(k + 1)
+	ws := newLocalScratch(r, k+1)
 	for i := 0; i < n; i++ {
 		// X̃_i: columns are x̃_i and its k nearest neighbors.
-		xi := linalg.NewMatrix(r, k+1)
-		cols := append([]int{i}, neigh[i]...)
-		for c, idx := range cols {
-			for row := 0; row < r; row++ {
-				xi.Set(row, c, t.Instances[idx].X[row])
+		for c := 0; c <= k; c++ {
+			idx := i
+			if c > 0 {
+				idx = neigh[i][c-1]
+			}
+			for row, v := range t.Instances[idx].X[:r] {
+				ws.xi.Set(row, c, v)
 			}
 		}
-		li := localL(xi, h, cfg.LocalLambda)
 		// A += X̃_i·L_i·X̃_iᵀ.
-		linalg.AddInPlace(a, 1, linalg.Mul(linalg.Mul(xi, li), xi.T()))
+		linalg.AddInPlace(a, 1, ws.contribution(cfg.LocalLambda))
 	}
 	a.Symmetrize()
 	// Normalize to a per-neighborhood mean: the Eq 17 sum grows with the
@@ -106,23 +113,80 @@ func manifoldSubset(t *Task, limit int) *Task {
 	return sub
 }
 
-// localL computes L_i = H − H·X̃_iᵀ·(X̃_i·H·X̃_iᵀ + λI)⁻¹·X̃_i·H (Eq 14).
-func localL(xi, h *linalg.Matrix, lambda float64) *linalg.Matrix {
-	r := xi.Rows
-	xh := linalg.Mul(xi, h) // r×(k+1)
-	mid := linalg.Mul(xh, xi.T())
-	for i := 0; i < r; i++ {
-		mid.Add(i, i, lambda)
+// localScratch holds every intermediate of one neighborhood's Eq 14
+// term, sized once per manifold build and reused across its n
+// neighborhoods. The products run through linalg.MulInto and the inverse
+// through LU.Refactor and LU.SolveInto — the kernels linalg.Mul and
+// linalg.Inverse themselves run — in the same order as the allocating
+// formula, so the result is that formula's bit for bit.
+type localScratch struct {
+	h         *linalg.Matrix // m×m centering matrix H
+	xi, xiT   *linalg.Matrix // r×m X̃_i and its transpose
+	xh, xhT   *linalg.Matrix // r×m X̃_i·H and its transpose
+	mid, inv  *linalg.Matrix // r×r X̃_i·H·X̃_iᵀ + λI and its inverse
+	ident     *linalg.Matrix // r×r right-hand side of the inverse
+	xhTinv    *linalg.Matrix // m×r (X̃_i·H)ᵀ·inv
+	corr, l   *linalg.Matrix // m×m correction and L_i
+	xl        *linalg.Matrix // r×m X̃_i·L_i
+	out       *linalg.Matrix // r×r X̃_i·L_i·X̃_iᵀ
+	lu        linalg.LU
+	solveBufs []float64
+}
+
+// newLocalScratch sizes the scratch for r-dimensional points and
+// m = k+1 columns per neighborhood.
+func newLocalScratch(r, m int) *localScratch {
+	return &localScratch{
+		h:         centeringMatrix(m),
+		xi:        linalg.NewMatrix(r, m),
+		xiT:       linalg.NewMatrix(m, r),
+		xh:        linalg.NewMatrix(r, m),
+		xhT:       linalg.NewMatrix(m, r),
+		mid:       linalg.NewMatrix(r, r),
+		inv:       linalg.NewMatrix(r, r),
+		ident:     linalg.Identity(r),
+		xhTinv:    linalg.NewMatrix(m, r),
+		corr:      linalg.NewMatrix(m, m),
+		l:         linalg.NewMatrix(m, m),
+		xl:        linalg.NewMatrix(r, m),
+		out:       linalg.NewMatrix(r, r),
+		solveBufs: make([]float64, 2*r),
 	}
-	inv, err := linalg.Inverse(mid)
-	if err != nil {
+}
+
+// contribution returns X̃_i·L_i·X̃_iᵀ for the neighborhood currently in
+// ws.xi. The result aliases ws and is overwritten by the next call.
+func (ws *localScratch) contribution(lambda float64) *linalg.Matrix {
+	linalg.TransposeInto(ws.xiT, ws.xi)
+	ws.localL(lambda)
+	linalg.MulInto(ws.xl, ws.xi, ws.l)
+	linalg.MulInto(ws.out, ws.xl, ws.xiT)
+	return ws.out
+}
+
+// localL computes L_i = H − H·X̃_iᵀ·(X̃_i·H·X̃_iᵀ + λI)⁻¹·X̃_i·H (Eq 14)
+// into ws.l, reading X̃_i from ws.xi and its transpose from ws.xiT.
+func (ws *localScratch) localL(lambda float64) {
+	r := ws.xi.Rows
+	linalg.MulInto(ws.xh, ws.xi, ws.h) // r×(k+1)
+	linalg.MulInto(ws.mid, ws.xh, ws.xiT)
+	for i := 0; i < r; i++ {
+		ws.mid.Add(i, i, lambda)
+	}
+	if err := ws.lu.Refactor(ws.mid); err != nil {
 		// λI keeps mid positive definite in theory; fall back to pure
 		// centering if numerical degeneracy still bites.
-		return h.Clone()
+		copy(ws.l.Data, ws.h.Data)
+		return
 	}
+	ws.lu.SolveInto(ws.inv, ws.ident, ws.solveBufs)
 	// L = H − (X̃H)ᵀ·inv·(X̃H)  — using H symmetric and idempotent.
-	corr := linalg.Mul(linalg.Mul(xh.T(), inv), xh)
-	return linalg.SubM(h, corr)
+	linalg.TransposeInto(ws.xhT, ws.xh)
+	linalg.MulInto(ws.xhTinv, ws.xhT, ws.inv)
+	linalg.MulInto(ws.corr, ws.xhTinv, ws.xh)
+	for i, hv := range ws.h.Data {
+		ws.l.Data[i] = hv - ws.corr.Data[i]
+	}
 }
 
 // centeringMatrix returns H = I − (1/m)·11ᵀ.
@@ -142,32 +206,40 @@ func centeringMatrix(m int) *linalg.Matrix {
 }
 
 // nearestNeighbors returns, for each instance, the indexes of its k
-// nearest neighbors by Euclidean distance in the transformed space, ties
-// broken by index for determinism.
+// nearest neighbors (1 ≤ k < n) by Euclidean distance in the transformed
+// space, nearest first, ties broken by the lower index for determinism.
+// Each row keeps a sorted list of the k best candidates so far and
+// inserts into it, O(n·k) per row instead of sorting all n−1 candidates;
+// the order is the same total order, so the indexes are the same.
+// Coordinates are assumed finite.
 func nearestNeighbors(t *Task, k int) [][]int {
 	n := len(t.Instances)
 	out := make([][]int, n)
-	type cand struct {
-		idx int
-		d2  float64
-	}
+	flat := make([]int, n*k)
+	d2 := make([]float64, k)
 	for i := 0; i < n; i++ {
-		cands := make([]cand, 0, n-1)
+		idxs := flat[i*k : (i+1)*k : (i+1)*k]
+		kept := 0
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
-			cands = append(cands, cand{j, sqDist(t.Instances[i].X, t.Instances[j].X)})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if !floats.Identical(cands[a].d2, cands[b].d2) {
-				return cands[a].d2 < cands[b].d2
+			d := sqDist(t.Instances[i].X, t.Instances[j].X)
+			// j ascends, so a candidate at a kept distance ranks after
+			// it: only a strictly smaller distance moves it up.
+			if kept == k && d >= d2[k-1] {
+				continue
 			}
-			return cands[a].idx < cands[b].idx
-		})
-		idxs := make([]int, k)
-		for j := 0; j < k; j++ {
-			idxs[j] = cands[j].idx
+			if kept < k {
+				kept++
+			}
+			// Insert at the last slot (the free one, or over the
+			// dropped k-th best) and shift up past every larger distance.
+			p := kept - 1
+			for ; p > 0 && d < d2[p-1]; p-- {
+				d2[p], idxs[p] = d2[p-1], idxs[p-1]
+			}
+			d2[p], idxs[p] = d, j
 		}
 		out[i] = idxs
 	}

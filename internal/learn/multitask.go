@@ -82,9 +82,7 @@ func TrainMultiTask(tasks []*Task, cfg MultiTaskConfig, hook IterationHook) (*Mu
 	if cfg.Epsilon <= 0 {
 		cfg.Epsilon = def.Epsilon
 	}
-	if cfg.Manifold.K <= 0 {
-		cfg.Manifold = def.Manifold
-	}
+	cfg.Manifold = cfg.Manifold.WithDefaults()
 	manifold := cfg.ManifoldOf
 	if manifold == nil {
 		manifold = ManifoldMatrix

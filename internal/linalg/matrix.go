@@ -88,12 +88,21 @@ func (m *Matrix) Col(j int) []float64 {
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
+	TransposeInto(out, m)
+	return out
+}
+
+// TransposeInto writes mᵀ into dst, which must be m.Cols×m.Rows and
+// must not alias m.
+func TransposeInto(dst, m *Matrix) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("linalg: TransposeInto shape mismatch %d×%d for the transpose of %d×%d", dst.Rows, dst.Cols, m.Rows, m.Cols))
+	}
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
+			dst.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
 		}
 	}
-	return out
 }
 
 // Mul returns the matrix product a·b.
@@ -102,9 +111,21 @@ func Mul(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("linalg: Mul dimension mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(a.Rows, b.Cols)
+	MulInto(out, a, b)
+	return out
+}
+
+// MulInto overwrites dst with a·b. dst must be a.Rows×b.Cols and must
+// not alias a or b. Mul is MulInto on a fresh matrix, so a caller that
+// reuses dst across products gets Mul's result bit for bit.
+func MulInto(dst, a, b *Matrix) {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("linalg: MulInto dimension mismatch %d×%d · %d×%d into %d×%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	clear(dst.Data)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
+		orow := dst.Data[i*b.Cols : (i+1)*b.Cols]
 		for k, av := range arow {
 			if av == 0 {
 				continue
@@ -115,7 +136,6 @@ func Mul(a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
 // MulVec returns the matrix-vector product m·v.

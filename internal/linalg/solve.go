@@ -10,7 +10,8 @@ import (
 // working precision.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
-// LU holds a partial-pivot LU factorization of a square matrix.
+// LU holds a partial-pivot LU factorization of a square matrix. Its
+// zero value is an empty workspace for Refactor.
 type LU struct {
 	lu   *Matrix
 	piv  []int
@@ -20,12 +21,29 @@ type LU struct {
 // Factor computes the partial-pivot LU factorization of a. It returns
 // ErrSingular when a pivot vanishes.
 func Factor(a *Matrix) (*LU, error) {
+	f := new(LU)
+	if err := f.Refactor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Refactor overwrites f with the factorization of a, reusing f's storage
+// when a has the order f last factored, so a caller factoring many
+// same-sized matrices allocates once. It is Factor's only code path, so
+// the factors are Factor's bit for bit. After an error f holds no usable
+// factorization until the next successful Refactor.
+func (f *LU) Refactor(a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Factor of non-square %d×%d matrix", a.Rows, a.Cols)
+		return fmt.Errorf("linalg: Factor of non-square %d×%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	if f.lu == nil || f.lu.Rows != n {
+		f.lu = NewMatrix(n, n)
+		f.piv = make([]int, n)
+	}
+	lu, piv := f.lu, f.piv
+	copy(lu.Data, a.Data)
 	for i := range piv {
 		piv[i] = i
 	}
@@ -39,7 +57,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 		if best == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			swapRows(lu, p, k)
@@ -58,7 +76,8 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	f.sign = sign
+	return nil
 }
 
 func swapRows(m *Matrix, a, b int) {
@@ -110,23 +129,33 @@ func (f *LU) solveVecInto(x, b []float64) {
 // Solve solves A·X = B column by column, reusing one column and one
 // solution buffer across all right-hand sides.
 func (f *LU) Solve(b *Matrix) *Matrix {
+	out := NewMatrix(f.lu.Rows, b.Cols)
+	f.SolveInto(out, b, make([]float64, 2*f.lu.Rows))
+	return out
+}
+
+// SolveInto is Solve writing X into dst (n×b.Cols, not aliasing b) and
+// taking its column buffers from scratch, which must hold at least 2n
+// values. Solve is SolveInto with fresh buffers, so both produce the
+// same bits.
+func (f *LU) SolveInto(dst, b *Matrix, scratch []float64) {
 	n := f.lu.Rows
 	if b.Rows != n {
 		panic(fmt.Sprintf("linalg: Solve rhs has %d rows, want %d", b.Rows, n))
 	}
-	out := NewMatrix(n, b.Cols)
-	col := make([]float64, n)
-	x := make([]float64, n)
+	if dst.Rows != n || dst.Cols != b.Cols || len(scratch) < 2*n {
+		panic(fmt.Sprintf("linalg: SolveInto needs a %d×%d dst and %d scratch values, got %d×%d and %d", n, b.Cols, 2*n, dst.Rows, dst.Cols, len(scratch)))
+	}
+	col, x := scratch[:n], scratch[n:2*n]
 	for j := 0; j < b.Cols; j++ {
 		for i := 0; i < n; i++ {
 			col[i] = b.At(i, j)
 		}
 		f.solveVecInto(x, col)
 		for i := 0; i < n; i++ {
-			out.Set(i, j, x[i])
+			dst.Set(i, j, x[i])
 		}
 	}
-	return out
 }
 
 // Det returns the determinant of the factored matrix.

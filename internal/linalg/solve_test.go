@@ -2,6 +2,8 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -151,5 +153,50 @@ func TestQuickCholeskyReconstruction(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReusedWorkspacesMatchAllocating reuses one LU, one product, one
+// transpose and one solve buffer across systems of changing order and
+// requires every result to carry the bits of Factor, Solve, Mul and T.
+func TestReusedWorkspacesMatchAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var lu LU
+	if err := lu.Refactor(FromRows([][]float64{{0, 0}, {0, 0}})); !errors.Is(err, ErrSingular) {
+		t.Fatalf("Refactor(zero) err = %v, want ErrSingular", err)
+	}
+	for _, n := range []int{3, 3, 5, 2, 5} {
+		a := randomSPD(rng, n)
+		b := randomMatrix(rng, n, 4)
+		if err := lu.Refactor(a); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		f, err := Factor(a)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		got := randomMatrix(rng, n, 4) // dirty: SolveInto must overwrite
+		lu.SolveInto(got, b, make([]float64, 2*n))
+		requireSameBits(t, fmt.Sprintf("n=%d SolveInto", n), got, f.Solve(b))
+
+		prod := randomMatrix(rng, n, 4)
+		MulInto(prod, a, b)
+		requireSameBits(t, fmt.Sprintf("n=%d MulInto", n), prod, Mul(a, b))
+
+		tr := randomMatrix(rng, 4, n)
+		TransposeInto(tr, b)
+		requireSameBits(t, fmt.Sprintf("n=%d TransposeInto", n), tr, b.T())
+	}
+}
+
+func requireSameBits(t *testing.T, what string, got, want *Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %d×%d, want %d×%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: entry %d is %v, want %v", what, i, v, want.Data[i])
+		}
 	}
 }

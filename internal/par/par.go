@@ -16,9 +16,12 @@ import (
 )
 
 // chunkSize is the number of consecutive indices a worker claims per
-// atomic fetch. Chunking keeps the claim counter off the hot path for
-// cheap per-item work (a Hearst parse is ~1µs) while staying small
-// enough to load-balance skewed work such as per-concept random walks.
+// atomic fetch in For. Chunking keeps the claim counter off the hot path
+// for cheap, numerous items (a Hearst parse is ~1µs). It does not
+// balance coarse work: a loop of at most 64 items is a single claim, so
+// one worker runs all of it. Loops over coarse per-item work — one
+// concept's walks, KPCA fit or manifold matrix — use ForChunked with a
+// chunk of 1.
 const chunkSize = 64
 
 // Workers normalizes a parallelism knob: values below 1 mean "use every
@@ -70,9 +73,10 @@ func For(n, workers int, fn func(i int)) {
 }
 
 // ForChunked is For with an explicit chunk size, for workloads whose
-// per-item cost is so uneven (e.g. one shard per chunk) that the caller
-// wants to pin the claim granularity. It shares For's panic contract:
-// the first worker panic is re-thrown on the calling goroutine.
+// per-item cost is coarse or uneven (one shard or one concept per item)
+// so the caller pins the claim granularity, usually to 1. It shares
+// For's panic contract: the first worker panic is re-thrown on the
+// calling goroutine.
 func ForChunked(n, workers, chunk int, fn func(i int)) {
 	if n <= 0 {
 		return

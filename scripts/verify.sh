@@ -55,6 +55,7 @@ go test -race -run 'TestRouter|TestAdmission|TestRing|TestPartition|TestSharded|
 
 echo "==> go test -race (parallel pipeline determinism, workers >= 4)"
 go test -race -run 'TestPipelineParallelMatchesSerial' .
+go test -race -run 'TestDetectSerialMatchesParallel|TestAnalyzeFansOutPerConcept' ./internal/core
 
 echo "==> go test -race (chaos: injected faults, panics, reload breaker)"
 go test -race ./internal/fault
@@ -84,7 +85,7 @@ awk -v got="$total" -v min="$COVER_MIN" 'BEGIN { exit got >= min ? 0 : 1 }' || {
 
 echo "==> hot-path benchmarks (compile + one iteration each)"
 go test -run '^$' -bench . -benchtime=1x \
-  ./internal/linalg ./internal/kpca ./internal/rank ./internal/feature ./internal/serve
+  ./internal/linalg ./internal/kpca ./internal/rank ./internal/feature ./internal/learn ./internal/serve
 
 echo "==> driftbench smoke (serial vs parallel A/B + old-vs-new fingerprint check)"
 go run ./cmd/driftbench -smoke -check BENCH_pipeline.json -out BENCH_pipeline.smoke.json
