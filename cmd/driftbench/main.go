@@ -139,10 +139,10 @@ func main() {
 		}
 	}
 	if len(res.Ingest) > 0 {
-		fmt.Printf("\n%-14s %10s %12s %8s  %s\n", "ingest", "batch_s", "rerun_s", "speedup", "identical")
+		fmt.Printf("\n%-16s %10s %12s %8s %10s  %s\n", "ingest", "batch_s", "rerun_s", "speedup", "task_fits", "identical")
 		for _, ir := range res.Ingest {
-			fmt.Printf("%-14s %10.3f %12.2f %7.2fx  %v\n",
-				ir.Name, ir.MeanBatchSeconds, ir.FullRerunSeconds, ir.Speedup, ir.Identical)
+			fmt.Printf("%-16s %10.3f %12.2f %7.2fx %10d  %v\n",
+				ir.Name, ir.MeanBatchSeconds, ir.FullRerunSeconds, ir.Speedup, ir.TaskRebuilds, ir.Identical)
 			if !ir.Identical {
 				ok = false
 			}

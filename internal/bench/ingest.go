@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"driftclean/internal/clean"
 	"driftclean/internal/core"
 )
 
@@ -25,21 +26,28 @@ type IngestScale struct {
 	DeltaSentences int `json:"delta_sentences"`
 }
 
-// DefaultIngestScales returns the standard ingest scenario: the medium
-// pipeline corpus in steady-state trickle.
+// DefaultIngestScales returns the standard ingest scenarios: the medium
+// pipeline corpus in steady-state trickle, cleaned in one round and at
+// the default round cap. Only the latter shows cross-checkpoint reuse
+// of later rounds' work.
 func DefaultIngestScales() []IngestScale {
 	return []IngestScale{
 		{Name: "ingest-medium", Sentences: 40000, CleanRounds: 1, DeltaBatches: 10, DeltaSentences: 1},
+		{Name: "ingest-medium-r5", Sentences: 40000, CleanRounds: defaultRounds, DeltaBatches: 10, DeltaSentences: 1},
 	}
 }
 
-// SmokeIngestScales returns the tiny ingest scenario the CI smoke run
-// uses; its value is the fingerprint-identity check, not the timing.
+// SmokeIngestScales returns the tiny ingest scenarios the CI smoke run
+// uses; their value is the fingerprint-identity check, not the timing.
 func SmokeIngestScales() []IngestScale {
 	return []IngestScale{
 		{Name: "ingest-smoke", Sentences: 6000, CleanRounds: 1, DeltaBatches: 3, DeltaSentences: 1},
+		{Name: "ingest-smoke-r5", Sentences: 6000, CleanRounds: defaultRounds, DeltaBatches: 3, DeltaSentences: 1},
 	}
 }
+
+// defaultRounds is the pipeline's default cleaning round cap.
+var defaultRounds = clean.DefaultConfig().MaxRounds
 
 // IngestResult reports one ingest scenario: the bulk checkpoint, every
 // timed delta batch, and the from-scratch rerun over the same final
@@ -63,9 +71,11 @@ type IngestResult struct {
 	// TaskReuse and WalkReuse total, over the delta batches, the
 	// concepts whose learning task (KPCA fit) and random-walk scores
 	// were reused instead of recomputed — the mechanism the speedup
-	// comes from.
-	TaskReuse int `json:"task_reuse"`
-	WalkReuse int `json:"walk_reuse"`
+	// comes from. TaskRebuilds totals the task builds that missed and
+	// paid for a KPCA fit.
+	TaskReuse    int `json:"task_reuse"`
+	TaskRebuilds int `json:"task_rebuilds"`
+	WalkReuse    int `json:"walk_reuse"`
 	// Pairs and Fingerprint identify the final incremental KB;
 	// FullFingerprint is the from-scratch rerun's. Identical must be
 	// true — the incremental path may save work, never change output.
@@ -82,9 +92,9 @@ func RunIngest(res *Result, scales []IngestScale, progress func(string)) {
 	for _, sc := range scales {
 		ir := timeIngest(sc)
 		if progress != nil {
-			progress(fmt.Sprintf("%-14s bulk %6.2fs  batch mean %.3fs max %.3fs (%d×%d sentences)  rerun %6.2fs  %5.1fx  identical=%v",
+			progress(fmt.Sprintf("%-16s bulk %6.2fs  batch mean %.3fs max %.3fs (%d×%d sentences)  rerun %6.2fs  %5.1fx  task fits %d  identical=%v",
 				sc.Name, ir.BulkSeconds, ir.MeanBatchSeconds, ir.MaxBatchSeconds,
-				sc.DeltaBatches, sc.DeltaSentences, ir.FullRerunSeconds, ir.Speedup, ir.Identical))
+				sc.DeltaBatches, sc.DeltaSentences, ir.FullRerunSeconds, ir.Speedup, ir.TaskRebuilds, ir.Identical))
 		}
 		res.Ingest = append(res.Ingest, ir)
 	}
@@ -126,6 +136,7 @@ func timeIngest(sc IngestScale) IngestResult {
 		}
 		ir.BatchSeconds = append(ir.BatchSeconds, time.Since(t0).Seconds())
 		ir.TaskReuse += st.TaskReuse
+		ir.TaskRebuilds += st.TaskRebuilds
 		ir.WalkReuse += st.WalkReuse
 		start = end
 	}

@@ -11,7 +11,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"sync"
 
 	"driftclean/internal/clean"
 	"driftclean/internal/corpus"
@@ -24,6 +23,7 @@ import (
 	"driftclean/internal/kpca"
 	"driftclean/internal/learn"
 	"driftclean/internal/linalg"
+	"driftclean/internal/memo"
 	"driftclean/internal/mutex"
 	"driftclean/internal/par"
 	"driftclean/internal/rank"
@@ -123,13 +123,17 @@ func DefaultConfig() Config {
 // System holds the built substrate: the world, the corpus and the
 // (drifted) extraction result.
 //
-// A System memoizes analysis work across calls: the per-concept
-// random-walk score cache is shared between every Analyze pass and the
-// cleaning rounds (rollbacks invalidate exactly the concepts they
-// touch), and a full *Analysis is reused verbatim when the KB has not
-// mutated since it was computed. Like the KB itself, a System's
-// orchestration methods (Analyze, Detect, CleanDPs) are not safe for
-// concurrent use.
+// A System memoizes analysis work across calls. A full *Analysis is
+// reused verbatim when the KB has not mutated since it was computed;
+// the per-concept random-walk score cache is shared between every
+// Analyze pass and the cleaning rounds (rollbacks invalidate exactly
+// the concepts they touch). Below those, three content-addressed memos
+// — learning tasks, random walks and manifold matrices — skip a
+// computation whenever its exact inputs were seen at any round of the
+// current or previous memo generation. Ingestor rotates them once per
+// committed checkpoint; a System driven without one (a batch run) stays
+// in a single generation. Like the KB itself, a System's orchestration
+// methods (Analyze, Detect, CleanDPs) are not safe for concurrent use.
 type System struct {
 	Cfg        Config
 	World      *world.World
@@ -143,8 +147,8 @@ type System struct {
 	scoreCache *rank.Cache
 	// walkMemo backs scoreCache with graph-signature-keyed walk reuse,
 	// so a checkpoint replay's fresh KB (new pointer, cold cache) still
-	// skips the power iteration for every concept whose trigger graph is
-	// unchanged from the previous checkpoint.
+	// skips the power iteration for every concept whose trigger graph
+	// some recent round already walked.
 	walkMemo *rank.WalkMemo
 	// memo holds the last Analysis with the KB identity + version it was
 	// computed from; a hit requires both to be unchanged.
@@ -153,45 +157,33 @@ type System struct {
 		version  uint64
 		analysis *Analysis
 	}
-	// taskCache persists each concept's learning task across analysis
-	// passes, keyed by a signature of the task's exact inputs (instance
-	// names, seed labels, raw feature matrix). A task is a pure function
-	// of those inputs and the fixed config, so a signature hit skips the
-	// KPCA fit and projection — the dominant analysis cost — and returns
-	// the cached task verbatim. Guarded by taskMu (buildTask fans out).
-	taskMu     sync.Mutex
-	taskCache  map[string]taskEntry
-	taskHits   int
-	taskMisses int
-
-	// manifoldCache memoizes each concept's manifold regularizer matrix
-	// (Eq 17) keyed on the task pointer it was built from. Cached tasks
-	// are returned pointer-identical by buildTask, a rebuilt task is a
-	// fresh allocation, and the matrix is a pure function of the task
-	// under the fixed config — so pointer identity is exactly "same
-	// matrix", and detection skips the O(n²) k-NN graph for every
-	// concept whose task survived from the previous pass. Guarded by
-	// manifoldMu: Detect fills it from several workers before training.
-	manifoldMu    sync.Mutex
-	manifoldCache map[string]manifoldEntry
+	// tasks memoizes learning tasks keyed by concept and a signature of
+	// the task's exact inputs (instance names, seed labels, raw feature
+	// matrix). A task is a pure function of those inputs and the fixed
+	// config, so a hit skips the KPCA fit and projection — the dominant
+	// analysis cost — and returns the stored task verbatim.
+	tasks memo.Memo[taskKey, *learn.Task]
+	// manifolds memoizes each task's manifold regularizer matrix (Eq 17)
+	// keyed on the task pointer. Cached tasks are returned
+	// pointer-identical, a rebuilt task is a fresh allocation, and the
+	// matrix is a pure function of the task under the fixed config — so
+	// pointer identity is exactly "same matrix", and detection skips the
+	// O(n²) k-NN graph for every task it has seen before.
+	manifolds memo.Memo[*learn.Task, *linalg.Matrix]
 }
 
-type taskEntry struct {
-	sig  uint64
-	task *learn.Task
-}
-
-type manifoldEntry struct {
-	task *learn.Task
-	a    *linalg.Matrix
+type taskKey struct {
+	concept string
+	sig     uint64
 }
 
 // ScoreCache returns the system's shared cross-round random-walk cache,
 // creating it on first use. Its configuration matches the feature
 // extractor's (rank.DefaultConfig), which is also the cleaning loop's
 // default Eq 21 walk configuration. The cache computes walks through
-// the system's signature-keyed walk memo, so concepts whose trigger
-// graphs are unchanged across checkpoint replays reuse their scores.
+// the system's signature-keyed walk memo, so a concept whose trigger
+// graph some recent round already walked reuses its scores across
+// checkpoint replays.
 func (s *System) ScoreCache() *rank.Cache {
 	if s.scoreCache == nil {
 		if s.walkMemo == nil {
@@ -206,10 +198,17 @@ func (s *System) ScoreCache() *rank.Cache {
 // TaskCacheStats reports how many buildTask calls reused a cached task
 // versus rebuilt one (KPCA fit + projection) since the system was
 // created.
-func (s *System) TaskCacheStats() (hits, misses int) {
-	s.taskMu.Lock()
-	defer s.taskMu.Unlock()
-	return s.taskHits, s.taskMisses
+func (s *System) TaskCacheStats() (hits, misses int) { return s.tasks.Stats() }
+
+// rotateMemos ends a generation of the task, walk and manifold memos:
+// entries no analysis pass has used since the previous rotation are
+// dropped.
+func (s *System) rotateMemos() {
+	s.tasks.Rotate()
+	s.manifolds.Rotate()
+	if s.walkMemo != nil {
+		s.walkMemo.Rotate()
+	}
 }
 
 // Prepare generates the world and corpus and wires up the oracle, but
@@ -314,14 +313,15 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 // are transformed by a per-concept KPCA fitted on (capped) task points.
 //
 // The expensive tail — KPCA fit, projection, padding — is skipped when
-// the task's inputs are unchanged since the last pass: the task is a
-// pure function of (names, seed labels, raw feature matrix) under the
-// system's fixed config, so an identical input signature returns the
-// previously built task bit for bit. This is what scopes re-analysis to
-// dirty concepts: the raw feature matrix already aggregates every
-// cross-concept dependency (f2/f6 read other concepts' pair counts and
-// the exclusion structure), so "feature vectors unchanged" is exactly
-// the condition under which the old task is still the right answer.
+// the task memo holds a task built from the same inputs at any earlier
+// round it still remembers: the task is a pure function of (names, seed
+// labels, raw feature matrix) under the system's fixed config, so an
+// identical input signature returns that task bit for bit. This is what
+// scopes re-analysis to dirty concepts: the raw feature matrix already
+// aggregates every cross-concept dependency (f2/f6 read other concepts'
+// pair counts and the exclusion structure), so "feature vectors
+// unchanged" is exactly the condition under which the old task is
+// still the right answer.
 func (s *System) buildTask(k *kb.KB, a *Analysis, concept string) (*learn.Task, error) {
 	seeds := a.Labeler.Seeds(concept)
 	var names []string
@@ -343,15 +343,10 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string) (*learn.Task, 
 	}
 	raw := a.Features.Matrix(concept, names)
 
-	sig := taskSignature(concept, names, seeds, raw, s.Cfg.KPCA)
-	s.taskMu.Lock()
-	if e, ok := s.taskCache[concept]; ok && e.sig == sig {
-		s.taskHits++
-		s.taskMu.Unlock()
-		return e.task, nil
+	key := taskKey{concept, taskSignature(concept, names, seeds, raw, s.Cfg.KPCA)}
+	if task, ok := s.tasks.Get(key); ok {
+		return task, nil
 	}
-	s.taskMisses++
-	s.taskMu.Unlock()
 
 	// The eigensolve below is the analysis hot spot, so it gets its own
 	// chaos seam: a signature miss is exactly "this concept pays for a
@@ -422,12 +417,7 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string) (*learn.Task, 
 		})
 	}
 	task.PadTo(s.sharedDim())
-	s.taskMu.Lock()
-	if s.taskCache == nil {
-		s.taskCache = make(map[string]taskEntry)
-	}
-	s.taskCache[concept] = taskEntry{sig: sig, task: task}
-	s.taskMu.Unlock()
+	s.tasks.Put(key, task)
 	return task, nil
 }
 
@@ -603,9 +593,9 @@ func (s *System) Detect(a *Analysis, kind DetectorKind) (clean.Labels, error) {
 	return out, nil
 }
 
-// warmManifolds fills the manifold cache for every task TrainMultiTask
+// warmManifolds fills the manifold memo for every task TrainMultiTask
 // will train (those with labels and a non-empty representation), one
-// task per worker claim, so training reads only cache hits. Each matrix
+// task per worker claim, so training reads only memo hits. Each matrix
 // is a pure function of its task, so the build order cannot change a
 // bit.
 func (s *System) warmManifolds(tasks []*learn.Task, cfg learn.ManifoldConfig) {
@@ -621,23 +611,15 @@ func (s *System) warmManifolds(tasks []*learn.Task, cfg learn.ManifoldConfig) {
 }
 
 // manifoldFor is the memoizing learn.MultiTaskConfig.ManifoldOf
-// provider: it returns the cached manifold matrix when the concept's
-// task is the same object as last time, and builds and caches it
-// otherwise. See manifoldCache for why pointer identity is sound.
+// provider: it returns the stored manifold matrix of this task object,
+// and builds and stores it otherwise. See System.manifolds for why
+// pointer identity is sound.
 func (s *System) manifoldFor(t *learn.Task, cfg learn.ManifoldConfig) *linalg.Matrix {
-	s.manifoldMu.Lock()
-	if e, ok := s.manifoldCache[t.Concept]; ok && e.task == t {
-		s.manifoldMu.Unlock()
-		return e.a
+	if a, ok := s.manifolds.Get(t); ok {
+		return a
 	}
-	s.manifoldMu.Unlock()
 	a := learn.ManifoldMatrix(t, cfg)
-	s.manifoldMu.Lock()
-	if s.manifoldCache == nil {
-		s.manifoldCache = make(map[string]manifoldEntry)
-	}
-	s.manifoldCache[t.Concept] = manifoldEntry{task: t, a: a}
-	s.manifoldMu.Unlock()
+	s.manifolds.Put(t, a)
 	return a
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -78,9 +77,17 @@ func TestAnalyzeFansOutPerConcept(t *testing.T) {
 // TestDetectSerialMatchesParallel runs the pipeline to multi-task
 // detection at Parallelism 1 and 4: the labels and every cached manifold
 // matrix must be bit-identical, whatever order the workers built them
-// in.
+// in. The manifold memo is keyed on task pointers, which differ between
+// the two systems, so matrices are matched through each run's own
+// tasks, concept by concept.
 func TestDetectSerialMatchesParallel(t *testing.T) {
-	run := func(parallelism int) (*System, clean.Labels) {
+	type run struct {
+		sys    *System
+		a      *Analysis
+		labels clean.Labels
+		builds int
+	}
+	do := func(parallelism int) run {
 		cfg := hammerConfig()
 		cfg.Parallelism = parallelism
 		sys := Build(cfg)
@@ -92,37 +99,45 @@ func TestDetectSerialMatchesParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys, labels
+		_, builds := sys.manifolds.Stats()
+		return run{sys, a, labels, builds}
 	}
-	serial, serialLabels := run(1)
-	parallel, parallelLabels := run(4)
-	if len(serialLabels) == 0 {
+	serial, parallel := do(1), do(4)
+	if len(serial.labels) == 0 {
 		t.Fatal("serial detection labeled nothing")
 	}
-	if !reflect.DeepEqual(serialLabels, parallelLabels) {
+	if !reflect.DeepEqual(serial.labels, parallel.labels) {
 		t.Fatal("detection labels differ between Parallelism 1 and 4")
 	}
-	var concepts []string
-	for c := range serial.manifoldCache {
-		concepts = append(concepts, c)
+	if !reflect.DeepEqual(serial.a.Concepts, parallel.a.Concepts) {
+		t.Fatal("analysis task concepts differ between Parallelism 1 and 4")
 	}
-	sort.Strings(concepts)
-	if len(concepts) == 0 || len(concepts) != len(parallel.manifoldCache) {
-		t.Fatalf("manifold cache sizes %d (serial) and %d (parallel)", len(concepts), len(parallel.manifoldCache))
-	}
-	for _, c := range concepts {
-		want := serial.manifoldCache[c].a
-		got, ok := parallel.manifoldCache[c]
-		if !ok {
-			t.Fatalf("concept %q has no parallel manifold matrix", c)
+	cached := 0
+	for i, st := range serial.a.Tasks {
+		c := st.Concept
+		want, wantOK := serial.sys.manifolds.Get(st)
+		got, gotOK := parallel.sys.manifolds.Get(parallel.a.Tasks[i])
+		if wantOK != gotOK {
+			t.Fatalf("concept %q: manifold cached %v (serial) vs %v (parallel)", c, wantOK, gotOK)
 		}
-		if got.a.Rows != want.Rows || got.a.Cols != want.Cols {
-			t.Fatalf("concept %q: manifold shape %d×%d, want %d×%d", c, got.a.Rows, got.a.Cols, want.Rows, want.Cols)
+		if !wantOK {
+			continue
+		}
+		cached++
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("concept %q: manifold shape %d×%d, want %d×%d", c, got.Rows, got.Cols, want.Rows, want.Cols)
 		}
 		for i, v := range want.Data {
-			if math.Float64bits(got.a.Data[i]) != math.Float64bits(v) {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
 				t.Fatalf("concept %q: manifold entry %d differs between Parallelism 1 and 4", c, i)
 			}
 		}
+	}
+	// Every matrix the memo holds was built by a miss, so equal build
+	// counts matching the tasks found above means no cached matrix went
+	// unchecked.
+	if cached == 0 || serial.builds != cached || parallel.builds != cached {
+		t.Fatalf("manifold builds %d (serial) and %d (parallel), %d matrices cached per run",
+			serial.builds, parallel.builds, cached)
 	}
 }

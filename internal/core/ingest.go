@@ -18,9 +18,16 @@ var ErrIngestStopped = errors.New("core: ingest checkpoint stopped before conver
 // sentence batches are appended to an extract.Stream, each checkpoint
 // replays the batch-equivalent extraction into a fresh KB and cleans it
 // with the system's detect-and-clean loop, and the system's caches —
-// the signature-keyed task cache, the graph-signature walk memo, the
-// shared score cache — scope the expensive analysis work to concepts
-// whose inputs actually changed since the previous checkpoint.
+// the task, walk and manifold memos and the shared score cache — scope
+// the expensive analysis work to concepts whose inputs no recent round
+// has seen.
+//
+// Memo lifetime: each committed checkpoint rotates the task, walk and
+// manifold memos once, so round r of a checkpoint can reuse the work of
+// any round of the previous checkpoint, not only its last. An entry is
+// kept while consecutive checkpoints keep using it and dropped after a
+// checkpoint that does not; memory is bounded by two checkpoints' worth
+// of round states. A failed Ingest does not rotate.
 //
 // Correctness contract: after any successful Ingest, the system's KB is
 // bit-identical (bench.Fingerprint) to a from-scratch batch run —
@@ -60,9 +67,12 @@ type IngestStats struct {
 	// plus the pre-cleaning instance snapshot for evaluation.
 	Result *CleanResult
 	// TaskReuse and WalkReuse report how many per-concept tasks and
-	// random walks were served from the cross-checkpoint caches during
-	// this checkpoint — the dirty-concept scoping at work.
+	// random walks were served from the memos during this checkpoint —
+	// the dirty-concept scoping at work.
 	TaskReuse, WalkReuse int
+	// TaskRebuilds counts the task builds that missed the task memo and
+	// paid for a KPCA fit during this checkpoint.
+	TaskRebuilds int
 }
 
 // NewIngestor wraps a prepared system (see Prepare; World/Corpus/Oracle
@@ -96,7 +106,7 @@ func (g *Ingestor) Checkpoints() int { return g.checkpoints }
 // MaxRounds or switching methods.
 func (g *Ingestor) Ingest(batch []corpus.Sentence, onExtracted func(*System)) (st *IngestStats, err error) {
 	mark := g.stream.Mark()
-	taskHits0, _ := g.sys.TaskCacheStats()
+	taskHits0, taskMisses0 := g.sys.TaskCacheStats()
 	walkHits0 := g.walkHits()
 	defer func() {
 		r := recover()
@@ -104,10 +114,11 @@ func (g *Ingestor) Ingest(batch []corpus.Sentence, onExtracted func(*System)) (s
 			return
 		}
 		// Roll back: un-append the batch and restore the last committed
-		// checkpoint. The caches need no rollback — they are keyed by
-		// input signatures, never by checkpoint identity. A panic (e.g.
-		// an injected fault escalated by Check) still rolls back, then
-		// resumes unwinding for the API boundary's recover.
+		// checkpoint. The memos need no rollback — they are keyed by
+		// input signatures, never by checkpoint identity — and are not
+		// rotated, so a retry finds everything this attempt stored. A
+		// panic (e.g. an injected fault escalated by Check) still rolls
+		// back, then resumes unwinding for the API boundary's recover.
 		g.stream.Rewind(mark)
 		g.sys.Extraction = g.committed.res
 		if g.committed.res != nil {
@@ -141,12 +152,14 @@ func (g *Ingestor) Ingest(batch []corpus.Sentence, onExtracted func(*System)) (s
 	}
 	st.Result = cr
 	st.PairsAfter = g.sys.KB.NumPairs()
-	taskHits1, _ := g.sys.TaskCacheStats()
+	taskHits1, taskMisses1 := g.sys.TaskCacheStats()
 	st.TaskReuse = taskHits1 - taskHits0
+	st.TaskRebuilds = taskMisses1 - taskMisses0
 	st.WalkReuse = g.walkHits() - walkHits0
 
 	g.committed.res = res
 	g.checkpoints++
+	g.sys.rotateMemos()
 	return st, nil
 }
 

@@ -172,6 +172,9 @@ func pure(ys []dp.Label) bool {
 	return true
 }
 
+// gini is the Gini impurity of a label multiset. The squared shares are
+// subtracted in label order: float subtraction does not associate, and a
+// map-ordered sum can flip a split-gain tie from run to run.
 func gini(ys []dp.Label) float64 {
 	counts := map[dp.Label]int{}
 	for _, y := range ys {
@@ -179,8 +182,8 @@ func gini(ys []dp.Label) float64 {
 	}
 	n := float64(len(ys))
 	g := 1.0
-	for _, c := range counts {
-		p := float64(c) / n
+	for _, l := range []dp.Label{dp.NonDP, dp.Intentional, dp.Accidental} {
+		p := float64(counts[l]) / n
 		g -= p * p
 	}
 	return g

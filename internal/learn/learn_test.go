@@ -223,6 +223,20 @@ func TestForestDeterministic(t *testing.T) {
 	}
 }
 
+// TestGiniSumsInLabelOrder: 1 − (1/3)² − (2/3)² depends on which share
+// is subtracted first, so an impurity summed in map order varies from
+// call to call and flips the forest's split-gain ties.
+func TestGiniSumsInLabelOrder(t *testing.T) {
+	ys := []dp.Label{dp.Intentional, dp.Accidental, dp.Accidental}
+	p1, p2 := 1.0/3, 2.0/3
+	want := 1 - p1*p1 - p2*p2
+	for i := 0; i < 100; i++ {
+		if got := gini(ys); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: gini = %v, want %v (label-ordered sum)", i, got, want)
+		}
+	}
+}
+
 func TestForestPooled(t *testing.T) {
 	tasks := []*Task{synthTask(81, "c1", 4, 15, 0.5), synthTask(82, "c2", 4, 15, 0.5)}
 	if _, err := TrainForestPooled(tasks, DefaultForestConfig()); err != nil {

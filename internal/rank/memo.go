@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"sync"
+
+	"driftclean/internal/memo"
 )
 
 // Signature hashes the graph's full structure — nodes, core restart
@@ -46,65 +47,51 @@ func (g *Graph) Signature() uint64 {
 	return h.Sum64()
 }
 
-// WalkMemo caches one random-walk result per concept across KB
-// snapshots, keyed by the concept's trigger-graph Signature. It exists
-// for the incremental ingest path: every checkpoint replays extraction
-// into a *fresh* KB, which resets the pointer-bound Cache, yet most
-// concepts' trigger graphs are unchanged from the previous checkpoint —
-// identical signature, identical scores, no power iteration.
+// WalkMemo memoizes random-walk results across KB snapshots and
+// cleaning rounds, keyed by the walked concept and its trigger-graph
+// Signature. It exists for the incremental ingest path: every
+// checkpoint replays extraction into a *fresh* KB, which resets the
+// pointer-bound Cache, yet a concept's trigger graph at any round of the
+// new checkpoint is usually one some round of the previous checkpoint
+// already walked — identical signature, identical scores, no power
+// iteration.
+//
+// Entries live in a two-generation memo.Memo: Rotate once per committed
+// checkpoint, and an entry is kept while some checkpoint still walks
+// its graph.
 //
 // Install it as a Cache's walk implementation (Cache.SetWalk). A memo
 // is bound to a single walk Config; do not share one across caches with
 // different configurations. Returned score maps are shared and must be
 // treated as read-only, the same contract Cache itself has.
 type WalkMemo struct {
-	mu      sync.Mutex
-	entries map[string]walkEntry
-	hits    int
-	misses  int
+	m memo.Memo[walkKey, Scores]
 }
 
-type walkEntry struct {
-	sig    uint64
-	scores Scores
+type walkKey struct {
+	concept string
+	sig     uint64
 }
 
 // NewWalkMemo returns an empty walk memo.
-func NewWalkMemo() *WalkMemo {
-	return &WalkMemo{entries: make(map[string]walkEntry)}
-}
+func NewWalkMemo() *WalkMemo { return &WalkMemo{} }
 
 // Walk is a drop-in walk implementation for Cache.SetWalk: it returns
-// the memoized scores when the concept's graph signature is unchanged
-// and otherwise computes RandomWalk and replaces the concept's entry.
+// the memoized scores when this concept's graph signature was walked in
+// the current or previous generation, and otherwise computes RandomWalk
+// and stores it.
 func (m *WalkMemo) Walk(g *Graph, cfg Config) Scores {
-	sig := g.Signature()
-	m.mu.Lock()
-	e, ok := m.entries[g.Concept]
-	if ok && e.sig == sig {
-		m.hits++
-		m.mu.Unlock()
-		return e.scores
+	key := walkKey{g.Concept, g.Signature()}
+	if s, ok := m.m.Get(key); ok {
+		return s
 	}
-	m.misses++
-	m.mu.Unlock()
 	s := RandomWalk(g, cfg)
-	m.mu.Lock()
-	m.entries[g.Concept] = walkEntry{sig: sig, scores: s}
-	m.mu.Unlock()
+	m.m.Put(key, s)
 	return s
 }
 
-// Stats reports memo hits and misses since creation.
-func (m *WalkMemo) Stats() (hits, misses int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
-}
+// Rotate ends a memo generation (see memo.Memo.Rotate).
+func (m *WalkMemo) Rotate() { m.m.Rotate() }
 
-// Len returns the number of memoized concepts.
-func (m *WalkMemo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}
+// Stats reports memo hits and misses since creation.
+func (m *WalkMemo) Stats() (hits, misses int) { return m.m.Stats() }

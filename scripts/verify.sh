@@ -57,6 +57,11 @@ echo "==> go test -race (parallel pipeline determinism, workers >= 4)"
 go test -race -run 'TestPipelineParallelMatchesSerial' .
 go test -race -run 'TestDetectSerialMatchesParallel|TestAnalyzeFansOutPerConcept' ./internal/core
 
+echo "==> go test -race (two-generation memos: unit tests, checkpoint reuse gate, multi-round incremental = batch)"
+go test -race ./internal/memo
+go test -race -run 'TestCheckpointRerunRebuildsNothing|TestFailedCheckpointDoesNotRotateMemos' ./internal/core
+go test -race -run 'TestSessionCheckpointsMatchFromScratch/multi-round' .
+
 echo "==> go test -race (chaos: injected faults, panics, reload breaker)"
 go test -race ./internal/fault
 go test -race -run 'TestChaosDisabledFaultsAreNoOp|TestChaosPanicSurfacesAsReportError' .

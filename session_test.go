@@ -53,17 +53,27 @@ func splitBounds(n, k int) []int {
 // gate: after every Ingest, the session's cleaned KB must be
 // fingerprint-identical to a from-scratch batch run over the
 // concatenation of all batches so far — the incremental path's caches
-// and replays may save work, never change output.
+// and replays may save work, never change output. The multi-round case
+// cleans at the default round cap, so each checkpoint passes through
+// several round states that the memos carry into the next checkpoint's
+// rounds; it trickles one-sentence and empty batches after a bulk load.
 func TestSessionCheckpointsMatchFromScratch(t *testing.T) {
 	for _, tc := range []struct {
-		name               string
-		sentences, batches int
+		name      string
+		sentences int
+		rounds    int
+		// ends returns each checkpoint's end offset into n sentences.
+		ends func(n int) []int
 	}{
-		{"smoke", 6000, 3},
-		{"small", 12000, 4},
+		{"smoke", 6000, 1, func(n int) []int { return splitBounds(n, 3) }},
+		{"small", 12000, 1, func(n int) []int { return splitBounds(n, 4) }},
+		{"multi-round", 6000, DefaultConfig().Clean.MaxRounds, func(n int) []int {
+			return []int{n - 3, n - 2, n - 2, n - 1, n - 1, n}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := sessionConfig(tc.sentences)
+			cfg.Clean.MaxRounds = tc.rounds
 			ctx := context.Background()
 			sess, err := Open(ctx, WithConfig(cfg))
 			if err != nil {
@@ -72,8 +82,9 @@ func TestSessionCheckpointsMatchFromScratch(t *testing.T) {
 			defer sess.Close()
 			sents := sess.Sentences()
 
-			start := 0
-			for ck, end := range splitBounds(len(sents), tc.batches) {
+			ends := tc.ends(len(sents))
+			start, maxRounds := 0, 0
+			for ck, end := range ends {
 				rep, err := sess.Ingest(ctx, sents[start:end])
 				start = end
 				if err != nil && !errors.Is(err, ErrNoDPsDetected) {
@@ -92,9 +103,13 @@ func TestSessionCheckpointsMatchFromScratch(t *testing.T) {
 					t.Fatalf("checkpoint %d: report PairsAfter %d != KB %d",
 						ck+1, rep.PairsAfter, sess.System().KB.NumPairs())
 				}
+				maxRounds = max(maxRounds, rep.Rounds)
 			}
-			if sess.Checkpoints() != tc.batches {
-				t.Fatalf("checkpoints = %d, want %d", sess.Checkpoints(), tc.batches)
+			if tc.rounds > 1 && maxRounds < 2 {
+				t.Fatalf("premise: no checkpoint ran more than %d cleaning round", maxRounds)
+			}
+			if sess.Checkpoints() != len(ends) {
+				t.Fatalf("checkpoints = %d, want %d", sess.Checkpoints(), len(ends))
 			}
 		})
 	}
