@@ -229,7 +229,7 @@ func BenchmarkKPCAFitProject(b *testing.B) {
 	if len(insts) > 200 {
 		insts = insts[:200]
 	}
-	raw := a.Features.Matrix(concept, insts)
+	raw := a.Features.Matrix(concept, insts, sys.KB.SubIndex(concept))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr, err := kpca.Fit(raw, kpca.DefaultConfig())

@@ -64,8 +64,9 @@ func main() {
 		lab := seedlabel.New(res.KB, mx, seedlabel.Config{K: k})
 		good, seeds, insts := 0, 0, 0
 		for _, concept := range res.KB.Concepts() {
-			insts += len(res.KB.Instances(concept))
-			for e, lbl := range lab.Seeds(concept) {
+			list := res.KB.Instances(concept)
+			insts += len(list)
+			for e, lbl := range lab.Seeds(concept, list, res.KB.SubIndex(concept)) {
 				seeds++
 				if oracle.SeedLabelCorrect(res.KB, concept, e, lbl) {
 					good++

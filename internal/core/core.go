@@ -254,6 +254,12 @@ type Analysis struct {
 // Config.Parallelism workers; results are deterministic regardless of
 // parallelism.
 //
+// Each concept's instance list (kb.Instances) is read once per pass: the
+// same list decides task eligibility, builds the feature extractor's
+// per-instance concept lists and class distributions, and feeds the
+// concept's buildTask, which in turn computes every instance's sub(e)
+// once (kb.SubIndex) for seed labeling, candidate selection and features.
+//
 // Analysis is a pure function of the KB state and the (fixed) config,
 // so a repeated call on an unmutated KB — detected by pointer identity
 // plus the KB's mutation version — returns the previous *Analysis
@@ -269,14 +275,17 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 		Mutex: mutex.Analyze(k, s.Cfg.Mutex),
 	}
 	a.Labeler = seedlabel.New(k, a.Mutex, s.Cfg.Seed)
-	a.Features = feature.NewExtractorWithCache(k, a.Mutex, s.ScoreCache())
-
+	concepts := k.Concepts()
+	instances := make(map[string][]string, len(concepts))
 	var eligible []string
-	for _, concept := range k.Concepts() {
-		if len(k.Instances(concept)) >= s.Cfg.MinTaskInstances {
+	for _, concept := range concepts {
+		insts := k.Instances(concept)
+		instances[concept] = insts
+		if len(insts) >= s.Cfg.MinTaskInstances {
 			eligible = append(eligible, concept)
 		}
 	}
+	a.Features = feature.NewExtractorWithCache(k, a.Mutex, s.ScoreCache(), concepts, instances)
 	parallelism := s.Cfg.workers()
 	a.Features.Warm(eligible, parallelism)
 
@@ -290,7 +299,7 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 	tasks := make([]*learn.Task, len(eligible))
 	errs := make([]error, len(eligible))
 	par.ForChunked(len(eligible), parallelism, 1, func(i int) {
-		tasks[i], errs[i] = s.buildTask(k, a, eligible[i])
+		tasks[i], errs[i] = s.buildTask(k, a, eligible[i], instances[eligible[i]])
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -308,9 +317,13 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 	return a, nil
 }
 
-// buildTask assembles the learning task of one concept: candidates are
-// the triggering instances plus every seed-labeled instance; raw features
+// buildTask assembles the learning task of one concept from its
+// instance list (kb.Instances, read once by Analyze): candidates are the
+// triggering instances plus every seed-labeled instance; raw features
 // are transformed by a per-concept KPCA fitted on (capped) task points.
+// The concept's sub(e) sets are computed once here (kb.SubIndex) and
+// shared by the candidate filter, the seed labeler and the feature
+// matrix.
 //
 // The expensive tail — KPCA fit, projection, padding — is skipped when
 // the task memo holds a task built from the same inputs at any earlier
@@ -322,18 +335,15 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 // pair counts and the exclusion structure), so "feature vectors
 // unchanged" is exactly the condition under which the old task is
 // still the right answer.
-func (s *System) buildTask(k *kb.KB, a *Analysis, concept string) (*learn.Task, error) {
-	seeds := a.Labeler.Seeds(concept)
-	var names []string
-	seen := map[string]bool{}
-	for _, e := range k.Instances(concept) {
-		if len(k.SubInstances(concept, e)) > 0 {
-			names = append(names, e)
-			seen[e] = true
-		}
+func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []string) (*learn.Task, error) {
+	subs := k.SubIndex(concept)
+	seeds := a.Labeler.Seeds(concept, instances, subs)
+	names := make([]string, 0, len(subs)+len(seeds))
+	for e := range subs {
+		names = append(names, e)
 	}
 	for e := range seeds {
-		if !seen[e] {
+		if _, triggered := subs[e]; !triggered {
 			names = append(names, e)
 		}
 	}
@@ -341,7 +351,7 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string) (*learn.Task, 
 	if len(names) < 2 {
 		return nil, nil
 	}
-	raw := a.Features.Matrix(concept, names)
+	raw := a.Features.Matrix(concept, names, subs)
 
 	key := taskKey{concept, taskSignature(concept, names, seeds, raw, s.Cfg.KPCA)}
 	if task, ok := s.tasks.Get(key); ok {

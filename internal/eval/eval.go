@@ -38,8 +38,13 @@ func (o *Oracle) PairCorrect(concept, instance string) bool {
 // correct and an Accidental DP when it is itself wrong; everything else is
 // a non-DP.
 func (o *Oracle) TruthLabel(k *kb.KB, concept, instance string) dp.Label {
+	return o.truthLabel(concept, instance, k.SubInstances(concept, instance))
+}
+
+// truthLabel is TruthLabel for an instance whose sub(e) is subs.
+func (o *Oracle) truthLabel(concept, instance string, subs []string) dp.Label {
 	introducedError := false
-	for _, sub := range k.SubInstances(concept, instance) {
+	for _, sub := range subs {
 		if !o.W.IsTrue(concept, sub) {
 			introducedError = true
 			break
@@ -79,6 +84,7 @@ type ConceptStats struct {
 // that actually trigger sub-instances.
 func (o *Oracle) ConceptStats(k *kb.KB, concept string) ConceptStats {
 	s := ConceptStats{Concept: concept}
+	subIndex := k.SubIndex(concept)
 	for _, e := range k.Instances(concept) {
 		s.Instances++
 		if o.PairCorrect(concept, e) {
@@ -86,10 +92,11 @@ func (o *Oracle) ConceptStats(k *kb.KB, concept string) ConceptStats {
 		} else {
 			s.Errors++
 		}
-		if len(k.SubInstances(concept, e)) == 0 {
+		subs := subIndex[e]
+		if len(subs) == 0 {
 			continue
 		}
-		switch o.TruthLabel(k, concept, e) {
+		switch o.truthLabel(concept, e, subs) {
 		case dp.Intentional:
 			s.IntentionalDPs++
 		case dp.Accidental:
@@ -314,11 +321,8 @@ func (o *Oracle) SentenceCheck(k *kb.KB, candidates []int, flagged map[int]bool)
 // instance (sub-instances ≥ 1) under a concept.
 func (o *Oracle) TruthLabels(k *kb.KB, concept string) map[string]dp.Label {
 	out := make(map[string]dp.Label)
-	for _, e := range k.Instances(concept) {
-		if len(k.SubInstances(concept, e)) == 0 {
-			continue
-		}
-		out[e] = o.TruthLabel(k, concept, e)
+	for e, subs := range k.SubIndex(concept) {
+		out[e] = o.truthLabel(concept, e, subs)
 	}
 	return out
 }

@@ -129,9 +129,10 @@ func (r *Runner) Figure3() *Table {
 			ents = append(ents, e)
 		}
 		sort.Strings(ents)
+		subs := sys.KB.SubIndex(c)
 		for _, e := range ents {
 			lbl := truth[e]
-			v := a.Features.Vector(c, e)
+			v := a.Features.Vector(c, e, subs[e])
 			for i := 0; i < 4; i++ {
 				vals[lbl][i] = append(vals[lbl][i], v[i])
 			}
@@ -240,14 +241,22 @@ func (r *Runner) Figure5b() *Table {
 		Title:  "precision and recall of seed labeling vs threshold k",
 		Header: []string{"k", "precision", "label rate", "#seeds"},
 	}
+	// The threshold only changes the labeler, so each concept's instance
+	// list and sub(e) index are computed once for the whole sweep.
+	concepts := sys.KB.Concepts()
+	insts := make([][]string, len(concepts))
+	subs := make([]map[string][]string, len(concepts))
+	for i, c := range concepts {
+		insts[i], subs[i] = sys.KB.Instances(c), sys.KB.SubIndex(c)
+	}
 	for _, k := range r.opts.ThresholdSweep {
 		cfg := r.opts.Core.Seed
 		cfg.K = k
 		lab := seedlabel.New(sys.KB, a.Mutex, cfg)
 		good, total, instances := 0, 0, 0
-		for _, c := range sys.KB.Concepts() {
-			instances += len(sys.KB.Instances(c))
-			for e, lbl := range lab.Seeds(c) {
+		for i, c := range concepts {
+			instances += len(insts[i])
+			for e, lbl := range lab.Seeds(c, insts[i], subs[i]) {
 				total++
 				if sys.Oracle.SeedLabelCorrect(sys.KB, c, e, lbl) {
 					good++

@@ -13,9 +13,10 @@ func BenchmarkMatrix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Fresh extractor per iteration: Matrix cost includes the walk and
-		// frequency caches it fills, matching one analysis pass.
+		// One task's feature work in an analysis pass: a fresh extractor
+		// (so Matrix cost includes the walk and frequency caches it
+		// fills), the concept's sub(e) index, then the matrix over it.
 		x := NewExtractor(k, mx)
-		x.Matrix("animal", instances)
+		x.Matrix("animal", instances, k.SubIndex("animal"))
 	}
 }

@@ -38,8 +38,14 @@ const WeakCount = 2
 // scores live in a rank.Cache — private by default, or shared across
 // extractors and cleaning rounds via NewExtractorWithCache so a walk
 // survives from one cleaning round to the next as long as its concept
-// is untouched. Class frequency distributions are cached per concept
-// with the same single-flight discipline.
+// is untouched. Class frequency distributions (and their L2 norms) are
+// cached per concept with the same single-flight discipline.
+//
+// The extractor never computes sub(e) itself: the sub(e)-based features
+// (f1, f4, f5, f6) take the list from the caller, and Matrix reads every
+// row's list from one kb.SubIndex of the concept, so an analysis pass
+// computes each instance's sub(e) once and shares it with seed labeling
+// and task assembly.
 type Extractor struct {
 	kb *kb.KB
 	mx *mutex.Analysis
@@ -49,20 +55,28 @@ type Extractor struct {
 	mu     sync.Mutex
 	coreFq map[string]*freqEntry
 
-	// conceptsOf[e] lists concepts currently holding e (read-only after
-	// construction).
+	// instances[c] is kb.Instances(c) for every concept at construction
+	// time; conceptsOf[e] lists, in concept order, the concepts holding e.
+	// Both are read-only after construction.
+	instances  map[string][]string
 	conceptsOf map[string][]string
 }
 
 type freqEntry struct {
 	ready chan struct{}
 	v     sparsevec.Vector
+	norm  float64
 }
 
 // NewExtractor builds a feature extractor over the KB with discovered
 // exclusions, using a private score cache.
 func NewExtractor(k *kb.KB, mx *mutex.Analysis) *Extractor {
-	return NewExtractorWithCache(k, mx, rank.NewCache(rank.DefaultConfig()))
+	concepts := k.Concepts()
+	instances := make(map[string][]string, len(concepts))
+	for _, c := range concepts {
+		instances[c] = k.Instances(c)
+	}
+	return NewExtractorWithCache(k, mx, rank.NewCache(rank.DefaultConfig()), concepts, instances)
 }
 
 // NewExtractorWithCache builds a feature extractor that reads and fills
@@ -70,31 +84,43 @@ func NewExtractor(k *kb.KB, mx *mutex.Analysis) *Extractor {
 // (rank.Cache) keeps entries consistent across KB mutations; sharing one
 // cache across the analysis passes of consecutive cleaning rounds means
 // only the concepts a round touched are re-walked.
-func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache) *Extractor {
-	pairs := k.Pairs()
-	counts := make(map[string]int, len(pairs))
-	for _, p := range pairs {
-		counts[p.Instance]++
+//
+// concepts must be k.Concepts() and instances[c] must be k.Instances(c)
+// for each of them — the lists the caller's analysis pass already holds,
+// so the extractor sorts nothing of its own. The extractor keeps and
+// reads the lists without copying them.
+func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache, concepts []string, instances map[string][]string) *Extractor {
+	total := 0
+	counts := make(map[string]int)
+	for _, c := range concepts {
+		total += len(instances[c])
+		for _, e := range instances[c] {
+			counts[e]++
+		}
 	}
 	// Per-instance concept lists carved out of one arena: each segment is
 	// reserved (exactly sized, separately capped) at the instance's first
-	// pair, so the appends below never allocate or cross segments.
-	arena := make([]string, 0, len(pairs))
+	// concept, so the appends below never allocate or cross segments.
+	// Concepts are visited in sorted order, so each list is sorted.
+	arena := make([]string, 0, total)
 	conceptsOf := make(map[string][]string, len(counts))
 	used := 0
-	for _, p := range pairs {
-		s, ok := conceptsOf[p.Instance]
-		if !ok {
-			s = arena[used : used : used+counts[p.Instance]]
-			used += counts[p.Instance]
+	for _, c := range concepts {
+		for _, e := range instances[c] {
+			s, ok := conceptsOf[e]
+			if !ok {
+				s = arena[used : used : used+counts[e]]
+				used += counts[e]
+			}
+			conceptsOf[e] = append(s, c)
 		}
-		conceptsOf[p.Instance] = append(s, p.Concept)
 	}
 	return &Extractor{
 		kb:         k,
 		mx:         mx,
 		cache:      cache,
 		coreFq:     make(map[string]*freqEntry),
+		instances:  instances,
 		conceptsOf: conceptsOf,
 	}
 }
@@ -106,27 +132,31 @@ func (x *Extractor) Scores(concept string) rank.Scores {
 	return x.cache.Scores(x.kb, concept)
 }
 
-// classFreq returns the concept's full learned frequency distribution,
-// computing it once per concept: concurrent first callers coalesce, the
-// leader builds the vector and the rest wait for it.
-func (x *Extractor) classFreq(concept string) sparsevec.Vector {
+// classFreq returns the concept's full learned frequency distribution and
+// its L2 norm, computing both once per concept: concurrent first callers
+// coalesce, the leader builds the vector and the rest wait for it. The
+// entries are support counts — small integers — so every partial sum of
+// squares is exact and the cached norm is bit-identical to recomputing
+// it in any map order.
+func (x *Extractor) classFreq(concept string) (sparsevec.Vector, float64) {
 	x.mu.Lock()
 	e, ok := x.coreFq[concept]
 	if ok {
 		x.mu.Unlock()
 		<-e.ready
-		return e.v
+		return e.v, e.norm
 	}
 	e = &freqEntry{ready: make(chan struct{})}
 	x.coreFq[concept] = e
 	x.mu.Unlock()
-	v := sparsevec.New()
-	for _, inst := range x.kb.Instances(concept) {
+	insts := x.instances[concept]
+	v := make(sparsevec.Vector, len(insts))
+	for _, inst := range insts {
 		v.Inc(inst, float64(x.kb.Count(concept, inst)))
 	}
-	e.v = v
+	e.v, e.norm = v, v.L2()
 	close(e.ready)
-	return v
+	return e.v, e.norm
 }
 
 // Warm precomputes the random-walk scores and class distributions of the
@@ -144,23 +174,29 @@ func (x *Extractor) Warm(concepts []string, parallelism int) {
 	})
 }
 
-// F1 is the Eq 1 distribution-similarity feature. The paper compares
-// sub(e) against the first-iteration distribution E(C,1); at web scale
-// those overlap heavily, but in our substrate triggered instances are by
-// construction outside the core, so we compare against the concept's full
-// learned frequency distribution instead — the same Property-1 signal
-// (drifting errors are rare in the class overall), with Fig 2's "AVG"
-// distribution as the reference.
-func (x *Extractor) F1(concept, instance string) float64 {
-	subs := x.kb.SubInstances(concept, instance)
+// F1 is the Eq 1 distribution-similarity feature of an instance whose
+// sub(e) is subs. The paper compares sub(e) against the first-iteration
+// distribution E(C,1); at web scale those overlap heavily, but in our
+// substrate triggered instances are by construction outside the core, so
+// we compare against the concept's full learned frequency distribution
+// instead — the same Property-1 signal (drifting errors are rare in the
+// class overall), with Fig 2's "AVG" distribution as the reference. The
+// result is sparsevec.Cosine's, bit for bit; only the class norm is read
+// from the per-concept cache instead of being recomputed per instance.
+func (x *Extractor) F1(concept string, subs []string) float64 {
 	if len(subs) == 0 {
 		return 0
 	}
-	subFreq := sparsevec.New()
+	subFreq := make(sparsevec.Vector, len(subs))
 	for _, s := range subs {
 		subFreq.Inc(s, float64(x.kb.Count(concept, s)))
 	}
-	return sparsevec.Cosine(subFreq, x.classFreq(concept))
+	class, classNorm := x.classFreq(concept)
+	subNorm := subFreq.L2()
+	if subNorm == 0 || classNorm == 0 {
+		return 0
+	}
+	return sparsevec.Dot(subFreq, class) / (subNorm * classNorm)
 }
 
 // F2 is the Eq 2 mutual-exclusion count feature. Membership under the
@@ -183,9 +219,9 @@ func (x *Extractor) F3(concept, instance string) float64 {
 	return x.Scores(concept)[instance]
 }
 
-// F4 is the Eq 4 average sub-instance score feature.
-func (x *Extractor) F4(concept, instance string) float64 {
-	subs := x.kb.SubInstances(concept, instance)
+// F4 is the Eq 4 average sub-instance score feature of an instance whose
+// sub(e) is subs.
+func (x *Extractor) F4(concept string, subs []string) float64 {
 	if len(subs) == 0 {
 		return 0
 	}
@@ -197,9 +233,9 @@ func (x *Extractor) F4(concept, instance string) float64 {
 	return sum / float64(len(subs))
 }
 
-// F5 is the weak-evidence fraction of sub(e) (Property 4, direct form).
-func (x *Extractor) F5(concept, instance string) float64 {
-	subs := x.kb.SubInstances(concept, instance)
+// F5 is the weak-evidence fraction of sub(e) = subs (Property 4, direct
+// form).
+func (x *Extractor) F5(concept string, subs []string) float64 {
 	if len(subs) == 0 {
 		return 0
 	}
@@ -212,14 +248,13 @@ func (x *Extractor) F5(concept, instance string) float64 {
 	return float64(weak) / float64(len(subs))
 }
 
-// F6 is the fraction of sub(e) that is also learned under a concept
+// F6 is the fraction of sub(e) = subs that is also learned under a concept
 // mutually exclusive with this one — Property 2 applied at the
 // sub-instance level (the continuous form of labeling Rule 1): a clean
 // trigger's sub-instances live in this concept and its relatives only,
 // while a DP's drifting sub-instances belong to the exclusive concept
 // they were dragged in from.
-func (x *Extractor) F6(concept, instance string) float64 {
-	subs := x.kb.SubInstances(concept, instance)
+func (x *Extractor) F6(concept string, subs []string) float64 {
 	if len(subs) == 0 {
 		return 0
 	}
@@ -246,33 +281,37 @@ func (x *Extractor) F6(concept, instance string) float64 {
 // a sub-instance to count toward f6.
 const crossEvidenceMin = 3
 
-// Vector returns [f1 f2 f3 f4 f5 f6] for one instance.
-func (x *Extractor) Vector(concept, instance string) []float64 {
-	return []float64{
-		x.F1(concept, instance),
-		x.F2(concept, instance),
-		x.F3(concept, instance),
-		x.F4(concept, instance),
-		x.F5(concept, instance),
-		x.F6(concept, instance),
-	}
+// Vector returns [f1 f2 f3 f4 f5 f6] for one instance whose sub(e) is
+// subs (the instance's entry of the concept's kb.SubIndex, or the KB's
+// single-instance sub(e) lookup).
+func (x *Extractor) Vector(concept, instance string, subs []string) []float64 {
+	row := make([]float64, Dim)
+	x.fill(row, concept, instance, subs)
+	return row
 }
 
 // Matrix returns the feature vectors of the given instances, row-aligned
-// with the input order. The rows share one flat backing array — one
-// allocation for the whole matrix instead of one per instance.
-func (x *Extractor) Matrix(concept string, instances []string) [][]float64 {
+// with the input order, reading each instance's sub(e) from subs — the
+// concept's kb.SubIndex, computed once per analysis pass and shared with
+// seed labeling and task assembly. The rows share one flat backing array
+// — one allocation for the whole matrix instead of one per instance.
+func (x *Extractor) Matrix(concept string, instances []string, subs map[string][]string) [][]float64 {
 	out := make([][]float64, len(instances))
 	flat := make([]float64, len(instances)*Dim)
 	for i, e := range instances {
 		row := flat[i*Dim : (i+1)*Dim : (i+1)*Dim]
-		row[0] = x.F1(concept, e)
-		row[1] = x.F2(concept, e)
-		row[2] = x.F3(concept, e)
-		row[3] = x.F4(concept, e)
-		row[4] = x.F5(concept, e)
-		row[5] = x.F6(concept, e)
+		x.fill(row, concept, e, subs[e])
 		out[i] = row
 	}
 	return out
+}
+
+// fill writes [f1 … f6] of one instance into row.
+func (x *Extractor) fill(row []float64, concept, instance string, subs []string) {
+	row[0] = x.F1(concept, subs)
+	row[1] = x.F2(concept, instance)
+	row[2] = x.F3(concept, instance)
+	row[3] = x.F4(concept, subs)
+	row[4] = x.F5(concept, subs)
+	row[5] = x.F6(concept, subs)
 }

@@ -26,6 +26,22 @@ func scenarioKB() *kb.KB {
 	return k
 }
 
+// sub is sub(e) through the per-instance kb entry point.
+func sub(x *Extractor, concept, instance string) []string {
+	return x.kb.SubInstances(concept, instance)
+}
+
+// instanceLists returns k.Concepts() and each concept's k.Instances list,
+// the inputs NewExtractorWithCache expects.
+func instanceLists(k *kb.KB) ([]string, map[string][]string) {
+	concepts := k.Concepts()
+	instances := make(map[string][]string, len(concepts))
+	for _, c := range concepts {
+		instances[c] = k.Instances(c)
+	}
+	return concepts, instances
+}
+
 func newExtractor(k *kb.KB) *Extractor {
 	mx := mutex.Analyze(k, mutex.Config{ExclusiveThreshold: 0.3, SimilarThreshold: 0.9, MinCoreSize: 3})
 	return NewExtractor(k, mx)
@@ -33,13 +49,13 @@ func newExtractor(k *kb.KB) *Extractor {
 
 func TestF1CleanTriggerAboveDriftTrigger(t *testing.T) {
 	x := newExtractor(scenarioKB())
-	f1Dog := x.F1("animal", "dog")
-	f1Chicken := x.F1("animal", "chicken")
+	f1Dog := x.F1("animal", sub(x, "animal", "dog"))
+	f1Chicken := x.F1("animal", sub(x, "animal", "chicken"))
 	if f1Dog <= f1Chicken {
 		t.Errorf("f1(dog)=%v should exceed f1(chicken)=%v: dog triggers core instances, chicken triggers food",
 			f1Dog, f1Chicken)
 	}
-	if x.F1("animal", "cat") != 0 {
+	if x.F1("animal", sub(x, "animal", "cat")) != 0 {
 		t.Error("non-triggering instance must have f1 = 0")
 	}
 }
@@ -72,22 +88,22 @@ func TestF4CleanTriggerAboveDriftTrigger(t *testing.T) {
 	x := newExtractor(scenarioKB())
 	// dog's sub (cat) is core with a high walk score; chicken's subs
 	// (pork, beef) are drift leaves with low scores.
-	if x.F4("animal", "dog") <= x.F4("animal", "chicken") {
+	if x.F4("animal", sub(x, "animal", "dog")) <= x.F4("animal", sub(x, "animal", "chicken")) {
 		t.Errorf("f4(dog)=%v should exceed f4(chicken)=%v",
-			x.F4("animal", "dog"), x.F4("animal", "chicken"))
+			x.F4("animal", sub(x, "animal", "dog")), x.F4("animal", sub(x, "animal", "chicken")))
 	}
-	if x.F4("animal", "cat") != 0 {
+	if x.F4("animal", sub(x, "animal", "cat")) != 0 {
 		t.Error("non-triggering instance must have f4 = 0")
 	}
 }
 
 func TestVectorAndMatrixShape(t *testing.T) {
 	x := newExtractor(scenarioKB())
-	v := x.Vector("animal", "chicken")
+	v := x.Vector("animal", "chicken", sub(x, "animal", "chicken"))
 	if len(v) != Dim {
 		t.Fatalf("Vector length %d, want %d", len(v), Dim)
 	}
-	m := x.Matrix("animal", []string{"chicken", "dog"})
+	m := x.Matrix("animal", []string{"chicken", "dog"}, x.kb.SubIndex("animal"))
 	if len(m) != 2 || len(m[0]) != Dim {
 		t.Fatalf("Matrix shape %dx%d", len(m), len(m[0]))
 	}
@@ -126,7 +142,7 @@ func TestFig3ShapeOnPipeline(t *testing.T) {
 	n := map[dp.Label]int{}
 	for _, concept := range res.KB.Concepts() {
 		for e, lbl := range oracle.TruthLabels(res.KB, concept) {
-			v := x.Vector(concept, e)
+			v := x.Vector(concept, e, res.KB.SubInstances(concept, e))
 			if sum[lbl] == nil {
 				sum[lbl] = make([]float64, Dim)
 			}
@@ -156,14 +172,14 @@ func TestFig3ShapeOnPipeline(t *testing.T) {
 func TestF5WeakFraction(t *testing.T) {
 	x := newExtractor(scenarioKB())
 	// chicken's subs (pork, beef) each have count 1 under animal -> all weak.
-	if got := x.F5("animal", "chicken"); got != 1 {
+	if got := x.F5("animal", sub(x, "animal", "chicken")); got != 1 {
 		t.Errorf("f5(chicken) = %v, want 1", got)
 	}
 	// dog's sub (cat) is core with count 7 -> not weak.
-	if got := x.F5("animal", "dog"); got != 0 {
+	if got := x.F5("animal", sub(x, "animal", "dog")); got != 0 {
 		t.Errorf("f5(dog) = %v, want 0", got)
 	}
-	if got := x.F5("animal", "cat"); got != 0 {
+	if got := x.F5("animal", sub(x, "animal", "cat")); got != 0 {
 		t.Errorf("f5(non-trigger) = %v, want 0", got)
 	}
 }
@@ -172,11 +188,11 @@ func TestF6CrossMembershipFraction(t *testing.T) {
 	x := newExtractor(scenarioKB())
 	// chicken's subs pork/beef live under food (count 6 > crossEvidenceMin,
 	// and 6 >= 2*1 here) and food is exclusive with animal.
-	if got := x.F6("animal", "chicken"); got != 1 {
+	if got := x.F6("animal", sub(x, "animal", "chicken")); got != 1 {
 		t.Errorf("f6(chicken) = %v, want 1", got)
 	}
 	// dog's sub cat is only under animal.
-	if got := x.F6("animal", "dog"); got != 0 {
+	if got := x.F6("animal", sub(x, "animal", "dog")); got != 0 {
 		t.Errorf("f6(dog) = %v, want 0", got)
 	}
 }
@@ -189,8 +205,9 @@ func TestWarmParallelMatchesSerial(t *testing.T) {
 	warm.Warm([]string{"animal", "food"}, 4)
 	for _, concept := range []string{"animal", "food"} {
 		for _, e := range k.Instances(concept) {
-			a := serial.Vector(concept, e)
-			b := warm.Vector(concept, e)
+			subs := k.SubInstances(concept, e)
+			a := serial.Vector(concept, e, subs)
+			b := warm.Vector(concept, e, subs)
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("Warm changed feature %d of (%s,%s): %v vs %v", i, concept, e, a[i], b[i])

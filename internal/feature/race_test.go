@@ -2,16 +2,19 @@ package feature
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"driftclean/internal/mutex"
 )
 
 // TestWarmRaceHammer warms one shared extractor from many parallel
-// subtests while reading features through it. Under `go test -race`
-// this is the regression gate for the Warm worker pool and the
-// mutex-guarded score/frequency caches; the features read concurrently
-// must be bit-identical to a serially computed reference.
+// subtests while reading features through it, per instance and as whole
+// matrices read through one sub(e) index shared by every subtest. Under
+// `go test -race` this is the regression gate for the Warm worker pool,
+// the mutex-guarded score/frequency caches and the read-only index; the
+// features read concurrently must be bit-identical to a serially
+// computed reference.
 func TestWarmRaceHammer(t *testing.T) {
 	k := scenarioKB()
 	mx := mutex.Analyze(k, mutex.Config{ExclusiveThreshold: 0.3, SimilarThreshold: 0.9, MinCoreSize: 3})
@@ -19,11 +22,23 @@ func TestWarmRaceHammer(t *testing.T) {
 	serial := NewExtractor(k, mx)
 	concepts := []string{"animal", "food"}
 
+	index := map[string]map[string][]string{}
 	type refKey struct{ concept, instance string }
 	ref := map[refKey][]float64{}
 	for _, c := range concepts {
+		index[c] = k.SubIndex(c)
 		for _, e := range k.Instances(c) {
-			ref[refKey{c, e}] = serial.Vector(c, e)
+			ref[refKey{c, e}] = serial.Vector(c, e, k.SubInstances(c, e))
+		}
+	}
+	same := func(t *testing.T, c, e string, got []float64) {
+		t.Helper()
+		want := ref[refKey{c, e}]
+		for fi := range want {
+			if math.Float64bits(got[fi]) != math.Float64bits(want[fi]) {
+				t.Fatalf("feature f%d of (%s,%s) = %v under concurrency, want %v",
+					fi+1, c, e, got[fi], want[fi])
+			}
 		}
 	}
 
@@ -32,15 +47,12 @@ func TestWarmRaceHammer(t *testing.T) {
 			t.Parallel()
 			shared.Warm(concepts, 4)
 			for _, c := range concepts {
-				for _, e := range k.Instances(c) {
-					got := shared.Vector(c, e)
-					want := ref[refKey{c, e}]
-					for fi := range want {
-						if got[fi] != want[fi] {
-							t.Fatalf("feature f%d of (%s,%s) = %v under concurrency, want %v",
-								fi+1, c, e, got[fi], want[fi])
-						}
-					}
+				names := k.Instances(c)
+				for _, e := range names {
+					same(t, c, e, shared.Vector(c, e, index[c][e]))
+				}
+				for i, row := range shared.Matrix(c, names, index[c]) {
+					same(t, c, names[i], row)
 				}
 			}
 		})

@@ -28,7 +28,8 @@ func TestScoresSingleWalkUnderConcurrency(t *testing.T) {
 				walks.Add(1)
 				return rank.RandomWalk(g, cfg)
 			})
-			x := NewExtractorWithCache(k, mx, cache)
+			all, instances := instanceLists(k)
+			x := NewExtractorWithCache(k, mx, cache, all, instances)
 
 			start := make(chan struct{})
 			var wg sync.WaitGroup
@@ -40,7 +41,7 @@ func TestScoresSingleWalkUnderConcurrency(t *testing.T) {
 					c := concepts[i%len(concepts)]
 					for _, e := range k.Instances(c) {
 						x.F3(c, e)
-						x.F4(c, e)
+						x.F4(c, k.SubInstances(c, e))
 					}
 				}(i)
 			}
@@ -69,7 +70,7 @@ func TestClassFreqSingleBuildUnderConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i] = x.F1("animal", "dog")
+			results[i] = x.F1("animal", k.SubInstances("animal", "dog"))
 		}(i)
 	}
 	close(start)

@@ -279,9 +279,42 @@ func (kb *KB) TriggeredExtractions(concept, instance string) []int {
 
 // SubInstances returns sub(e): the set of instances whose extraction under
 // the concept was triggered by e, across all active extractions where e is
-// a trigger (paper Sec 2.1). The trigger itself is excluded.
+// a trigger (paper Sec 2.1). The trigger itself is excluded. The result is
+// sorted and never nil. It serves one-off lookups (queries, serving,
+// evaluation of a single instance); an analysis pass that needs sub(e) for
+// many instances of a concept reads them from one SubIndex instead.
 func (kb *KB) SubInstances(concept, instance string) []string {
-	seen := map[string]struct{}{}
+	out := kb.subInstances(map[string]struct{}{}, concept, instance)
+	if out == nil {
+		out = []string{}
+	}
+	return out
+}
+
+// SubIndex returns sub(e) for every active instance of the concept, keyed
+// by instance, computing each list once with one reused scratch set. Each
+// list is sorted and equal to SubInstances(concept, e); an instance that
+// triggered nothing has no key (an absent key reads as the empty list).
+// The index is a fresh map the caller owns and may share read-only across
+// goroutines.
+func (kb *KB) SubIndex(concept string) map[string][]string {
+	out := make(map[string][]string)
+	seen := make(map[string]struct{})
+	for e, info := range kb.byConcept[concept] {
+		if info.Count <= 0 {
+			continue
+		}
+		if subs := kb.subInstances(seen, concept, e); subs != nil {
+			out[e] = subs
+		}
+	}
+	return out
+}
+
+// subInstances computes sorted sub(e) using seen as scratch (cleared
+// first), returning nil when sub(e) is empty.
+func (kb *KB) subInstances(seen map[string]struct{}, concept, instance string) []string {
+	clear(seen)
 	for _, exID := range kb.triggeredBy[Pair{concept, instance}] {
 		ex := kb.extractions[exID]
 		if !ex.Active {
@@ -303,6 +336,9 @@ func (kb *KB) SubInstances(concept, instance string) []string {
 			}
 			seen[e] = struct{}{}
 		}
+	}
+	if len(seen) == 0 {
+		return nil
 	}
 	out := make([]string, 0, len(seen))
 	for e := range seen {

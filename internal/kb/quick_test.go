@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +116,54 @@ func TestQuickInvariantsUnderRemoval(t *testing.T) {
 		if err := checkInvariants(k); err != nil {
 			t.Log(err)
 			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: SubIndex agrees with SubInstances on random KBs after every
+// step of a random mutation sequence mixing cascading removals, direct
+// rollbacks, no-cascade removals and re-support of zeroed pairs.
+func TestQuickSubIndexMatchesSubInstances(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := randomKB(seed)
+		if err := checkSubIndex(k); err != nil {
+			t.Log(err)
+			return false
+		}
+		for step := 0; step < 6; step++ {
+			pairs := k.Pairs()
+			switch op := rng.Intn(4); {
+			case op == 0 && len(pairs) > 0:
+				k.RemovePairs([]Pair{pairs[rng.Intn(len(pairs))]})
+			case op == 1:
+				k.RollbackExtractions([]int{rng.Intn(k.NumExtractions())})
+			case op == 2 && len(pairs) > 0:
+				k.RemovePairsNoCascade([]Pair{pairs[rng.Intn(len(pairs))]})
+			default:
+				var zeroed []Pair
+				for p, info := range k.pairs {
+					if info.Count == 0 {
+						zeroed = append(zeroed, p)
+					}
+				}
+				if len(zeroed) == 0 {
+					continue
+				}
+				sort.Slice(zeroed, func(i, j int) bool {
+					return zeroed[i].Concept+"\x00"+zeroed[i].Instance < zeroed[j].Concept+"\x00"+zeroed[j].Instance
+				})
+				p := zeroed[rng.Intn(len(zeroed))]
+				k.AddExtraction(100+step, p.Concept, nil, []string{p.Instance}, nil, 5)
+			}
+			if err := checkSubIndex(k); err != nil {
+				t.Logf("step %d: %v", step, err)
+				return false
+			}
 		}
 		return true
 	}

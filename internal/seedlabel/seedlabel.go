@@ -133,10 +133,11 @@ func (l *Labeler) driftEvidence(concept, sub string) bool {
 	return false
 }
 
-// Label applies Rules 1–3 to one instance. ok=false means no rule fires
-// and the instance stays unlabeled (it becomes semi-supervised fuel).
-func (l *Labeler) Label(concept, instance string) (dp.Label, bool) {
-	subs := l.kb.SubInstances(concept, instance)
+// Label applies Rules 1–3 to one instance whose sub(e) is subs (the
+// instance's entry of the concept's kb.SubIndex, or the KB's
+// single-instance sub(e) lookup). ok=false means no rule fires and the
+// instance stays unlabeled (it becomes semi-supervised fuel).
+func (l *Labeler) Label(concept, instance string, subs []string) (dp.Label, bool) {
 	if l.EvidencedCorrect(concept, instance) {
 		if len(subs) == 0 {
 			return 0, false
@@ -183,15 +184,18 @@ func (l *Labeler) Label(concept, instance string) (dp.Label, bool) {
 	return 0, false
 }
 
-// Seeds labels every instance of a concept the rules can decide. Rules 1
-// and 3 only ever fire for triggering instances; Rule 2 also labels
-// non-triggering evidenced-incorrect instances — the paper's "New York
-// isA Country" seeds, which are training signal for the Accidental class
-// even when they triggered nothing.
-func (l *Labeler) Seeds(concept string) map[string]dp.Label {
+// Seeds labels every instance of a concept the rules can decide.
+// instances is the concept's kb.Instances list and subs its kb.SubIndex —
+// the analysis pass computes both once and shares them with task assembly
+// and the feature matrix. Rules 1 and 3 only ever fire for triggering
+// instances; Rule 2 also labels non-triggering evidenced-incorrect
+// instances — the paper's "New York isA Country" seeds, which are
+// training signal for the Accidental class even when they triggered
+// nothing.
+func (l *Labeler) Seeds(concept string, instances []string, subs map[string][]string) map[string]dp.Label {
 	out := make(map[string]dp.Label)
-	for _, e := range l.kb.Instances(concept) {
-		if lbl, ok := l.Label(concept, e); ok {
+	for _, e := range instances {
+		if lbl, ok := l.Label(concept, e, subs[e]); ok {
 			out[e] = lbl
 		}
 	}
@@ -222,9 +226,10 @@ func (s Stats) LabelRate() float64 {
 func (l *Labeler) CollectStats(concepts []string) Stats {
 	var s Stats
 	for _, c := range concepts {
+		subs := l.kb.SubIndex(c)
 		for _, e := range l.kb.Instances(c) {
 			s.Candidates++
-			lbl, ok := l.Label(c, e)
+			lbl, ok := l.Label(c, e, subs[e])
 			if !ok {
 				continue
 			}
@@ -247,7 +252,7 @@ func (l *Labeler) CollectStats(concepts []string) Stats {
 func (l *Labeler) ConceptsWithSeeds(concepts []string) []string {
 	var out []string
 	for _, c := range concepts {
-		if len(l.Seeds(c)) > 0 {
+		if len(l.Seeds(c, l.kb.Instances(c), l.kb.SubIndex(c))) > 0 {
 			out = append(out, c)
 		}
 	}

@@ -1,6 +1,7 @@
 package seedlabel
 
 import (
+	"reflect"
 	"testing"
 
 	"driftclean/internal/corpus"
@@ -71,7 +72,7 @@ func TestEvidencedIncorrect(t *testing.T) {
 
 func TestRule1Intentional(t *testing.T) {
 	l := newLabeler(t, scenarioKB())
-	lbl, ok := l.Label("animal", "chicken")
+	lbl, ok := l.Label("animal", "chicken", l.kb.SubInstances("animal", "chicken"))
 	if !ok || lbl != dp.Intentional {
 		t.Errorf("chicken label = %v ok=%v, want Intentional", lbl, ok)
 	}
@@ -79,7 +80,7 @@ func TestRule1Intentional(t *testing.T) {
 
 func TestRule2Accidental(t *testing.T) {
 	l := newLabeler(t, scenarioKB())
-	lbl, ok := l.Label("country", "new_york")
+	lbl, ok := l.Label("country", "new_york", l.kb.SubInstances("country", "new_york"))
 	if !ok || lbl != dp.Accidental {
 		t.Errorf("new_york label = %v ok=%v, want Accidental", lbl, ok)
 	}
@@ -87,7 +88,7 @@ func TestRule2Accidental(t *testing.T) {
 
 func TestRule3NonDP(t *testing.T) {
 	l := newLabeler(t, scenarioKB())
-	lbl, ok := l.Label("animal", "dog")
+	lbl, ok := l.Label("animal", "dog", l.kb.SubInstances("animal", "dog"))
 	if !ok || lbl != dp.NonDP {
 		t.Errorf("dog label = %v ok=%v, want NonDP", lbl, ok)
 	}
@@ -96,14 +97,14 @@ func TestRule3NonDP(t *testing.T) {
 func TestUnlabeledWhenNoRuleFires(t *testing.T) {
 	l := newLabeler(t, scenarioKB())
 	// cat is evidenced correct but triggers nothing: stays unlabeled.
-	if _, ok := l.Label("animal", "cat"); ok {
+	if _, ok := l.Label("animal", "cat", l.kb.SubInstances("animal", "cat")); ok {
 		t.Error("non-triggering instance should stay unlabeled")
 	}
 }
 
 func TestSeedsOnlyTriggeringInstances(t *testing.T) {
 	l := newLabeler(t, scenarioKB())
-	seeds := l.Seeds("animal")
+	seeds := l.Seeds("animal", l.kb.Instances("animal"), l.kb.SubIndex("animal"))
 	if seeds["chicken"] != dp.Intentional || seeds["dog"] != dp.NonDP {
 		t.Errorf("Seeds(animal) = %v", seeds)
 	}
@@ -149,7 +150,7 @@ func TestSeedPrecisionOnPipeline(t *testing.T) {
 	agree, labeled := 0, 0
 	classes := map[dp.Label]int{}
 	for _, concept := range res.KB.Concepts() {
-		for e, lbl := range l.Seeds(concept) {
+		for e, lbl := range l.Seeds(concept, res.KB.Instances(concept), res.KB.SubIndex(concept)) {
 			labeled++
 			classes[lbl]++
 			if oracle.SeedLabelCorrect(res.KB, concept, e, lbl) {
@@ -169,5 +170,44 @@ func TestSeedPrecisionOnPipeline(t *testing.T) {
 		if classes[lbl] == 0 {
 			t.Errorf("no %v seeds produced; detector training needs all classes", lbl)
 		}
+	}
+}
+
+// TestSeedsMatchPerInstanceLabel pins the index-fed Seeds to the
+// per-instance path: on the scenario and on a pipeline KB, Seeds over
+// the concept's kb.SubIndex labels exactly the instances that Label over
+// kb.SubInstances labels, with the same labels.
+func TestSeedsMatchPerInstanceLabel(t *testing.T) {
+	wcfg := world.DefaultConfig()
+	wcfg.NumDomains = 2
+	wcfg.InstancesPerConceptMin = 30
+	wcfg.InstancesPerConceptMax = 60
+	w := world.New(wcfg)
+	ccfg := corpus.DefaultConfig()
+	ccfg.NumSentences = 6000
+	pipeline := extract.Run(corpus.Generate(w, ccfg), extract.DefaultConfig()).KB
+
+	for name, k := range map[string]*kb.KB{"scenario": scenarioKB(), "pipeline": pipeline} {
+		t.Run(name, func(t *testing.T) {
+			l := newLabeler(t, k)
+			labeled := 0
+			for _, c := range k.Concepts() {
+				instances := k.Instances(c)
+				want := map[string]dp.Label{}
+				for _, e := range instances {
+					if lbl, ok := l.Label(c, e, k.SubInstances(c, e)); ok {
+						want[e] = lbl
+					}
+				}
+				got := l.Seeds(c, instances, k.SubIndex(c))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Seeds(%s) = %v, per-instance Label gives %v", c, got, want)
+				}
+				labeled += len(got)
+			}
+			if labeled == 0 {
+				t.Fatal("no seeds labeled; the comparison is vacuous")
+			}
+		})
 	}
 }

@@ -62,6 +62,11 @@ go test -race ./internal/memo
 go test -race -run 'TestCheckpointRerunRebuildsNothing|TestFailedCheckpointDoesNotRotateMemos' ./internal/core
 go test -race -run 'TestSessionCheckpointsMatchFromScratch/multi-round' .
 
+echo "==> go test -race (per-pass sub(e) index: kb differential, index-fed Seeds/Matrix bit identity, shared-index hammer)"
+go test -race -run 'TestSubIndexMatchesSubInstances|TestQuickSubIndexMatchesSubInstances' ./internal/kb
+go test -race -run 'TestMatrixMatchesVectorBits|TestConceptsOfMatchesPairs|TestWarmRaceHammer' ./internal/feature
+go test -race -run 'TestSeedsMatchPerInstanceLabel' ./internal/seedlabel
+
 echo "==> go test -race (chaos: injected faults, panics, reload breaker)"
 go test -race ./internal/fault
 go test -race -run 'TestChaosDisabledFaultsAreNoOp|TestChaosPanicSurfacesAsReportError' .
