@@ -11,6 +11,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"sync"
 
 	"driftclean/internal/clean"
 	"driftclean/internal/corpus"
@@ -254,11 +255,13 @@ type Analysis struct {
 // Config.Parallelism workers; results are deterministic regardless of
 // parallelism.
 //
-// Each concept's instance list (kb.Instances) is read once per pass: the
-// same list decides task eligibility, builds the feature extractor's
-// per-instance concept lists and class distributions, and feeds the
-// concept's buildTask, which in turn computes every instance's sub(e)
-// once (kb.SubIndex) for seed labeling, candidate selection and features.
+// Each concept's instance list (kb.Instances) is read once per pass,
+// one concept per worker claim: the same list yields the concept's core
+// E(C, 1) (kb.CoreOf) for mutual-exclusion discovery and seed labeling,
+// decides task eligibility, builds the feature extractor's per-instance
+// concept lists and class distributions, and feeds the concept's
+// buildTask, which in turn computes every instance's sub(e) once
+// (kb.SubIndex) for seed labeling, candidate selection and features.
 //
 // Analysis is a pure function of the KB state and the (fixed) config,
 // so a repeated call on an unmutated KB — detected by pointer identity
@@ -271,22 +274,29 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 	if s.memo.analysis != nil && s.memo.k == k && s.memo.version == k.Version() {
 		return s.memo.analysis, nil
 	}
-	a := &Analysis{
-		Mutex: mutex.Analyze(k, s.Cfg.Mutex),
-	}
-	a.Labeler = seedlabel.New(k, a.Mutex, s.Cfg.Seed)
+	parallelism := s.Cfg.workers()
 	concepts := k.Concepts()
+	lists := make([][]string, len(concepts))
+	coreLists := make([][]string, len(concepts))
+	par.ForChunked(len(concepts), parallelism, 1, func(i int) {
+		lists[i] = k.Instances(concepts[i])
+		coreLists[i] = k.CoreOf(concepts[i], lists[i])
+	})
 	instances := make(map[string][]string, len(concepts))
+	cores := make(map[string][]string, len(concepts))
 	var eligible []string
-	for _, concept := range concepts {
-		insts := k.Instances(concept)
-		instances[concept] = insts
-		if len(insts) >= s.Cfg.MinTaskInstances {
+	for i, concept := range concepts {
+		instances[concept] = lists[i]
+		cores[concept] = coreLists[i]
+		if len(lists[i]) >= s.Cfg.MinTaskInstances {
 			eligible = append(eligible, concept)
 		}
 	}
+	a := &Analysis{
+		Mutex: mutex.AnalyzeCores(concepts, cores, s.Cfg.Mutex),
+	}
+	a.Labeler = seedlabel.NewFromCores(k, a.Mutex, concepts, cores, s.Cfg.Seed)
 	a.Features = feature.NewExtractorWithCache(k, a.Mutex, s.ScoreCache(), concepts, instances)
-	parallelism := s.Cfg.workers()
 	a.Features.Warm(eligible, parallelism)
 
 	// One concept per claim: a task build costs from nothing (a cache
@@ -522,6 +532,11 @@ func (k DetectorKind) String() string {
 // returns per-concept instance labels (all three classes). A KB without
 // any seed labels (e.g. no drift at all) yields an empty label set —
 // there is nothing to learn from and nothing to clean.
+//
+// For the multi-task method, each task's calibration and prediction run
+// over the Config.Parallelism workers, one task per claim, into
+// per-task slots; the label map and the DP guard are then filled
+// serially in task order, so the result is identical at any setting.
 func (s *System) Detect(a *Analysis, kind DetectorKind) (clean.Labels, error) {
 	out := clean.Labels{}
 	anyLabels := false
@@ -543,18 +558,11 @@ func (s *System) Detect(a *Analysis, kind DetectorKind) (clean.Labels, error) {
 		if err != nil {
 			return nil, err
 		}
-		fallback := meanDetector(res.Detectors)
-		for _, t := range a.Tasks {
-			det := res.Detectors[t.Concept]
-			if det == nil {
-				// Knowledge transfer to label-less concepts: the averaged
-				// detector carries the shared structure.
-				det = fallback
+		labels := predictMultiTask(a.Tasks, res.Detectors, s.Cfg.workers())
+		for i, t := range a.Tasks {
+			if labels[i] != nil {
+				out[t.Concept] = labels[i]
 			}
-			if det == nil {
-				continue
-			}
-			out[t.Concept] = learn.PredictTask(calibrateFor(det, t, a.Tasks), t, false)
 		}
 	case DetectSemiSupervised:
 		for _, t := range a.Tasks {
@@ -601,6 +609,36 @@ func (s *System) Detect(a *Analysis, kind DetectorKind) (clean.Labels, error) {
 		guardDPs(out[t.Concept], t)
 	}
 	return out, nil
+}
+
+// predictMultiTask calibrates each task's trained detector (calibrateFor)
+// and labels the task's instances with it, before the DP guard, one task
+// per worker claim; labels[i] is nil when no detector was trained at
+// all. Knowledge transfer to label-less concepts: a task without a
+// detector gets the averaged one, which carries the shared structure.
+// TrainMultiTask trains every task that has seeds, so such a task has
+// none and calibrateFor would pool it: all of them share one pooled
+// calibration, computed by the first worker to need it.
+func predictMultiTask(tasks []*learn.Task, dets map[string]*learn.LinearDetector, workers int) []map[string]dp.Label {
+	fallback := meanDetector(dets)
+	pooled := sync.OnceValue(func() *learn.CalibratedLinear {
+		return learn.Calibrate(fallback, tasks...)
+	})
+	labels := make([]map[string]dp.Label, len(tasks))
+	par.ForChunked(len(tasks), workers, 1, func(i int) {
+		t := tasks[i]
+		var cal *learn.CalibratedLinear
+		switch det := dets[t.Concept]; {
+		case det != nil:
+			cal = calibrateFor(det, t, tasks)
+		case fallback == nil:
+			return
+		default:
+			cal = pooled()
+		}
+		labels[i] = learn.PredictTask(cal, t, false)
+	})
+	return labels
 }
 
 // warmManifolds fills the manifold memo for every task TrainMultiTask
@@ -666,12 +704,24 @@ func guardDPs(labels map[string]dp.Label, t *learn.Task) {
 }
 
 // calibrateFor tunes a linear detector's DP margin on the task's own
-// seeds when they contain enough examples of *both* sides, and otherwise
-// on the pooled seeds of all tasks. A concept whose seeds contain no DP
-// examples cannot estimate a margin at all (plain argmax then over-fires
-// on every borderline trigger), so borrowing the global margin is the
-// same cross-concept transfer that motivates the multi-task objective.
+// seeds when they contain enough examples of *both* sides
+// (calibratesAlone), and otherwise on the pooled seeds of all tasks. A
+// concept whose seeds contain no DP examples cannot estimate a margin at
+// all (plain argmax then over-fires on every borderline trigger), so
+// borrowing the global margin is the same cross-concept transfer that
+// motivates the multi-task objective. The pooled result depends only on
+// the detector and the task list, which is why Detect computes it once
+// for all tasks sharing the fallback detector.
 func calibrateFor(det *learn.LinearDetector, t *learn.Task, all []*learn.Task) *learn.CalibratedLinear {
+	if calibratesAlone(t) {
+		return learn.Calibrate(det, t)
+	}
+	return learn.Calibrate(det, all...)
+}
+
+// calibratesAlone reports whether a task's seeds hold at least one DP
+// and one non-DP example, enough to tune a margin on the task alone.
+func calibratesAlone(t *learn.Task) bool {
 	dpSeeds, nonSeeds := 0, 0
 	for _, in := range t.Instances {
 		if !in.Labeled {
@@ -683,10 +733,7 @@ func calibrateFor(det *learn.LinearDetector, t *learn.Task, all []*learn.Task) *
 			nonSeeds++
 		}
 	}
-	if dpSeeds >= 1 && nonSeeds >= 1 {
-		return learn.Calibrate(det, t)
-	}
-	return learn.Calibrate(det, all...)
+	return dpSeeds >= 1 && nonSeeds >= 1
 }
 
 // meanDetector averages the W matrices of all trained detectors — the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"driftclean/internal/dp"
@@ -114,7 +115,7 @@ func TestCalibrateForFallsBackWhenOneSided(t *testing.T) {
 		x := []float64{0, 0, 1}
 		if i%2 == 0 {
 			lbl = dp.Intentional
-			x = []float64{1, 0, 0}
+			x = []float64{1, 0, 1.5} // loses argmax by 0.5: the pooled margin must be positive
 		}
 		pool.Instances = append(pool.Instances, learn.Instance{
 			Name: string(rune('A' + i)), X: x, Labeled: true, Label: lbl,
@@ -127,7 +128,13 @@ func TestCalibrateForFallsBackWhenOneSided(t *testing.T) {
 	if calOwn.Delta != 0 {
 		t.Fatalf("one-sided calibration should be inert, delta=%v", calOwn.Delta)
 	}
-	_ = cal // pooled margin may legitimately be 0 here; the point is no panic and the fallback path runs
+	want := learn.Calibrate(det, oneSided, pool).Delta
+	if want <= 0 {
+		t.Fatalf("premise: pooled calibration should find a positive margin, delta=%v", want)
+	}
+	if math.Float64bits(cal.Delta) != math.Float64bits(want) {
+		t.Fatalf("one-sided task calibrated to delta %v, want the pooled delta %v", cal.Delta, want)
+	}
 }
 
 func TestBuildTaskDegenerateFeatures(t *testing.T) {

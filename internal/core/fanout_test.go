@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"reflect"
 	"sync"
@@ -8,7 +9,9 @@ import (
 	"time"
 
 	"driftclean/internal/clean"
+	"driftclean/internal/dp"
 	"driftclean/internal/fault"
+	"driftclean/internal/learn"
 )
 
 // TestAnalyzeFansOutPerConcept pins the per-concept fan-out of Analyze
@@ -139,5 +142,69 @@ func TestDetectSerialMatchesParallel(t *testing.T) {
 	if cached == 0 || serial.builds != cached || parallel.builds != cached {
 		t.Fatalf("manifold builds %d (serial) and %d (parallel), %d matrices cached per run",
 			serial.builds, parallel.builds, cached)
+	}
+}
+
+// TestDetectMatchesReferenceLoop pins multi-task Detect's per-task
+// fan-out and its shared fallback calibration to the serial loop it
+// replaced: train once, then for every task calibrateFor its own
+// detector (or the mean detector when it has none) and PredictTask,
+// then guard. On the smoke-scale pipeline (the default world over 6,000
+// sentences), at Parallelism 1 and 2, predictMultiTask's labels must
+// equal the loop's before the guard — the guard demotes every DP call
+// on the seedless concepts, so only the unguarded labels show their
+// calibration — and Detect's must equal them after it. The world has
+// tasks calibrating alone, tasks pooling with their own detector and
+// seedless tasks on the shared fallback.
+func TestDetectMatchesReferenceLoop(t *testing.T) {
+	for _, parallelism := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Corpus.NumSentences = 6000
+		cfg.Parallelism = parallelism
+		sys := Build(cfg)
+		a, err := sys.Analyze(sys.KB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.Detect(a, DetectMultiTask)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		mtCfg := sys.Cfg.MultiTask
+		mtCfg.ManifoldOf = sys.manifoldFor
+		res, err := learn.TrainMultiTask(a.Tasks, mtCfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fallback := meanDetector(res.Detectors)
+		unguarded := make([]map[string]dp.Label, len(a.Tasks))
+		want := clean.Labels{}
+		alone, pooledOwn, pooledFallback := 0, 0, 0
+		for i, task := range a.Tasks {
+			det := res.Detectors[task.Concept]
+			switch {
+			case det == nil:
+				det = fallback
+				pooledFallback++
+			case calibratesAlone(task):
+				alone++
+			default:
+				pooledOwn++
+			}
+			unguarded[i] = learn.PredictTask(calibrateFor(det, task, a.Tasks), task, false)
+			want[task.Concept] = maps.Clone(unguarded[i])
+			guardDPs(want[task.Concept], task)
+		}
+		if alone == 0 || pooledOwn == 0 || pooledFallback == 0 {
+			t.Fatalf("premise: want every calibration path, got %d alone, %d pooled with own detector, %d on the fallback",
+				alone, pooledOwn, pooledFallback)
+		}
+		if labels := predictMultiTask(a.Tasks, res.Detectors, parallelism); !reflect.DeepEqual(labels, unguarded) {
+			t.Fatalf("%d workers: unguarded labels differ from the serial calibrateFor + PredictTask loop", parallelism)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Parallelism %d: Detect labels differ from the serial calibrateFor + PredictTask loop", parallelism)
+		}
 	}
 }

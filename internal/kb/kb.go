@@ -227,6 +227,22 @@ func (kb *KB) InstancesAtIteration(concept string, iteration int) []string {
 	return out
 }
 
+// CoreOf returns E(C, 1), the concept's core, filtered from instances,
+// which must be the concept's Instances list: the result is sorted and
+// equal to InstancesAtIteration(concept, 1) without a second sort. An
+// analysis pass that already holds the instance list reads the core
+// from it.
+func (kb *KB) CoreOf(concept string, instances []string) []string {
+	m := kb.byConcept[concept]
+	out := make([]string, 0, len(instances))
+	for _, e := range instances {
+		if m[e].FirstIter <= 1 {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // Concepts returns all concepts that currently have at least one instance,
 // sorted.
 func (kb *KB) Concepts() []string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -237,4 +238,34 @@ func roundTripQuick(k *KB) *KB {
 		panic(err)
 	}
 	return got
+}
+
+// Property: CoreOf over a concept's Instances list equals
+// InstancesAtIteration(concept, 1), before and after a cascading
+// removal and a direct rollback.
+func TestQuickCoreOfMatchesInstancesAtIteration(t *testing.T) {
+	check := func(k *KB) bool {
+		for _, c := range k.Concepts() {
+			got, want := k.CoreOf(c, k.Instances(c)), k.InstancesAtIteration(c, 1)
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("%s: CoreOf = %v, InstancesAtIteration = %v", c, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64, which uint8) bool {
+		k := randomKB(seed)
+		if !check(k) {
+			return false
+		}
+		if pairs := k.Pairs(); len(pairs) > 0 {
+			k.RemovePairs([]Pair{pairs[int(which)%len(pairs)]})
+		}
+		k.RollbackExtractions([]int{int(which) % k.NumExtractions()})
+		return check(k)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
 }

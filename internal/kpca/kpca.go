@@ -16,7 +16,6 @@ package kpca
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"driftclean/internal/linalg"
 )
@@ -413,10 +412,46 @@ func medianHeuristic(x [][]float64) float64 {
 	if len(dists) == 0 {
 		return 1
 	}
-	sort.Float64s(dists)
-	med := dists[len(dists)/2]
+	med := selectKth(dists, len(dists)/2)
 	if med < 1e-9 {
 		return 1
 	}
 	return 1 / (2 * med * med)
+}
+
+// selectKth returns the element an ascending sort of x would place at
+// index k, reordering x in place (quickselect). The value is the same
+// order statistic sort.Float64s yields for NaN-free input, so the
+// result is bit-identical to sorting and indexing, in expected linear
+// time. Three-way partitioning keeps runs of duplicate values, common
+// among pairwise distances of repeated feature vectors, linear too.
+func selectKth(x []float64, k int) float64 {
+	lo, hi := 0, len(x)-1
+	for lo < hi {
+		pivot := x[lo+(hi-lo)/2]
+		// Invariant: x[lo:lt] < pivot, x[lt:i] equal to it, x[gt+1:hi+1] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch {
+			case x[i] < pivot:
+				x[lt], x[i] = x[i], x[lt]
+				lt++
+				i++
+			case x[i] > pivot:
+				x[i], x[gt] = x[gt], x[i]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return x[k]
+		}
+	}
+	return x[k]
 }

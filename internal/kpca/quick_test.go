@@ -1,7 +1,9 @@
 package kpca
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +171,42 @@ func TestQuickProjectedTrainingMeanIsZero(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickSelectKthMatchesSort: selectKth returns, bit for bit, the
+// element sort.Float64s places at index k, for every k. Half the cases
+// draw from at most eight values, so that long runs of duplicates occur
+// (the shape of pairwise distances among repeated feature vectors); the
+// other half are mostly distinct.
+func TestQuickSelectKthMatchesSort(t *testing.T) {
+	f := func(seed int64, size uint8, dups bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(size)
+		values := make([]float64, n)
+		if dups {
+			values = values[:1+rng.Intn(min(n, 8))]
+		}
+		for i := range values {
+			values[i] = rng.ExpFloat64()
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = values[rng.Intn(len(values))]
+		}
+		sorted := append([]float64(nil), x...)
+		sort.Float64s(sorted)
+		for k := 0; k < n; k++ {
+			scratch := append([]float64(nil), x...)
+			if got := selectKth(scratch, k); math.Float64bits(got) != math.Float64bits(sorted[k]) {
+				t.Logf("n=%d k=%d: selectKth = %v, sort = %v", n, k, got, sorted[k])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,7 +1,8 @@
 package learn
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"driftclean/internal/dp"
 	"driftclean/internal/floats"
@@ -48,12 +49,23 @@ func (c *CalibratedLinear) Predict(x []float64) dp.Label {
 
 // Calibrate tunes the DP margin of a linear detector on a task's labeled
 // instances. With no labeled instances the margin stays 0 (plain argmax).
+//
+// The points are sorted by margin with an unstable sort, so points with
+// identical margins may land in any order. That cannot change Delta: the
+// F1 sweep evaluates only at the end of each group of tied margins
+// (floats.Identical), where the true/false-positive counts include the
+// whole group whatever its internal order. The result is read-only and
+// safe to share across goroutines.
 func Calibrate(d *LinearDetector, tasks ...*Task) *CalibratedLinear {
 	type pt struct {
 		margin float64 // sN - max(sI, sA): delta must exceed it to call DP
 		isDP   bool
 	}
-	var pts []pt
+	labeled := 0
+	for _, t := range tasks {
+		labeled += t.LabeledCount()
+	}
+	pts := make([]pt, 0, labeled)
 	for _, t := range tasks {
 		for _, in := range t.Instances {
 			if !in.Labeled {
@@ -71,7 +83,7 @@ func Calibrate(d *LinearDetector, tasks ...*Task) *CalibratedLinear {
 	if len(pts) == 0 {
 		return out
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].margin < pts[j].margin })
+	slices.SortFunc(pts, func(a, b pt) int { return cmp.Compare(a.margin, b.margin) })
 	totalDP := 0
 	for _, p := range pts {
 		if p.isDP {

@@ -1,6 +1,8 @@
 package learn
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"driftclean/internal/dp"
@@ -56,6 +58,40 @@ func TestCalibrateRecoversMargin(t *testing.T) {
 	}
 	if got := cal.Predict([]float64{0.0, 0, 0.7}); got.IsDP() {
 		t.Errorf("clear non-DP flipped: %v", got)
+	}
+}
+
+// TestCalibrateDeltaIgnoresTieOrder: Calibrate sorts margins with an
+// unstable sort, so the order of points inside a group of tied margins
+// is arbitrary. Delta must not depend on it: the F1 sweep only
+// evaluates at the end of each tie group. Every permutation of a seed
+// set whose margins come from three values, two of the tie groups
+// holding both labels, yields a bit-identical Delta.
+func TestCalibrateDeltaIgnoresTieOrder(t *testing.T) {
+	var rows [][3]float64
+	var labels []dp.Label
+	for i := 0; i < 24; i++ {
+		rows = append(rows, [3]float64{0.1 * float64(i%3), 0, 0.3})
+		lbl := dp.NonDP
+		if i%4 == 0 || i%3 == 2 {
+			lbl = dp.Accidental
+		}
+		labels = append(labels, lbl)
+	}
+	det, task := scoreTask(rows, labels)
+	want := Calibrate(det, task).Delta
+	if want == 0 {
+		t.Fatal("premise: the seed set should calibrate to a non-zero margin")
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		perm := &Task{Concept: task.Concept, Instances: append([]Instance(nil), task.Instances...)}
+		rng.Shuffle(len(perm.Instances), func(i, j int) {
+			perm.Instances[i], perm.Instances[j] = perm.Instances[j], perm.Instances[i]
+		})
+		if got := Calibrate(det, perm).Delta; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Delta = %v after permuting the seeds, want %v", trial, got, want)
+		}
 	}
 }
 

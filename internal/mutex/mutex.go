@@ -50,8 +50,24 @@ type Analysis struct {
 	covered   map[string]bool
 }
 
-// Analyze runs the discovery over the current KB.
+// Analyze runs the discovery over the current KB. It lists every
+// concept's core with kb.InstancesAtIteration and hands the lists to
+// AnalyzeCores.
 func Analyze(k *kb.KB, cfg Config) *Analysis {
+	concepts := k.Concepts()
+	cores := make(map[string][]string, len(concepts))
+	for _, c := range concepts {
+		cores[c] = k.InstancesAtIteration(c, 1)
+	}
+	return AnalyzeCores(concepts, cores, cfg)
+}
+
+// AnalyzeCores runs the discovery over the given sorted concept list,
+// reading each concept's core E(C, 1) from cores. An analysis pass that
+// has already listed every concept's instances derives the cores from
+// those lists (kb.CoreOf) and passes them here instead of listing and
+// sorting each core again.
+func AnalyzeCores(concepts []string, cores map[string][]string, cfg Config) *Analysis {
 	if cfg.ExclusiveThreshold <= 0 {
 		cfg.ExclusiveThreshold = DefaultConfig().ExclusiveThreshold
 	}
@@ -69,10 +85,10 @@ func Analyze(k *kb.KB, cfg Config) *Analysis {
 		similar:   make(map[string][]string),
 		covered:   make(map[string]bool),
 	}
-	a.concepts = k.Concepts()
+	a.concepts = concepts
 	for _, c := range a.concepts {
-		set := make(map[string]struct{})
-		for _, e := range k.InstancesAtIteration(c, 1) {
+		set := make(map[string]struct{}, len(cores[c]))
+		for _, e := range cores[c] {
 			set[e] = struct{}{}
 		}
 		a.core[c] = set

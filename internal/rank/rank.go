@@ -71,14 +71,16 @@ func BuildGraph(k *kb.KB, concept string) *Graph {
 	g.In = make([][]Edge, n)
 	g.Core = make([]bool, n)
 	g.CoreWeight = make([]float64, n)
-	for _, e := range k.InstancesAtIteration(concept, 1) {
-		if i, ok := g.Index[e]; ok {
+	// The core is E(C,1): the active instances first extracted in
+	// iteration 1, read off the same sorted list as the nodes.
+	for i, e := range nodes {
+		if info := k.Info(concept, e); info.FirstIter <= 1 {
 			g.Core[i] = true
 			// Log-damped evidence: a count-1 mis-parse in the core gets a
 			// sliver of restart mass, a well-attested head gets several
 			// times more, but no single popular instance dominates the
 			// restart distribution.
-			g.CoreWeight[i] = math.Log2(1 + float64(k.Count(concept, e)))
+			g.CoreWeight[i] = math.Log2(1 + float64(info.Count))
 		}
 	}
 
@@ -219,6 +221,14 @@ func DefaultConfig() Config { return Config{Restart: 0.15, MaxIter: 100, Tol: 1e
 // probability of the walk being at e — "the probability that we could
 // randomly walk from the instances obtained in the first iterations to
 // the node of the instance e" (Sec 3.1).
+//
+// A dangling node's mass teleports only to the restart support (the
+// nodes with non-zero restart weight), so an iteration costs
+// O(E + dangling·core) rather than O(E + dangling·n). That is exact:
+// off the support the full loop added (1-r)·p[i]·0 = +0, which leaves
+// next[j] unchanged, and along the support the additions happen in the
+// same order with the same operands ((1-r)·p[i] is evaluated first in
+// either form). With no core the support is every node.
 func RandomWalk(g *Graph, cfg Config) Scores {
 	n := len(g.Nodes)
 	out := make(Scores, n)
@@ -246,6 +256,13 @@ func RandomWalk(g *Graph, cfg Config) Scores {
 	for i := range restart {
 		restart[i] /= mass
 	}
+	// The restart support: the only nodes teleported mass can reach.
+	support := make([]int, 0, n)
+	for j, r := range restart {
+		if r != 0 {
+			support = append(support, j)
+		}
+	}
 	outWeight := make([]float64, n)
 	for i, edges := range g.Out {
 		for _, e := range edges {
@@ -264,8 +281,9 @@ func RandomWalk(g *Graph, cfg Config) Scores {
 			}
 			if outWeight[i] == 0 {
 				// Dangling mass teleports back to the restart set.
-				for j := range next {
-					next[j] += (1 - cfg.Restart) * p[i] * restart[j]
+				teleport := (1 - cfg.Restart) * p[i]
+				for _, j := range support {
+					next[j] += teleport * restart[j]
 				}
 				continue
 			}

@@ -60,8 +60,24 @@ type Labeler struct {
 	correctOf map[string][]string
 }
 
-// New builds a labeler. The construction cost is one pass over the KB.
+// New builds a labeler. It lists every concept's core with
+// kb.InstancesAtIteration and hands the lists to NewFromCores.
 func New(k *kb.KB, mx *mutex.Analysis, cfg Config) *Labeler {
+	concepts := k.Concepts()
+	cores := make(map[string][]string, len(concepts))
+	for _, c := range concepts {
+		cores[c] = k.InstancesAtIteration(c, 1)
+	}
+	return NewFromCores(k, mx, concepts, cores, cfg)
+}
+
+// NewFromCores builds a labeler over the given sorted concept list,
+// reading each concept's core E(C, 1) from cores. An analysis pass that
+// has already listed every concept's instances derives the cores from
+// those lists (kb.CoreOf) and passes them here instead of listing and
+// sorting each core again. The construction cost is one pass over the
+// cores.
+func NewFromCores(k *kb.KB, mx *mutex.Analysis, concepts []string, cores map[string][]string, cfg Config) *Labeler {
 	def := DefaultConfig()
 	if cfg.K <= 0 {
 		cfg.K = def.K
@@ -79,9 +95,9 @@ func New(k *kb.KB, mx *mutex.Analysis, cfg Config) *Labeler {
 		evidencedCorrect: make(map[string]map[string]bool),
 		correctOf:        make(map[string][]string),
 	}
-	for _, c := range k.Concepts() {
+	for _, c := range concepts {
 		set := map[string]bool{}
-		for _, e := range k.InstancesAtIteration(c, 1) {
+		for _, e := range cores[c] {
 			if k.Count(c, e) >= cfg.K {
 				set[e] = true
 				l.correctOf[e] = append(l.correctOf[e], c)

@@ -67,6 +67,10 @@ go test -race -run 'TestSubIndexMatchesSubInstances|TestQuickSubIndexMatchesSubI
 go test -race -run 'TestMatrixMatchesVectorBits|TestConceptsOfMatchesPairs|TestWarmRaceHammer' ./internal/feature
 go test -race -run 'TestSeedsMatchPerInstanceLabel' ./internal/seedlabel
 
+echo "==> go test -race (shorter round: support-restricted walk teleport, fanned-out Detect calibration)"
+go test -race -run 'TestRandomWalkMatchesReference|TestBuildGraphCoreMatchesIteration1' ./internal/rank
+go test -race -run 'TestDetectMatchesReferenceLoop' ./internal/core
+
 echo "==> go test -race (chaos: injected faults, panics, reload breaker)"
 go test -race ./internal/fault
 go test -race -run 'TestChaosDisabledFaultsAreNoOp|TestChaosPanicSurfacesAsReportError' .
