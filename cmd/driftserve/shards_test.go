@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"driftclean/internal/fault"
 	"driftclean/internal/kb"
@@ -230,7 +231,10 @@ func TestRespondStatusMapping(t *testing.T) {
 func TestShardedOverloadSurfacesAs429(t *testing.T) {
 	snap := snapshot.Freeze(bigTestKB(8))
 	ts, _ := newShardedServer(t, snap, 2, false, func(int) serve.Options {
-		return serve.Options{MaxInflight: 1, QueueDepth: 0}
+		// Every drifted query holds its shard's one slot for 20ms, so
+		// concurrent arrivals are certain to find it taken.
+		stall := fault.New(1, map[string]fault.Rule{"serve.drifted": {Latency: 20 * time.Millisecond}})
+		return serve.Options{MaxInflight: 1, QueueDepth: 0, Fault: stall}
 	})
 
 	// Saturate both shards' slots with concurrent fleet-wide queries
@@ -256,6 +260,6 @@ func TestShardedOverloadSurfacesAs429(t *testing.T) {
 		}
 	}
 	if !saw429 {
-		t.Skip("no overlap between 64 concurrent queries; nothing shed on this run")
+		t.Error("64 concurrent queries against stalled single-slot shards: none shed with 429")
 	}
 }

@@ -125,16 +125,21 @@ func DefaultConfig() Config {
 // (drifted) extraction result.
 //
 // A System memoizes analysis work across calls. A full *Analysis is
-// reused verbatim when the KB has not mutated since it was computed;
-// the per-concept random-walk score cache is shared between every
-// Analyze pass and the cleaning rounds (rollbacks invalidate exactly
-// the concepts they touch). Below those, three content-addressed memos
-// — learning tasks, random walks and manifold matrices — skip a
-// computation whenever its exact inputs were seen at any round of the
-// current or previous memo generation. Ingestor rotates them once per
-// committed checkpoint; a System driven without one (a batch run) stays
-// in a single generation. Like the KB itself, a System's orchestration
-// methods (Analyze, Detect, CleanDPs) are not safe for concurrent use.
+// reused verbatim when the KB has not mutated since it was computed.
+// Below that, every per-concept artifact of an analysis pass is keyed
+// on the concept's KB-maintained digest (kb.ConceptDigest), so finding
+// out that a concept is unchanged costs O(1) and a hit rebuilds
+// nothing: its random-walk scores (the shared score cache), its
+// instance and core lists, its sub(e) index and — through an index
+// keyed on the digest plus the cross-concept counts the task reads —
+// its learning task. Behind those, content-addressed memos keyed on
+// the computed inputs (the task's feature matrix, the walk's trigger
+// graph, the task pointer for manifold matrices) still catch a concept
+// whose records changed without changing the artifact. Every memo keeps
+// two generations; Ingestor rotates them once per committed checkpoint,
+// and a System driven without one (a batch run) stays in a single
+// generation. Like the KB itself, a System's orchestration methods
+// (Analyze, Detect, CleanDPs) are not safe for concurrent use.
 type System struct {
 	Cfg        Config
 	World      *world.World
@@ -144,12 +149,12 @@ type System struct {
 	Oracle     *eval.Oracle
 
 	// scoreCache is the cross-round walk cache, created lazily by the
-	// first Analyze.
+	// first Analyze. It remembers walks by concept digest across KBs.
 	scoreCache *rank.Cache
-	// walkMemo backs scoreCache with graph-signature-keyed walk reuse,
-	// so a checkpoint replay's fresh KB (new pointer, cold cache) still
-	// skips the power iteration for every concept whose trigger graph
-	// some recent round already walked.
+	// walkMemo backs scoreCache on a digest miss with graph-signature-
+	// keyed walk reuse: a concept whose records changed but whose
+	// trigger graph some recent round already walked skips the power
+	// iteration.
 	walkMemo *rank.WalkMemo
 	// memo holds the last Analysis with the KB identity + version it was
 	// computed from; a hit requires both to be unchanged.
@@ -158,12 +163,21 @@ type System struct {
 		version  uint64
 		analysis *Analysis
 	}
+	// lists and subIndexes hold each concept's instance and core lists
+	// and its kb.SubIndex, keyed on (concept, digest). Entries are shared
+	// by every pass that hits them, so they are read-only.
+	lists      memo.Memo[conceptKey, conceptLists]
+	subIndexes memo.Memo[conceptKey, map[string][]string]
+	// taskIndex maps a concept's upstream task key (taskInputKey) to the
+	// task memo key its inputs produced, so a hit skips seed labelling,
+	// the feature matrix and taskSignature.
+	taskIndex memo.Memo[conceptKey, taskRef]
 	// tasks memoizes learning tasks keyed by concept and a signature of
 	// the task's exact inputs (instance names, seed labels, raw feature
 	// matrix). A task is a pure function of those inputs and the fixed
 	// config, so a hit skips the KPCA fit and projection — the dominant
 	// analysis cost — and returns the stored task verbatim.
-	tasks memo.Memo[taskKey, *learn.Task]
+	tasks memo.Memo[conceptKey, *learn.Task]
 	// manifolds memoizes each task's manifold regularizer matrix (Eq 17)
 	// keyed on the task pointer. Cached tasks are returned
 	// pointer-identical, a rebuilt task is a fresh allocation, and the
@@ -173,24 +187,39 @@ type System struct {
 	manifolds memo.Memo[*learn.Task, *linalg.Matrix]
 }
 
-type taskKey struct {
+// conceptKey names one concept's artifact by a 64-bit key of its
+// inputs: a kb.ConceptDigest, a taskInputKey or a taskSignature.
+type conceptKey struct {
 	concept string
-	sig     uint64
+	key     uint64
+}
+
+// conceptLists is a concept's kb.Instances list and its core E(C, 1).
+type conceptLists struct {
+	instances, core []string
+}
+
+// taskRef is a task index entry: the task memo key of the concept's
+// task, or none when the concept has too few candidates for a task.
+type taskRef struct {
+	key  conceptKey
+	none bool
 }
 
 // ScoreCache returns the system's shared cross-round random-walk cache,
 // creating it on first use. Its configuration matches the feature
 // extractor's (rank.DefaultConfig), which is also the cleaning loop's
-// default Eq 21 walk configuration. The cache computes walks through
-// the system's signature-keyed walk memo, so a concept whose trigger
-// graph some recent round already walked reuses its scores across
-// checkpoint replays.
+// default Eq 21 walk configuration. The cache remembers walks by
+// concept digest across KBs (rank.NewDigestCache) and computes a digest
+// miss through the system's signature-keyed walk memo, so a concept
+// whose records or trigger graph some recent round already had reuses
+// its scores across checkpoint replays.
 func (s *System) ScoreCache() *rank.Cache {
 	if s.scoreCache == nil {
 		if s.walkMemo == nil {
 			s.walkMemo = rank.NewWalkMemo()
 		}
-		s.scoreCache = rank.NewCache(rank.DefaultConfig())
+		s.scoreCache = rank.NewDigestCache(rank.DefaultConfig())
 		s.scoreCache.SetWalk(s.walkMemo.Walk)
 	}
 	return s.scoreCache
@@ -201,15 +230,45 @@ func (s *System) ScoreCache() *rank.Cache {
 // created.
 func (s *System) TaskCacheStats() (hits, misses int) { return s.tasks.Stats() }
 
-// rotateMemos ends a generation of the task, walk and manifold memos:
-// entries no analysis pass has used since the previous rotation are
-// dropped.
+// rotateMemos ends a generation of every memo: entries no analysis pass
+// has used since the previous rotation are dropped.
 func (s *System) rotateMemos() {
+	s.lists.Rotate()
+	s.subIndexes.Rotate()
+	s.taskIndex.Rotate()
 	s.tasks.Rotate()
 	s.manifolds.Rotate()
+	if s.scoreCache != nil {
+		s.scoreCache.Rotate()
+	}
 	if s.walkMemo != nil {
 		s.walkMemo.Rotate()
 	}
+}
+
+// listsOf returns the concept's instance list and core from the list
+// memo, listing them on a digest miss. The lists are shared.
+func (s *System) listsOf(k *kb.KB, concept string) conceptLists {
+	key := conceptKey{concept, k.ConceptDigest(concept)}
+	if l, ok := s.lists.Get(key); ok {
+		return l
+	}
+	instances := k.Instances(concept)
+	l := conceptLists{instances, k.CoreOf(concept, instances)}
+	s.lists.Put(key, l)
+	return l
+}
+
+// subIndexOf returns the concept's kb.SubIndex from the sub(e) memo,
+// computing it on a digest miss. The index is shared.
+func (s *System) subIndexOf(k *kb.KB, concept string) map[string][]string {
+	key := conceptKey{concept, k.ConceptDigest(concept)}
+	if subs, ok := s.subIndexes.Get(key); ok {
+		return subs
+	}
+	subs := k.SubIndex(concept)
+	s.subIndexes.Put(key, subs)
+	return subs
 }
 
 // Prepare generates the world and corpus and wires up the oracle, but
@@ -255,20 +314,18 @@ type Analysis struct {
 // Config.Parallelism workers; results are deterministic regardless of
 // parallelism.
 //
-// Each concept's instance list (kb.Instances) is read once per pass,
-// one concept per worker claim: the same list yields the concept's core
-// E(C, 1) (kb.CoreOf) for mutual-exclusion discovery and seed labeling,
-// decides task eligibility, builds the feature extractor's per-instance
-// concept lists and class distributions, and feeds the concept's
-// buildTask, which in turn computes every instance's sub(e) once
-// (kb.SubIndex) for seed labeling, candidate selection and features.
+// Each concept's instance list and core E(C, 1) come from the list memo
+// keyed on the concept's digest, and are listed (kb.Instances,
+// kb.CoreOf) only on a miss. The lists drive mutual-exclusion discovery
+// and seed labeling, decide task eligibility, build the feature
+// extractor's per-instance concept lists, and feed each concept's
+// buildTask. Walks and class distributions are computed lazily, only
+// for the concepts whose task build misses its index.
 //
 // Analysis is a pure function of the KB state and the (fixed) config,
 // so a repeated call on an unmutated KB — detected by pointer identity
 // plus the KB's mutation version — returns the previous *Analysis
-// without recomputing anything. Between cleaning rounds, the shared
-// score cache goes further: only concepts a rollback touched are
-// re-walked.
+// without recomputing anything.
 func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 	s.Cfg.Fault.Check("core.analyze")
 	if s.memo.analysis != nil && s.memo.k == k && s.memo.version == k.Version() {
@@ -276,19 +333,17 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 	}
 	parallelism := s.Cfg.workers()
 	concepts := k.Concepts()
-	lists := make([][]string, len(concepts))
-	coreLists := make([][]string, len(concepts))
+	lists := make([]conceptLists, len(concepts))
 	par.ForChunked(len(concepts), parallelism, 1, func(i int) {
-		lists[i] = k.Instances(concepts[i])
-		coreLists[i] = k.CoreOf(concepts[i], lists[i])
+		lists[i] = s.listsOf(k, concepts[i])
 	})
 	instances := make(map[string][]string, len(concepts))
 	cores := make(map[string][]string, len(concepts))
 	var eligible []string
 	for i, concept := range concepts {
-		instances[concept] = lists[i]
-		cores[concept] = coreLists[i]
-		if len(lists[i]) >= s.Cfg.MinTaskInstances {
+		instances[concept] = lists[i].instances
+		cores[concept] = lists[i].core
+		if len(lists[i].instances) >= s.Cfg.MinTaskInstances {
 			eligible = append(eligible, concept)
 		}
 	}
@@ -297,7 +352,6 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 	}
 	a.Labeler = seedlabel.NewFromCores(k, a.Mutex, concepts, cores, s.Cfg.Seed)
 	a.Features = feature.NewExtractorWithCache(k, a.Mutex, s.ScoreCache(), concepts, instances)
-	a.Features.Warm(eligible, parallelism)
 
 	// One concept per claim: a task build costs from nothing (a cache
 	// hit) to a full KPCA fit, and a world has only tens of eligible
@@ -328,25 +382,34 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 }
 
 // buildTask assembles the learning task of one concept from its
-// instance list (kb.Instances, read once by Analyze): candidates are the
-// triggering instances plus every seed-labeled instance; raw features
-// are transformed by a per-concept KPCA fitted on (capped) task points.
-// The concept's sub(e) sets are computed once here (kb.SubIndex) and
-// shared by the candidate filter, the seed labeler and the feature
-// matrix.
+// instance list: candidates are the triggering instances plus every
+// seed-labeled instance; raw features are transformed by a per-concept
+// KPCA fitted on (capped) task points.
 //
-// The expensive tail — KPCA fit, projection, padding — is skipped when
-// the task memo holds a task built from the same inputs at any earlier
-// round it still remembers: the task is a pure function of (names, seed
+// Two memos stand in front of that work. The task index is keyed on
+// taskInputKey, which covers every value seed labelling and f1–f6 read,
+// so an index hit returns the stored task without labelling seeds,
+// computing the concept's sub(e) index or feature matrix, or hashing
+// it. On an index miss the task is assembled — with the sub(e) index
+// from its digest-keyed memo, shared by the candidate filter, the seed
+// labeler and the feature matrix — and looked up in the task memo by
+// taskSignature, the exact inputs of the expensive tail (KPCA fit,
+// projection, padding). A task is a pure function of (names, seed
 // labels, raw feature matrix) under the system's fixed config, so an
-// identical input signature returns that task bit for bit. This is what
-// scopes re-analysis to dirty concepts: the raw feature matrix already
-// aggregates every cross-concept dependency (f2/f6 read other concepts'
-// pair counts and the exclusion structure), so "feature vectors
-// unchanged" is exactly the condition under which the old task is
-// still the right answer.
+// identical signature returns that task bit for bit; only a miss there
+// pays for a KPCA fit. Either way the index learns the mapping.
 func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []string) (*learn.Task, error) {
-	subs := k.SubIndex(concept)
+	in := conceptKey{concept, taskInputKey(k, a, concept, s.Cfg.KPCA)}
+	ref, indexed := s.taskIndex.Get(in)
+	if indexed {
+		if ref.none {
+			return nil, nil
+		}
+		if task, ok := s.tasks.Get(ref.key); ok {
+			return task, nil
+		}
+	}
+	subs := s.subIndexOf(k, concept)
 	seeds := a.Labeler.Seeds(concept, instances, subs)
 	names := make([]string, 0, len(subs)+len(seeds))
 	for e := range subs {
@@ -359,13 +422,20 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []st
 	}
 	sort.Strings(names)
 	if len(names) < 2 {
+		s.taskIndex.Put(in, taskRef{none: true})
 		return nil, nil
 	}
 	raw := a.Features.Matrix(concept, names, subs)
 
-	key := taskKey{concept, taskSignature(concept, names, seeds, raw, s.Cfg.KPCA)}
-	if task, ok := s.tasks.Get(key); ok {
-		return task, nil
+	key := ref.key
+	if !indexed {
+		// An indexed entry whose task was evicted already knows its key
+		// and has counted the task memo's miss.
+		key = conceptKey{concept, taskSignature(concept, names, seeds, raw, s.Cfg.KPCA)}
+		if task, ok := s.tasks.Get(key); ok {
+			s.taskIndex.Put(in, taskRef{key: key})
+			return task, nil
+		}
 	}
 
 	// The eigensolve below is the analysis hot spot, so it gets its own
@@ -438,7 +508,56 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []st
 	}
 	task.PadTo(s.sharedDim())
 	s.tasks.Put(key, task)
+	s.taskIndex.Put(in, taskRef{key: key})
 	return task, nil
+}
+
+// taskInputKey is the upstream key of a concept's learning task: it
+// covers every value the task reads — through seed labelling
+// (Labeler.Label, EvidencedIncorrect, driftEvidence) and the f1–f6
+// features — so equal keys mean equal tasks. Those values are:
+//
+//   - the concept's own records (its digest): instance list, core,
+//     counts, sub(e) sets and trigger graph;
+//   - for every instance e with a pair record under the concept, and
+//     every concept O holding e that is mutually exclusive with it, the
+//     tuple (O, Count(O, e), FirstIter(O, e) ≤ 1): f2 and f6 compare
+//     Count(O, e) with fixed thresholds, and Rules 1 and 2 ask whether e
+//     is evidenced correct for O, which is core membership plus a count;
+//   - the KPCA solver settings, as in taskSignature.
+//
+// Instances are combined by a sum of mixed terms, so the key does not
+// depend on map order; an instance held by no exclusive concept adds
+// nothing, which is unambiguous since its tuple list is empty.
+func taskInputKey(k *kb.KB, a *Analysis, concept string, kcfg kpca.Config) uint64 {
+	// Exclusive(concept, o) implies o is in concept's sorted exclusive
+	// set, so tuples over that set cover every exclusive holder.
+	exclusive := a.Mutex.ExclusiveConcepts(concept)
+	var sum uint64
+	if len(exclusive) > 0 {
+		k.EachPairRecord(concept, func(e string) {
+			var tuples uint64
+			for _, o := range a.Features.ConceptsOf(e) {
+				if i := sort.SearchStrings(exclusive, o); i == len(exclusive) || exclusive[i] != o {
+					continue
+				}
+				info := k.Info(o, e)
+				core := uint64(0)
+				if info.FirstIter <= 1 {
+					core = 1
+				}
+				tuples += memo.Mix(memo.Mix(memo.String(o)+uint64(info.Count)) + core)
+			}
+			if tuples != 0 {
+				sum += memo.Mix(memo.String(e) + tuples)
+			}
+		})
+	}
+	solver := uint64(kcfg.Solver) << 1
+	if kcfg.Kernel32 {
+		solver |= 1
+	}
+	return memo.Mix(memo.Mix(k.ConceptDigest(concept)+solver)) + sum
 }
 
 // taskSignature hashes the exact inputs a concept's learning task is a
@@ -759,7 +878,8 @@ func meanDetector(dets map[string]*learn.LinearDetector) *learn.LinearDetector {
 type CleanResult struct {
 	Clean *clean.Result
 	// BeforeInstances snapshots each concept's instances prior to
-	// cleaning, for before/after evaluation.
+	// cleaning, for before/after evaluation. The lists are shared with
+	// the system's memos and are read-only.
 	BeforeInstances map[string][]string
 }
 
@@ -768,7 +888,7 @@ type CleanResult struct {
 func (s *System) CleanDPs(kind DetectorKind) (*CleanResult, error) {
 	before := map[string][]string{}
 	for _, c := range s.KB.Concepts() {
-		before[c] = s.KB.Instances(c)
+		before[c] = s.listsOf(s.KB, c).instances
 	}
 	var detectErr error
 	res := clean.Run(s.KB, func(k *kb.KB) clean.Labels {

@@ -17,14 +17,18 @@ var ErrIngestStopped = errors.New("core: ingest checkpoint stopped before conver
 // Ingestor drives the incremental pipeline over one persistent System:
 // sentence batches are appended to an extract.Stream, each checkpoint
 // replays the batch-equivalent extraction into a fresh KB and cleans it
-// with the system's detect-and-clean loop, and the system's caches —
-// the task, walk and manifold memos and the shared score cache — scope
+// with the system's detect-and-clean loop, and the system's memos scope
 // the expensive analysis work to concepts whose inputs no recent round
-// has seen.
+// has seen. The replayed KB is new, but its concept digests
+// (kb.ConceptDigest) are equal to an earlier round's wherever the
+// concept's records are, so an unchanged concept's walk, lists, sub(e)
+// index and task are found by digest without rebuilding any of them.
 //
-// Memo lifetime: each committed checkpoint rotates the task, walk and
-// manifold memos once, so round r of a checkpoint can reuse the work of
-// any round of the previous checkpoint, not only its last. An entry is
+// Memo lifetime: each committed checkpoint rotates every memo of the
+// system once (digest-keyed walks, lists, sub(e) indexes, the task
+// index, tasks, signature-keyed walks and manifolds), so round r of a
+// checkpoint can reuse the work of any round of the previous
+// checkpoint, not only its last. An entry is
 // kept while consecutive checkpoints keep using it and dropped after a
 // checkpoint that does not; memory is bounded by two checkpoints' worth
 // of round states. A failed Ingest does not rotate.
@@ -163,11 +167,13 @@ func (g *Ingestor) Ingest(batch []corpus.Sentence, onExtracted func(*System)) (s
 	return st, nil
 }
 
-// walkHits reads the walk memo's hit counter (0 before first use).
+// walkHits counts the walks served from a memo, by concept digest or
+// by graph signature (0 before first use).
 func (g *Ingestor) walkHits() int {
 	if g.sys.walkMemo == nil {
 		return 0
 	}
+	digestHits, _ := g.sys.scoreCache.DigestStats()
 	hits, _ := g.sys.walkMemo.Stats()
-	return hits
+	return digestHits + hits
 }

@@ -22,7 +22,6 @@ import (
 
 	"driftclean/internal/kb"
 	"driftclean/internal/mutex"
-	"driftclean/internal/par"
 	"driftclean/internal/rank"
 	"driftclean/internal/sparsevec"
 )
@@ -39,7 +38,10 @@ const WeakCount = 2
 // extractors and cleaning rounds via NewExtractorWithCache so a walk
 // survives from one cleaning round to the next as long as its concept
 // is untouched. Class frequency distributions (and their L2 norms) are
-// cached per concept with the same single-flight discipline.
+// cached per concept with the same single-flight discipline. Both are
+// computed lazily, by whichever goroutine first asks for a concept, so
+// every method is safe to call from many goroutines at once and no
+// concept pays for a walk until one of its features is read.
 //
 // The extractor never computes sub(e) itself: the sub(e)-based features
 // (f1, f4, f5, f6) take the list from the caller, and Matrix reads every
@@ -125,6 +127,11 @@ func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache, conc
 	}
 }
 
+// ConceptsOf lists, in concept order, the concepts holding the instance
+// with positive count at construction time. The list is shared and
+// read-only.
+func (x *Extractor) ConceptsOf(instance string) []string { return x.conceptsOf[instance] }
+
 // Scores returns (building on first use) the random-walk scores of a
 // concept — also reused by the cleaning stage's Eq 21. Concurrent
 // callers missing the cache coalesce onto one walk (single-flight).
@@ -157,21 +164,6 @@ func (x *Extractor) classFreq(concept string) (sparsevec.Vector, float64) {
 	e.v, e.norm = v, v.L2()
 	close(e.ready)
 	return e.v, e.norm
-}
-
-// Warm precomputes the random-walk scores and class distributions of the
-// given concepts with the given parallelism, after which feature
-// extraction over those concepts is read-mostly and safe to run from
-// multiple goroutines. Concepts already warm in a shared cache cost a
-// map hit.
-func (x *Extractor) Warm(concepts []string, parallelism int) {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	par.ForChunked(len(concepts), parallelism, 1, func(i int) {
-		x.Scores(concepts[i])
-		x.classFreq(concepts[i])
-	})
 }
 
 // F1 is the Eq 1 distribution-similarity feature of an instance whose

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"sync"
 	"testing"
 
 	"driftclean/internal/corpus"
@@ -197,13 +198,25 @@ func TestF6CrossMembershipFraction(t *testing.T) {
 	}
 }
 
+// TestWarmParallelMatchesSerial: an extractor whose walk and class
+// caches were filled by concurrent Matrix calls, one goroutine per
+// concept, reads the same features as one read serially.
 func TestWarmParallelMatchesSerial(t *testing.T) {
 	k := scenarioKB()
 	mx := mutex.Analyze(k, mutex.Config{ExclusiveThreshold: 0.3, SimilarThreshold: 0.9, MinCoreSize: 3})
 	serial := NewExtractor(k, mx)
 	warm := NewExtractor(k, mx)
-	warm.Warm([]string{"animal", "food"}, 4)
-	for _, concept := range []string{"animal", "food"} {
+	concepts := []string{"animal", "food"}
+	var wg sync.WaitGroup
+	for _, concept := range concepts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			warm.Matrix(concept, k.Instances(concept), k.SubIndex(concept))
+		}()
+	}
+	wg.Wait()
+	for _, concept := range concepts {
 		for _, e := range k.Instances(concept) {
 			subs := k.SubInstances(concept, e)
 			a := serial.Vector(concept, e, subs)

@@ -8,13 +8,15 @@ import (
 	"driftclean/internal/mutex"
 )
 
-// TestWarmRaceHammer warms one shared extractor from many parallel
-// subtests while reading features through it, per instance and as whole
-// matrices read through one sub(e) index shared by every subtest. Under
-// `go test -race` this is the regression gate for the Warm worker pool,
-// the mutex-guarded score/frequency caches and the read-only index; the
-// features read concurrently must be bit-identical to a serially
-// computed reference.
+// TestWarmRaceHammer reads features through one shared, cold extractor
+// from many parallel subtests — whole matrices first, through one sub(e)
+// index shared by every subtest, then per instance — so the caches are
+// warmed lazily by whichever Matrix call reaches a concept first, as an
+// analysis pass's task builds warm them. Under `go test -race` this is
+// the regression gate for the single-flight score and class-frequency
+// fills racing each other and their readers, and for the read-only
+// index; the features read concurrently must be bit-identical to a
+// serially computed reference.
 func TestWarmRaceHammer(t *testing.T) {
 	k := scenarioKB()
 	mx := mutex.Analyze(k, mutex.Config{ExclusiveThreshold: 0.3, SimilarThreshold: 0.9, MinCoreSize: 3})
@@ -45,14 +47,13 @@ func TestWarmRaceHammer(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		t.Run(fmt.Sprintf("warm-%d", i), func(t *testing.T) {
 			t.Parallel()
-			shared.Warm(concepts, 4)
 			for _, c := range concepts {
 				names := k.Instances(c)
-				for _, e := range names {
-					same(t, c, e, shared.Vector(c, e, index[c][e]))
-				}
 				for i, row := range shared.Matrix(c, names, index[c]) {
 					same(t, c, names[i], row)
+				}
+				for _, e := range names {
+					same(t, c, e, shared.Vector(c, e, index[c][e]))
 				}
 			}
 		})

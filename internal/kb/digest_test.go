@@ -1,0 +1,217 @@
+package kb_test
+
+import (
+	"bytes"
+	"fmt"
+	"maps"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"driftclean/internal/core"
+	"driftclean/internal/kb"
+	"driftclean/internal/kb/binsnap"
+	"driftclean/internal/rank"
+)
+
+// digestOps drives a random mutation sequence through the KB's
+// exported API: core and triggered extractions, cascading and
+// no-cascade removals, direct rollbacks, and — every sequence — a pair
+// force-removed and then supported again, whose removal must change its
+// concept's digest. check runs after every step.
+func digestOps(t *testing.T, seed int64, check func(step string, k *kb.KB) bool) bool {
+	rng := rand.New(rand.NewSource(seed))
+	concepts := []string{"c0", "c1", "c2"}
+	nInst := 10 + rng.Intn(15)
+	inst := func() string { return fmt.Sprintf("e%d", rng.Intn(nInst)) }
+	k := kb.New()
+	sentence := 0
+	add := func() {
+		c := concepts[rng.Intn(len(concepts))]
+		insts := []string{inst(), inst()}
+		if insts[0] == insts[1] {
+			insts = insts[:1]
+		}
+		known := k.Instances(c)
+		if len(known) == 0 || rng.Intn(3) == 0 {
+			k.AddExtraction(sentence, c, concepts, insts, nil, 1)
+		} else {
+			trig := known[rng.Intn(len(known))]
+			k.AddExtraction(sentence, c, concepts, append(insts, trig), []string{trig}, 2+rng.Intn(3))
+		}
+		sentence++
+	}
+	for i := 0; i < 12; i++ {
+		add()
+	}
+	if !check("build", k) {
+		return false
+	}
+	resupport := 4 + rng.Intn(8)
+	for step := 0; step < 16; step++ {
+		pairs := k.Pairs()
+		var what string
+		switch op := rng.Intn(5); {
+		case step == resupport && len(pairs) > 0:
+			p := pairs[rng.Intn(len(pairs))]
+			before := k.ConceptDigest(p.Concept)
+			k.RemovePairs([]kb.Pair{p})
+			if k.ConceptDigest(p.Concept) == before {
+				t.Logf("step %d: forced removal of %v left its concept's digest unchanged", step, p)
+				return false
+			}
+			if !check("force-remove "+p.String(), k) {
+				return false
+			}
+			k.AddExtraction(sentence, p.Concept, nil, []string{p.Instance}, nil, 1+rng.Intn(3))
+			sentence++
+			what = "re-support " + p.String()
+		case op == 0 && len(pairs) > 0:
+			p := pairs[rng.Intn(len(pairs))]
+			k.RemovePairs([]kb.Pair{p})
+			what = "remove " + p.String()
+		case op == 1 && len(pairs) > 0:
+			p := pairs[rng.Intn(len(pairs))]
+			k.RemovePairsNoCascade([]kb.Pair{p})
+			what = "remove without cascade " + p.String()
+		case op == 2:
+			id := rng.Intn(k.NumExtractions())
+			k.RollbackExtractions([]int{id})
+			what = fmt.Sprintf("roll back extraction %d", id)
+		default:
+			add()
+			what = "add"
+		}
+		if !check(fmt.Sprintf("step %d (%s)", step, what), k) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestQuickDigestMatchesRecompute: after every step of a random
+// mutation sequence, the incrementally maintained concept digests equal
+// a from-scratch recompute, and a Clone, a gob round trip (Read → Build)
+// and a binary snapshot materialized back into a KB (View.ToKB → Build)
+// all carry the same digests.
+func TestQuickDigestMatchesRecompute(t *testing.T) {
+	f := func(seed int64) bool {
+		return digestOps(t, seed, func(step string, k *kb.KB) bool {
+			want := k.Digests()
+			if got := k.RecomputedDigests(); !maps.Equal(got, want) {
+				t.Logf("%s: incremental digests %v, recomputed %v", step, want, got)
+				return false
+			}
+			if got := k.Clone().Digests(); !maps.Equal(got, want) {
+				t.Logf("%s: Clone digests %v, want %v", step, got, want)
+				return false
+			}
+			var buf bytes.Buffer
+			if _, err := k.WriteTo(&buf); err != nil {
+				t.Log(err)
+				return false
+			}
+			gob, err := kb.Read(&buf)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			if got := gob.Digests(); !maps.Equal(got, want) {
+				t.Logf("%s: gob Build digests %v, want %v", step, got, want)
+				return false
+			}
+			data, err := binsnap.Encode(k)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			v, err := binsnap.Decode(data)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			bin, err := v.ToKB()
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			if got := bin.Digests(); !maps.Equal(got, want) {
+				t.Logf("%s: binsnap ToKB digests %v, want %v", step, got, want)
+				return false
+			}
+			return true
+		})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// digestConfig is a small world cleaned at the default round cap, so
+// its checkpoints pass through several round states.
+func digestConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.World.NumDomains = 2
+	cfg.World.InstancesPerConceptMin = 40
+	cfg.World.InstancesPerConceptMax = 80
+	cfg.Corpus.NumSentences = 6000
+	return cfg
+}
+
+// TestDigestKeysArtifactsAcrossCheckpoints is the soundness side of
+// keying per-concept artifacts on kb.ConceptDigest, at pipeline scale:
+// over a bulk checkpoint, three one-sentence checkpoints and an empty
+// one, every KB state a cleaning round starts from (and every final
+// state) is recorded per concept, and whenever a concept's digest
+// repeats — in a later round or a later checkpoint's fresh KB — its
+// Instances, CoreOf, SubIndex and trigger-graph Signature must repeat
+// too.
+func TestDigestKeysArtifactsAcrossCheckpoints(t *testing.T) {
+	type key struct {
+		concept string
+		digest  uint64
+	}
+	seen := map[key]string{}
+	repeats, states := 0, 0
+	var sys *core.System
+	record := func() {
+		k := sys.KB
+		states++
+		for _, c := range k.Concepts() {
+			instances := k.Instances(c)
+			art := fmt.Sprintf("%q|%q|%v|%x", instances, k.CoreOf(c, instances), k.SubIndex(c),
+				rank.BuildGraph(k, c).Signature())
+			id := key{c, k.ConceptDigest(c)}
+			if prev, ok := seen[id]; ok {
+				repeats++
+				if prev != art {
+					t.Fatalf("state %d: concept %q has digest %x again, but its artifacts differ:\n%s\nvs\n%s",
+						states, c, id.digest, prev, art)
+				}
+				continue
+			}
+			seen[id] = art
+		}
+	}
+	cfg := digestConfig()
+	cfg.Clean.OnRound = func(int) bool {
+		record()
+		return false
+	}
+	sys = core.Prepare(cfg)
+	ing := core.NewIngestor(sys, core.DetectMultiTask)
+	sentences := sys.Corpus.Sentences
+	bulk := len(sentences) - 3
+	batches := [][]int{{0, bulk}, {bulk, bulk + 1}, {bulk + 1, bulk + 2}, {bulk + 2, bulk + 3}, {bulk + 3, bulk + 3}}
+	for _, b := range batches {
+		if _, err := ing.Ingest(sentences[b[0]:b[1]], nil); err != nil {
+			t.Fatal(err)
+		}
+		record()
+	}
+	if repeats == 0 || len(seen) <= len(sys.KB.Concepts()) {
+		t.Fatalf("premise: want repeated and changing digests, got %d repeats over %d (concept, digest) keys in %d states",
+			repeats, len(seen), states)
+	}
+	t.Logf("%d KB states, %d (concept, digest) keys, %d repeats checked", states, len(seen), repeats)
+}

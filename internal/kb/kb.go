@@ -15,7 +15,10 @@ package kb
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+
+	"driftclean/internal/memo"
 )
 
 // Pair is an isA pair: Instance isA Concept.
@@ -58,6 +61,8 @@ type KB struct {
 	// rollbacks). Caches keyed on KB state compare versions to detect
 	// that their entries went stale.
 	version uint64
+	// digest[c] is ConceptDigest(c), kept current by every mutator.
+	digest map[string]uint64
 }
 
 // Version returns the KB's mutation counter. It increases on every
@@ -66,12 +71,67 @@ type KB struct {
 // window in which the KB was not modified.
 func (kb *KB) Version() uint64 { return kb.version }
 
+// ConceptDigest returns a 64-bit content digest of one concept's slice
+// of the KB: the sum, mod 2⁶⁴, of one mixed term per extraction of the
+// concept (over its Instances, Triggers, Iteration and Active flag) and
+// one per pair record of the concept (over its instance, Count and
+// FirstIter, zero-count records included). Every mutator updates it
+// incrementally, so reading it is O(1).
+//
+// Everything the per-concept analysis artifacts read of their own
+// concept — the instance list and core, the sub(e) index and the
+// trigger graph — is a function of those records, so equal digests
+// mean equal artifacts, on any KB of this process: the terms are keyed
+// hashes under a per-process seed (memo.String), which also keeps
+// collisions from being crafted through ingested text. Both kinds of
+// term are needed: RemovePairs zeroes a pair's count without
+// deactivating the extractions that support it. A concept the KB has
+// never seen has digest 0.
+func (kb *KB) ConceptDigest(concept string) uint64 { return kb.digest[concept] }
+
+// extractionTerm is ex's term of its concept's digest.
+func extractionTerm(ex *Extraction) uint64 {
+	h := memo.Strings(memo.Strings(uint64(ex.Iteration), ex.Instances), ex.Triggers)
+	if ex.Active {
+		h++
+	}
+	return memo.Mix(h)
+}
+
+// pairTerm is the term of one pair record of its concept's digest,
+// given the record's instance hash (memo.String).
+func pairTerm(instance uint64, info *PairInfo) uint64 {
+	return memo.Mix(memo.Mix(instance+uint64(info.Count)) + uint64(info.FirstIter))
+}
+
+// setCount changes a pair record's count and returns the change it
+// makes to its concept's digest.
+func setCount(p Pair, info *PairInfo, count int) uint64 {
+	h := memo.String(p.Instance)
+	old := pairTerm(h, info)
+	info.Count = count
+	return pairTerm(h, info) - old
+}
+
+// recomputeDigests builds every concept's digest from scratch.
+func (kb *KB) recomputeDigests() map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, ex := range kb.extractions {
+		out[ex.Concept] += extractionTerm(ex)
+	}
+	for p, info := range kb.pairs {
+		out[p.Concept] += pairTerm(memo.String(p.Instance), info)
+	}
+	return out
+}
+
 // New returns an empty knowledge base.
 func New() *KB {
 	return &KB{
 		pairs:       make(map[Pair]*PairInfo),
 		triggeredBy: make(map[Pair][]int),
 		byConcept:   make(map[string]map[string]*PairInfo),
+		digest:      make(map[string]uint64),
 	}
 }
 
@@ -103,9 +163,11 @@ func (kb *KB) AddExtraction(sentenceID int, concept string, candidates, instance
 		Active:     true,
 	}
 	kb.extractions = append(kb.extractions, ex)
+	d := kb.digest[concept] + extractionTerm(ex)
 	for _, e := range ex.Instances {
-		kb.supportPair(Pair{concept, e}, ex)
+		d += kb.supportPair(Pair{concept, e}, ex)
 	}
+	kb.digest[concept] = d
 	for _, trig := range ex.Triggers {
 		p := Pair{concept, trig}
 		kb.triggeredBy[p] = append(kb.triggeredBy[p], ex.ID)
@@ -113,7 +175,11 @@ func (kb *KB) AddExtraction(sentenceID int, concept string, candidates, instance
 	return ex.ID
 }
 
-func (kb *KB) supportPair(p Pair, ex *Extraction) {
+// supportPair counts one more supporting extraction of p and returns
+// the change it makes to p's concept digest.
+func (kb *KB) supportPair(p Pair, ex *Extraction) uint64 {
+	h := memo.String(p.Instance)
+	var delta uint64
 	info := kb.pairs[p]
 	if info == nil {
 		info = &PairInfo{FirstIter: ex.Iteration}
@@ -124,12 +190,15 @@ func (kb *KB) supportPair(p Pair, ex *Extraction) {
 			kb.byConcept[p.Concept] = m
 		}
 		m[p.Instance] = info
+	} else {
+		delta -= pairTerm(h, info)
 	}
 	info.Count++
 	if ex.Iteration < info.FirstIter {
 		info.FirstIter = ex.Iteration
 	}
 	info.Extractions = append(info.Extractions, ex.ID)
+	return delta + pairTerm(h, info)
 }
 
 // Clone returns a deep copy of the KB: mutating either copy (adding
@@ -170,6 +239,7 @@ func (kb *KB) Clone() *KB {
 		m[p.Instance] = ci
 	}
 	out.version = kb.version
+	out.digest = maps.Clone(kb.digest)
 	return out
 }
 
@@ -241,6 +311,15 @@ func (kb *KB) CoreOf(concept string, instances []string) []string {
 		}
 	}
 	return out
+}
+
+// EachPairRecord calls fn with the instance of every pair record of the
+// concept, zero-count records included, in unspecified order. It serves
+// order-independent folds over a concept's records, such as memo keys.
+func (kb *KB) EachPairRecord(concept string, fn func(instance string)) {
+	for e := range kb.byConcept[concept] {
+		fn(e)
+	}
 }
 
 // Concepts returns all concepts that currently have at least one instance,
@@ -430,7 +509,7 @@ func (kb *KB) RemovePairs(pairs []Pair) RollbackResult {
 		}
 		// Forced removal: zero the count regardless of support.
 		res.CountsDecremented += info.Count
-		info.Count = 0
+		kb.digest[p.Concept] += setCount(p, info, 0)
 		removedPairs[p] = true
 		queue = append(queue, p)
 		res.PairsRemoved = append(res.PairsRemoved, p)
@@ -479,7 +558,7 @@ func (kb *KB) RemovePairsNoCascade(pairs []Pair) RollbackResult {
 			continue
 		}
 		res.CountsDecremented += info.Count
-		info.Count = 0
+		kb.digest[p.Concept] += setCount(p, info, 0)
 		res.PairsRemoved = append(res.PairsRemoved, p)
 		res.touch(p.Concept)
 	}
@@ -545,7 +624,9 @@ func (kb *KB) anyTriggerAlive(ex *Extraction) bool {
 // rollbackExtraction deactivates ex, decrements its pairs and returns the
 // pairs whose count reached zero.
 func (kb *KB) rollbackExtraction(ex *Extraction, res *RollbackResult) []Pair {
+	d := kb.digest[ex.Concept] - extractionTerm(ex)
 	ex.Active = false
+	d += extractionTerm(ex)
 	res.ExtractionsRolled++
 	res.touch(ex.Concept)
 	var zeroed []Pair
@@ -555,13 +636,14 @@ func (kb *KB) rollbackExtraction(ex *Extraction, res *RollbackResult) []Pair {
 		if info == nil || info.Count <= 0 {
 			continue
 		}
-		info.Count--
+		d += setCount(p, info, info.Count-1)
 		res.CountsDecremented++
 		if info.Count == 0 {
 			zeroed = append(zeroed, p)
 			res.PairsRemoved = append(res.PairsRemoved, p)
 		}
 	}
+	kb.digest[ex.Concept] = d
 	return zeroed
 }
 

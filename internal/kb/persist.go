@@ -155,6 +155,7 @@ func Build(extractions []Extraction, pairs []PairState) (*KB, error) {
 		}
 		m[p.Instance] = info
 	}
+	kb.digest = kb.recomputeDigests()
 	return kb, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"driftclean/internal/kb"
+	"driftclean/internal/memo"
 	"driftclean/internal/par"
 )
 
@@ -25,9 +26,19 @@ import (
 // Lookups are single-flight: when several goroutines miss on the same
 // concept simultaneously, one runs the walk and the rest wait for its
 // result, so concurrent feature extraction never duplicates a walk.
+//
+// A cache made by NewDigestCache also remembers every walk across KBs
+// under (concept, kb.ConceptDigest): a lookup that misses the KB-bound
+// entries reads that two-generation memo before it builds the graph, so
+// a concept whose records some recent KB state already had costs two
+// map reads instead of BuildGraph, Signature and the walk. Equal
+// digests mean equal trigger graphs (see kb.ConceptDigest), so a hit is
+// exactly the walk a recomputation would return.
 type Cache struct {
 	cfg  Config
 	walk func(*Graph, Config) Scores
+	// byDigest is nil unless the cache was made by NewDigestCache.
+	byDigest *memo.Memo[walkKey, Scores]
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -48,6 +59,31 @@ type cacheEntry struct {
 // configuration.
 func NewCache(cfg Config) *Cache {
 	return &Cache{cfg: cfg, walk: RandomWalk, entries: make(map[string]*cacheEntry)}
+}
+
+// NewDigestCache returns an empty cache that also keeps a digest-keyed
+// walk memo across KBs (see Cache). Rotate ends a generation of it.
+func NewDigestCache(cfg Config) *Cache {
+	c := NewCache(cfg)
+	c.byDigest = &memo.Memo[walkKey, Scores]{}
+	return c
+}
+
+// Rotate ends a generation of the digest-keyed walk memo (see
+// memo.Memo.Rotate); it is a no-op on a cache made by NewCache.
+func (c *Cache) Rotate() {
+	if c.byDigest != nil {
+		c.byDigest.Rotate()
+	}
+}
+
+// DigestStats reports the digest-keyed walk memo's hits and misses
+// since creation (0, 0 on a cache made by NewCache).
+func (c *Cache) DigestStats() (hits, misses int) {
+	if c.byDigest == nil {
+		return 0, 0
+	}
+	return c.byDigest.Stats()
 }
 
 // Config returns the walk configuration the cache computes scores with.
@@ -98,7 +134,18 @@ func (c *Cache) lead(k *kb.KB, concept string, e *cacheEntry) Scores {
 		}
 		close(e.ready)
 	}()
+	var key walkKey
+	if c.byDigest != nil {
+		key = walkKey{concept, k.ConceptDigest(concept)}
+		if s, ok := c.byDigest.Get(key); ok {
+			e.scores, e.ok = s, true
+			return s
+		}
+	}
 	s := c.walk(BuildGraph(k, concept), c.cfg)
+	if c.byDigest != nil {
+		c.byDigest.Put(key, s)
+	}
 	e.scores, e.ok = s, true
 	return s
 }

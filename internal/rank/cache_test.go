@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,5 +118,38 @@ func TestCacheLeaderPanicReelects(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("walk calls = %d, want 2 (panicked leader + retry)", calls.Load())
+	}
+}
+
+// TestDigestCacheReusesAcrossKBs: a digest cache serves a concept's
+// walk to a distinct KB holding the same records, walks again once the
+// concept's records change, and forgets a walk no lookup used for two
+// generations.
+func TestDigestCacheReusesAcrossKBs(t *testing.T) {
+	c := NewDigestCache(DefaultConfig())
+	var n atomic.Int64
+	c.SetWalk(func(g *Graph, cfg Config) Scores {
+		n.Add(1)
+		return RandomWalk(g, cfg)
+	})
+	first := c.Scores(chainKB(), "animal")
+	k := chainKB()
+	if again := c.Scores(k, "animal"); n.Load() != 1 || !reflect.DeepEqual(again, first) {
+		t.Fatalf("equal records on a distinct KB: walks=%d, scores %v vs %v", n.Load(), again, first)
+	}
+	k.RollbackExtractions([]int{2}) // milk under animal
+	if s := c.Scores(k, "animal"); n.Load() != 2 {
+		t.Fatalf("changed records served from the digest memo (walks=%d)", n.Load())
+	} else if _, ok := s["milk"]; ok {
+		t.Fatal("scores contain an instance rolled back before the lookup")
+	}
+	if hits, misses := c.DigestStats(); hits != 1 || misses != 2 {
+		t.Fatalf("DigestStats = (%d, %d), want (1, 2)", hits, misses)
+	}
+	c.Rotate()
+	c.Rotate()
+	c.Scores(chainKB(), "animal")
+	if n.Load() != 3 {
+		t.Fatalf("walk unused for two generations was still served (walks=%d)", n.Load())
 	}
 }

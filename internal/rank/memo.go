@@ -49,12 +49,11 @@ func (g *Graph) Signature() uint64 {
 
 // WalkMemo memoizes random-walk results across KB snapshots and
 // cleaning rounds, keyed by the walked concept and its trigger-graph
-// Signature. It exists for the incremental ingest path: every
-// checkpoint replays extraction into a *fresh* KB, which resets the
-// pointer-bound Cache, yet a concept's trigger graph at any round of the
-// new checkpoint is usually one some round of the previous checkpoint
-// already walked — identical signature, identical scores, no power
-// iteration.
+// Signature. It is the fallback behind a digest cache (NewDigestCache):
+// a lookup reaches it only when the concept's digest missed, so it pays
+// off when a concept's records changed but its trigger graph did not
+// (a count change outside the core, say), and for caches made by
+// NewCache, which key nothing on the digest.
 //
 // Entries live in a two-generation memo.Memo: Rotate once per committed
 // checkpoint, and an entry is kept while some checkpoint still walks

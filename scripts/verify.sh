@@ -71,6 +71,12 @@ echo "==> go test -race (shorter round: support-restricted walk teleport, fanned
 go test -race -run 'TestRandomWalkMatchesReference|TestBuildGraphCoreMatchesIteration1' ./internal/rank
 go test -race -run 'TestDetectMatchesReferenceLoop' ./internal/core
 
+echo "==> go test -race (concept digests: incremental = recompute = every load path, digest-keyed artifacts, task index = fresh analysis, lazily filled feature caches)"
+go test -race -run 'TestQuickDigestMatchesRecompute|TestDigestKeysArtifactsAcrossCheckpoints' ./internal/kb
+go test -race -run 'TestDigestCacheReusesAcrossKBs' ./internal/rank
+go test -race -run 'TestTaskIndexMatchesFreshAnalysis' ./internal/core
+go test -race -run 'TestWarmRaceHammer|TestWarmParallelMatchesSerial' ./internal/feature
+
 echo "==> go test -race (chaos: injected faults, panics, reload breaker)"
 go test -race ./internal/fault
 go test -race -run 'TestChaosDisabledFaultsAreNoOp|TestChaosPanicSurfacesAsReportError' .
