@@ -12,6 +12,8 @@ package driftclean
 //	go test -bench=. -benchmem
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -95,6 +97,43 @@ func BenchmarkFigure4ConceptSim(b *testing.B)    { benchExperiment(b, "fig4") }
 func BenchmarkFigure5aIterations(b *testing.B)   { benchExperiment(b, "fig5a") }
 func BenchmarkFigure5bThreshold(b *testing.B)    { benchExperiment(b, "fig5b") }
 func BenchmarkFigure5cConvergence(b *testing.B)  { benchExperiment(b, "fig5c") }
+
+// BenchmarkSessionCheckpoint measures one incremental checkpoint the way
+// driftserve -session runs it: a one-sentence Ingest followed by
+// Publish, on a default-config 6,000-sentence session whose first 5,940
+// sentences were ingested in bulk before the timer starts. The session
+// holds back 60 sentences, so one run measures at most 60 checkpoints:
+//
+//	go test -run '^$' -bench SessionCheckpoint -benchtime 40x
+func BenchmarkSessionCheckpoint(b *testing.B) {
+	const tail = 60
+	if b.N > tail {
+		b.Fatalf("%d checkpoints requested, but the session holds back %d sentences; use -benchtime %dx or less", b.N, tail, tail)
+	}
+	cfg := DefaultConfig()
+	cfg.Corpus.NumSentences = 6000
+	ctx := context.Background()
+	sess, err := Open(ctx, WithConfig(cfg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	sents := sess.Sentences()
+	bulk := len(sents) - tail
+	if _, err := sess.Ingest(ctx, sents[:bulk]); err != nil && !errors.Is(err, ErrNoDPsDetected) {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Ingest(ctx, sents[bulk+i:bulk+i+1]); err != nil && !errors.Is(err, ErrNoDPsDetected) {
+			b.Fatal(err)
+		}
+		if _, err := sess.Publish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // --- substrate micro-benchmarks ---
 

@@ -318,9 +318,9 @@ type Analysis struct {
 // keyed on the concept's digest, and are listed (kb.Instances,
 // kb.CoreOf) only on a miss. The lists drive mutual-exclusion discovery
 // and seed labeling, decide task eligibility, build the feature
-// extractor's per-instance concept lists, and feed each concept's
-// buildTask. Walks and class distributions are computed lazily, only
-// for the concepts whose task build misses its index.
+// extractor's class distributions, and feed each concept's buildTask.
+// Walks and class distributions are computed lazily, only for the
+// concepts whose task build misses its index.
 //
 // Analysis is a pure function of the KB state and the (fixed) config,
 // so a repeated call on an unmutated KB — detected by pointer identity
@@ -351,7 +351,7 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 		Mutex: mutex.AnalyzeCores(concepts, cores, s.Cfg.Mutex),
 	}
 	a.Labeler = seedlabel.NewFromCores(k, a.Mutex, concepts, cores, s.Cfg.Seed)
-	a.Features = feature.NewExtractorWithCache(k, a.Mutex, s.ScoreCache(), concepts, instances)
+	a.Features = feature.NewExtractorWithCache(k, a.Mutex, s.ScoreCache(), instances)
 
 	// One concept per claim: a task build costs from nothing (a cache
 	// hit) to a full KPCA fit, and a world has only tens of eligible
@@ -535,7 +535,7 @@ func taskInputKey(k *kb.KB, a *Analysis, concept string, kcfg kpca.Config) uint6
 	exclusive := a.Mutex.ExclusiveConcepts(concept)
 	var sum uint64
 	if len(exclusive) > 0 {
-		k.EachPairRecord(concept, func(e string) {
+		k.EachPairRecord(concept, func(e string, _ int) {
 			var tuples uint64
 			for _, o := range a.Features.ConceptsOf(e) {
 				if i := sort.SearchStrings(exclusive, o); i == len(exclusive) || exclusive[i] != o {

@@ -41,6 +41,11 @@ var ErrIngestStopped = errors.New("core: ingest checkpoint stopped before conver
 // KB, so the ingestor either advances one full checkpoint or is left
 // exactly as it was.
 //
+// A committed checkpoint's KB is never mutated again: every Ingest, an
+// empty one included, replays into a fresh KB, and a failed Ingest only
+// restores the pointer. Callers may therefore publish it without a copy
+// (snapshot.FreezeOwned).
+//
 // An Ingestor is single-writer, like the System it wraps.
 type Ingestor struct {
 	sys    *System

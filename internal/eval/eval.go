@@ -112,19 +112,24 @@ func (o *Oracle) ConceptStats(k *kb.KB, concept string) ConceptStats {
 }
 
 // KBPrecision returns the fraction of active pairs (over the given
-// concepts, or all concepts when nil) that are correct.
+// concepts, or all concepts when nil) that are correct. It only counts,
+// so it visits each concept's pair records in whatever order the KB
+// holds them rather than listing sorted instances.
 func (o *Oracle) KBPrecision(k *kb.KB, concepts []string) float64 {
 	if concepts == nil {
 		concepts = k.Concepts()
 	}
 	correct, total := 0, 0
 	for _, c := range concepts {
-		for _, e := range k.Instances(c) {
+		k.EachPairRecord(c, func(e string, count int) {
+			if count <= 0 {
+				return
+			}
 			total++
 			if o.PairCorrect(c, e) {
 				correct++
 			}
-		}
+		})
 	}
 	if total == 0 {
 		return 0

@@ -58,10 +58,8 @@ type Extractor struct {
 	coreFq map[string]*freqEntry
 
 	// instances[c] is kb.Instances(c) for every concept at construction
-	// time; conceptsOf[e] lists, in concept order, the concepts holding e.
-	// Both are read-only after construction.
-	instances  map[string][]string
-	conceptsOf map[string][]string
+	// time, read-only after construction.
+	instances map[string][]string
 }
 
 type freqEntry struct {
@@ -78,7 +76,7 @@ func NewExtractor(k *kb.KB, mx *mutex.Analysis) *Extractor {
 	for _, c := range concepts {
 		instances[c] = k.Instances(c)
 	}
-	return NewExtractorWithCache(k, mx, rank.NewCache(rank.DefaultConfig()), concepts, instances)
+	return NewExtractorWithCache(k, mx, rank.NewCache(rank.DefaultConfig()), instances)
 }
 
 // NewExtractorWithCache builds a feature extractor that reads and fills
@@ -87,50 +85,27 @@ func NewExtractor(k *kb.KB, mx *mutex.Analysis) *Extractor {
 // cache across the analysis passes of consecutive cleaning rounds means
 // only the concepts a round touched are re-walked.
 //
-// concepts must be k.Concepts() and instances[c] must be k.Instances(c)
-// for each of them — the lists the caller's analysis pass already holds,
-// so the extractor sorts nothing of its own. The extractor keeps and
-// reads the lists without copying them.
-func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache, concepts []string, instances map[string][]string) *Extractor {
-	total := 0
-	counts := make(map[string]int)
-	for _, c := range concepts {
-		total += len(instances[c])
-		for _, e := range instances[c] {
-			counts[e]++
-		}
-	}
-	// Per-instance concept lists carved out of one arena: each segment is
-	// reserved (exactly sized, separately capped) at the instance's first
-	// concept, so the appends below never allocate or cross segments.
-	// Concepts are visited in sorted order, so each list is sorted.
-	arena := make([]string, 0, total)
-	conceptsOf := make(map[string][]string, len(counts))
-	used := 0
-	for _, c := range concepts {
-		for _, e := range instances[c] {
-			s, ok := conceptsOf[e]
-			if !ok {
-				s = arena[used : used : used+counts[e]]
-				used += counts[e]
-			}
-			conceptsOf[e] = append(s, c)
-		}
-	}
+// instances[c] must be k.Instances(c) for every concept of k — the lists
+// the caller's analysis pass already holds, so the extractor sorts
+// nothing of its own. The extractor keeps and reads the lists without
+// copying them, and reads each instance's concepts from the KB's own
+// index (kb.ConceptsOfInstance), so it builds no per-pass index at all.
+// Like the lists, an extractor describes k as it was at construction:
+// read it only while k is not mutated.
+func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache, instances map[string][]string) *Extractor {
 	return &Extractor{
-		kb:         k,
-		mx:         mx,
-		cache:      cache,
-		coreFq:     make(map[string]*freqEntry),
-		instances:  instances,
-		conceptsOf: conceptsOf,
+		kb:        k,
+		mx:        mx,
+		cache:     cache,
+		coreFq:    make(map[string]*freqEntry),
+		instances: instances,
 	}
 }
 
 // ConceptsOf lists, in concept order, the concepts holding the instance
-// with positive count at construction time. The list is shared and
+// with positive count (kb.ConceptsOfInstance). The list is shared and
 // read-only.
-func (x *Extractor) ConceptsOf(instance string) []string { return x.conceptsOf[instance] }
+func (x *Extractor) ConceptsOf(instance string) []string { return x.kb.ConceptsOfInstance(instance) }
 
 // Scores returns (building on first use) the random-walk scores of a
 // concept — also reused by the cleaning stage's Eq 21. Concurrent
@@ -198,7 +173,7 @@ func (x *Extractor) F1(concept string, subs []string) float64 {
 // of the polysemous few (paper Fig 3b expects most non-DPs at 0).
 func (x *Extractor) F2(concept, instance string) float64 {
 	n := 0
-	for _, other := range x.conceptsOf[instance] {
+	for _, other := range x.kb.ConceptsOfInstance(instance) {
 		if x.mx.Exclusive(concept, other) && x.kb.Count(other, instance) > crossEvidenceMin {
 			n++
 		}
@@ -253,7 +228,7 @@ func (x *Extractor) F6(concept string, subs []string) float64 {
 	cross := 0
 	for _, s := range subs {
 		here := x.kb.Count(concept, s)
-		for _, other := range x.conceptsOf[s] {
+		for _, other := range x.kb.ConceptsOfInstance(s) {
 			// Membership in the exclusive concept must be well evidenced
 			// (strays are everywhere in a drifted KB) and must dominate
 			// the support here — the scale-free signature of an instance

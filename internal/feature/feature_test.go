@@ -32,15 +32,15 @@ func sub(x *Extractor, concept, instance string) []string {
 	return x.kb.SubInstances(concept, instance)
 }
 
-// instanceLists returns k.Concepts() and each concept's k.Instances list,
-// the inputs NewExtractorWithCache expects.
-func instanceLists(k *kb.KB) ([]string, map[string][]string) {
+// instanceLists returns each concept's k.Instances list, the input
+// NewExtractorWithCache expects.
+func instanceLists(k *kb.KB) map[string][]string {
 	concepts := k.Concepts()
 	instances := make(map[string][]string, len(concepts))
 	for _, c := range concepts {
 		instances[c] = k.Instances(c)
 	}
-	return concepts, instances
+	return instances
 }
 
 func newExtractor(k *kb.KB) *Extractor {

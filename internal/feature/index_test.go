@@ -76,9 +76,9 @@ func TestMatrixMatchesVectorBits(t *testing.T) {
 	}
 }
 
-// TestConceptsOfMatchesPairs checks the per-instance concept lists built
-// from the concept-ordered instance lists against the construction they
-// replace: one sorted scan of kb.Pairs().
+// TestConceptsOfMatchesPairs checks the per-instance concept lists the
+// extractor reads from the KB's maintained index against one sorted
+// scan of kb.Pairs().
 func TestConceptsOfMatchesPairs(t *testing.T) {
 	for name, k := range map[string]*kb.KB{"scenario": scenarioKB(), "pipeline": pipelineKB(t)} {
 		t.Run(name, func(t *testing.T) {
@@ -87,8 +87,13 @@ func TestConceptsOfMatchesPairs(t *testing.T) {
 				want[p.Instance] = append(want[p.Instance], p.Concept)
 			}
 			x := NewExtractor(k, mutex.Analyze(k, mutex.DefaultConfig()))
-			if !reflect.DeepEqual(x.conceptsOf, want) {
-				t.Fatalf("conceptsOf differs from the Pairs() construction")
+			for e, concepts := range want {
+				if got := x.ConceptsOf(e); !reflect.DeepEqual(got, concepts) {
+					t.Fatalf("ConceptsOf(%q) = %q, the Pairs() construction gives %q", e, got, concepts)
+				}
+			}
+			if got := x.ConceptsOf("no such instance"); got != nil {
+				t.Fatalf("ConceptsOf of an absent instance = %q, want nil", got)
 			}
 		})
 	}

@@ -28,8 +28,7 @@ func TestScoresSingleWalkUnderConcurrency(t *testing.T) {
 				walks.Add(1)
 				return rank.RandomWalk(g, cfg)
 			})
-			all, instances := instanceLists(k)
-			x := NewExtractorWithCache(k, mx, cache, all, instances)
+			x := NewExtractorWithCache(k, mx, cache, instanceLists(k))
 
 			start := make(chan struct{})
 			var wg sync.WaitGroup

@@ -2,6 +2,7 @@ package kb
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -77,5 +78,81 @@ func TestCloneExplainMatchesOriginal(t *testing.T) {
 	gotEx, gotOK := clone.Explain("animal", "dingo", 0)
 	if wantOK != gotOK || !reflect.DeepEqual(wantEx, gotEx) {
 		t.Errorf("clone explanation differs:\n got %+v (%v)\nwant %+v (%v)", gotEx, gotOK, wantEx, wantOK)
+	}
+}
+
+// TestCloneSharesHolderListsCopyOnWrite: a clone shares the original's
+// instance → concepts lists, and a transition on either KB replaces its
+// own list, so a list returned before the mutation never changes.
+func TestCloneSharesHolderListsCopyOnWrite(t *testing.T) {
+	orig := buildCloneFixture()
+	orig.AddExtraction(4, "tool", []string{"tool"}, []string{"dog"}, nil, 1)
+	clone := orig.Clone()
+	held := orig.ConceptsOfInstance("dog")
+	want := []string{"animal", "tool"}
+	if !reflect.DeepEqual(held, want) {
+		t.Fatalf("ConceptsOfInstance(dog) = %q, want %q", held, want)
+	}
+
+	clone.RemovePairs([]Pair{{Concept: "animal", Instance: "dog"}})
+	if got := clone.ConceptsOfInstance("dog"); !reflect.DeepEqual(got, []string{"tool"}) {
+		t.Errorf("clone ConceptsOfInstance(dog) after removal = %q, want [tool]", got)
+	}
+	orig.AddExtraction(5, "bird", []string{"bird"}, []string{"dog"}, nil, 1)
+	if got := orig.ConceptsOfInstance("dog"); !reflect.DeepEqual(got, []string{"animal", "bird", "tool"}) {
+		t.Errorf("original ConceptsOfInstance(dog) after adding bird = %q", got)
+	}
+	if !reflect.DeepEqual(held, want) {
+		t.Errorf("a list returned before the mutations changed to %q", held)
+	}
+	if got := clone.ConceptsOfInstance("hammer"); !reflect.DeepEqual(got, []string{"tool"}) {
+		t.Errorf("clone ConceptsOfInstance(hammer) = %q, want [tool]", got)
+	}
+	clone.RemovePairs([]Pair{{Concept: "tool", Instance: "hammer"}})
+	if got := clone.ConceptsOfInstance("hammer"); got != nil {
+		t.Errorf("ConceptsOfInstance of an instance no concept holds = %q, want nil", got)
+	}
+}
+
+// TestSealedKBRejectsMutation: every mutator panics on a sealed KB and
+// leaves it unchanged, reads keep working, and a Clone of it is
+// unsealed and mutable.
+func TestSealedKBRejectsMutation(t *testing.T) {
+	k := buildCloneFixture()
+	k.Seal()
+	stats := k.Stats()
+	version := k.Version()
+	dog := []Pair{{Concept: "animal", Instance: "dog"}}
+	for name, mutate := range map[string]func(){
+		"AddExtraction":        func() { k.AddExtraction(9, "animal", nil, []string{"ferret"}, nil, 1) },
+		"RemovePairs":          func() { k.RemovePairs(dog) },
+		"RemovePairsNoCascade": func() { k.RemovePairsNoCascade(dog) },
+		"RollbackExtractions":  func() { k.RollbackExtractions([]int{0}) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "sealed") {
+					t.Errorf("%s on a sealed KB: recovered %q, want a panic naming it and the seal", name, msg)
+				}
+			}()
+			mutate()
+		}()
+	}
+	if k.Stats() != stats || k.Version() != version {
+		t.Errorf("rejected mutations changed the sealed KB: %+v v%d, was %+v v%d", k.Stats(), k.Version(), stats, version)
+	}
+	if !k.Has("animal", "dog") || len(k.Instances("animal")) != 4 {
+		t.Error("reads of a sealed KB changed")
+	}
+
+	c := k.Clone()
+	if c.sealed {
+		t.Fatal("Clone of a sealed KB is sealed")
+	}
+	c.AddExtraction(9, "animal", nil, []string{"ferret"}, nil, 1)
+	c.RemovePairs(dog)
+	if !c.Has("animal", "ferret") || c.Has("animal", "dog") || !k.Has("animal", "dog") || k.Has("animal", "ferret") {
+		t.Error("mutating the clone of a sealed KB went wrong or leaked into it")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -89,11 +90,43 @@ func digestOps(t *testing.T, seed int64, check func(step string, k *kb.KB) bool)
 	return true
 }
 
+// reloads returns k copied through every path that rebuilds a KB: a
+// Clone, a gob round trip (Read → Build) and a binary snapshot
+// materialized back into a KB (View.ToKB → Build). It returns nil after
+// logging the error if a path fails.
+func reloads(t *testing.T, k *kb.KB) map[string]*kb.KB {
+	var buf bytes.Buffer
+	if _, err := k.WriteTo(&buf); err != nil {
+		t.Log(err)
+		return nil
+	}
+	gob, err := kb.Read(&buf)
+	if err != nil {
+		t.Log(err)
+		return nil
+	}
+	data, err := binsnap.Encode(k)
+	if err != nil {
+		t.Log(err)
+		return nil
+	}
+	v, err := binsnap.Decode(data)
+	if err != nil {
+		t.Log(err)
+		return nil
+	}
+	bin, err := v.ToKB()
+	if err != nil {
+		t.Log(err)
+		return nil
+	}
+	return map[string]*kb.KB{"Clone": k.Clone(), "gob Build": gob, "binsnap ToKB": bin}
+}
+
 // TestQuickDigestMatchesRecompute: after every step of a random
 // mutation sequence, the incrementally maintained concept digests equal
-// a from-scratch recompute, and a Clone, a gob round trip (Read → Build)
-// and a binary snapshot materialized back into a KB (View.ToKB → Build)
-// all carry the same digests.
+// a from-scratch recompute, and every reload path carries the same
+// digests.
 func TestQuickDigestMatchesRecompute(t *testing.T) {
 	f := func(seed int64) bool {
 		return digestOps(t, seed, func(step string, k *kb.KB) bool {
@@ -102,42 +135,69 @@ func TestQuickDigestMatchesRecompute(t *testing.T) {
 				t.Logf("%s: incremental digests %v, recomputed %v", step, want, got)
 				return false
 			}
-			if got := k.Clone().Digests(); !maps.Equal(got, want) {
-				t.Logf("%s: Clone digests %v, want %v", step, got, want)
+			copies := reloads(t, k)
+			if copies == nil {
 				return false
 			}
-			var buf bytes.Buffer
-			if _, err := k.WriteTo(&buf); err != nil {
-				t.Log(err)
+			for path, c := range copies {
+				if got := c.Digests(); !maps.Equal(got, want) {
+					t.Logf("%s: %s digests %v, want %v", step, path, got, want)
+					return false
+				}
+			}
+			return true
+		})
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// indexMatchesScan reports whether k's maintained NumPairs and
+// ConceptsOfInstance equal a from-scratch scan of its pair records
+// (kb.Pairs), for every instance an extraction mentions: nil for an
+// instance no concept holds, else its holders in concept order.
+func indexMatchesScan(t *testing.T, what string, k *kb.KB) bool {
+	pairs := k.Pairs()
+	want := map[string][]string{}
+	for _, p := range pairs {
+		want[p.Instance] = append(want[p.Instance], p.Concept)
+	}
+	if got := k.NumPairs(); got != len(pairs) {
+		t.Logf("%s: NumPairs %d, scan %d", what, got, len(pairs))
+		return false
+	}
+	for id := 0; id < k.NumExtractions(); id++ {
+		for _, e := range k.Extraction(id).Instances {
+			got := k.ConceptsOfInstance(e)
+			if !slices.Equal(got, want[e]) || (got == nil) != (want[e] == nil) {
+				t.Logf("%s: ConceptsOfInstance(%q) = %#v, scan %#v", what, e, got, want[e])
 				return false
 			}
-			gob, err := kb.Read(&buf)
-			if err != nil {
-				t.Log(err)
+		}
+	}
+	return true
+}
+
+// TestQuickIndexMatchesScan: after every step of the same random
+// mutation sequences — the force-removed-then-resupported pair included
+// — the KB's maintained active-pair count and instance → concepts
+// index equal a from-scratch scan of its pair records, on the KB itself
+// and on every reload path.
+func TestQuickIndexMatchesScan(t *testing.T) {
+	f := func(seed int64) bool {
+		return digestOps(t, seed, func(step string, k *kb.KB) bool {
+			if !indexMatchesScan(t, step, k) {
 				return false
 			}
-			if got := gob.Digests(); !maps.Equal(got, want) {
-				t.Logf("%s: gob Build digests %v, want %v", step, got, want)
+			copies := reloads(t, k)
+			if copies == nil {
 				return false
 			}
-			data, err := binsnap.Encode(k)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			v, err := binsnap.Decode(data)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			bin, err := v.ToKB()
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			if got := bin.Digests(); !maps.Equal(got, want) {
-				t.Logf("%s: binsnap ToKB digests %v, want %v", step, got, want)
-				return false
+			for path, c := range copies {
+				if !indexMatchesScan(t, step+" via "+path, c) {
+					return false
+				}
 			}
 			return true
 		})

@@ -16,6 +16,7 @@ package kb
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"driftclean/internal/memo"
@@ -49,7 +50,9 @@ type PairInfo struct {
 	Extractions []int // extraction IDs supporting the pair (including inactive)
 }
 
-// KB is the mutable knowledge base. It is not safe for concurrent use.
+// KB is the mutable knowledge base. It is not safe for concurrent use
+// while mutated; a sealed KB (Seal) is never mutated again and is safe
+// for any number of concurrent readers.
 type KB struct {
 	pairs       map[Pair]*PairInfo
 	extractions []*Extraction
@@ -63,12 +66,44 @@ type KB struct {
 	version uint64
 	// digest[c] is ConceptDigest(c), kept current by every mutator.
 	digest map[string]uint64
+	// numPairs counts the pair records with positive count, and
+	// holders[e] lists, sorted, the concepts holding e with positive
+	// count (no key when none does). Both change only at a record's
+	// 0↔positive count transitions, in supportPair and setCount. A
+	// holder list is copy-on-write: a transition replaces the slice and
+	// never edits it, so a returned list never changes and clones share
+	// the lists.
+	numPairs int
+	holders  map[string][]string
+	// sealed makes every mutator panic (Seal).
+	sealed bool
+}
+
+// Seal makes the KB read-only for good: every later AddExtraction,
+// RemovePairs, RemovePairsNoCascade or RollbackExtractions call panics.
+// A published snapshot serves its KB without copying it, so a mutation
+// that would corrupt what readers see fails loudly instead. Sealing
+// counts as a mutation for Version. Clone returns an unsealed copy.
+func (kb *KB) Seal() {
+	if !kb.sealed {
+		kb.version++
+		kb.sealed = true
+	}
+}
+
+// mutation starts a mutating call named op: it panics on a sealed KB
+// and bumps the version otherwise.
+func (kb *KB) mutation(op string) {
+	if kb.sealed {
+		panic("kb: " + op + " on a sealed KB: a published KB is read-only; mutate a Clone")
+	}
+	kb.version++
 }
 
 // Version returns the KB's mutation counter. It increases on every
 // mutating call (AddExtraction, RemovePairs, RemovePairsNoCascade,
-// RollbackExtractions), so two reads returning the same value bracket a
-// window in which the KB was not modified.
+// RollbackExtractions, and the first Seal), so two reads returning the
+// same value bracket a window in which the KB was not modified.
 func (kb *KB) Version() uint64 { return kb.version }
 
 // ConceptDigest returns a 64-bit content digest of one concept's slice
@@ -104,13 +139,48 @@ func pairTerm(instance uint64, info *PairInfo) uint64 {
 	return memo.Mix(memo.Mix(instance+uint64(info.Count)) + uint64(info.FirstIter))
 }
 
-// setCount changes a pair record's count and returns the change it
-// makes to its concept's digest.
-func setCount(p Pair, info *PairInfo, count int) uint64 {
+// setCount changes a pair record's count, keeps the whole-KB
+// aggregates current, and returns the change it makes to its concept's
+// digest.
+func (kb *KB) setCount(p Pair, info *PairInfo, count int) uint64 {
 	h := memo.String(p.Instance)
 	old := pairTerm(h, info)
+	switch was := info.Count; {
+	case was <= 0 && count > 0:
+		kb.activate(p)
+	case was > 0 && count <= 0:
+		kb.deactivate(p)
+	}
 	info.Count = count
 	return pairTerm(h, info) - old
+}
+
+// activate records p's count turning positive: one more active pair,
+// and p's concept joins the instance's holder list (a new slice).
+func (kb *KB) activate(p Pair) {
+	kb.numPairs++
+	old := kb.holders[p.Instance]
+	i, _ := slices.BinarySearch(old, p.Concept)
+	l := make([]string, len(old)+1)
+	copy(l, old[:i])
+	l[i] = p.Concept
+	copy(l[i+1:], old[i:])
+	kb.holders[p.Instance] = l
+}
+
+// deactivate records p's count reaching zero: one active pair fewer,
+// and p's concept leaves the instance's holder list (a new slice, or
+// no key once the list is empty).
+func (kb *KB) deactivate(p Pair) {
+	kb.numPairs--
+	old := kb.holders[p.Instance]
+	if len(old) == 1 {
+		delete(kb.holders, p.Instance)
+		return
+	}
+	i, _ := slices.BinarySearch(old, p.Concept)
+	l := make([]string, 0, len(old)-1)
+	kb.holders[p.Instance] = append(append(l, old[:i]...), old[i+1:]...)
 }
 
 // recomputeDigests builds every concept's digest from scratch.
@@ -132,6 +202,7 @@ func New() *KB {
 		triggeredBy: make(map[Pair][]int),
 		byConcept:   make(map[string]map[string]*PairInfo),
 		digest:      make(map[string]uint64),
+		holders:     make(map[string][]string),
 	}
 }
 
@@ -139,7 +210,7 @@ func New() *KB {
 // under concept, enabled by the given trigger instances (nil for
 // iteration-1 core extractions). It returns the new extraction's ID.
 func (kb *KB) AddExtraction(sentenceID int, concept string, candidates, instances, triggers []string, iteration int) int {
-	kb.version++
+	kb.mutation("AddExtraction")
 	// The three defensive copies share one backing array (each segment
 	// separately capped, so appending to one can never reach another);
 	// empty inputs stay nil, matching Clone.
@@ -194,6 +265,9 @@ func (kb *KB) supportPair(p Pair, ex *Extraction) uint64 {
 		delta -= pairTerm(h, info)
 	}
 	info.Count++
+	if info.Count == 1 {
+		kb.activate(p)
+	}
 	if ex.Iteration < info.FirstIter {
 		info.FirstIter = ex.Iteration
 	}
@@ -203,12 +277,13 @@ func (kb *KB) supportPair(p Pair, ex *Extraction) uint64 {
 
 // Clone returns a deep copy of the KB: mutating either copy (adding
 // extractions, rolling back pairs) never affects the other. String
-// contents are shared — Go strings are immutable — so a clone costs one
-// allocation per extraction, pair and index slice rather than a byte
-// copy of the vocabulary. This is the copy-on-freeze primitive behind
-// snapshot isolation: the serving layer clones the KB once and reads
-// the clone without locks while the single writer keeps mutating the
-// original.
+// contents are shared — Go strings are immutable — and so are the
+// copy-on-write holder lists, so a clone costs one allocation per
+// extraction, pair and index slice rather than a byte copy of the
+// vocabulary. The clone is unsealed, even when the KB is sealed: it is
+// how a caller gets a mutable copy of a published KB, and how
+// snapshot.Freeze isolates a snapshot from a KB its owner keeps
+// mutating.
 func (kb *KB) Clone() *KB {
 	out := New()
 	out.extractions = make([]*Extraction, len(kb.extractions))
@@ -240,6 +315,8 @@ func (kb *KB) Clone() *KB {
 	}
 	out.version = kb.version
 	out.digest = maps.Clone(kb.digest)
+	out.numPairs = kb.numPairs
+	out.holders = maps.Clone(kb.holders)
 	return out
 }
 
@@ -313,12 +390,13 @@ func (kb *KB) CoreOf(concept string, instances []string) []string {
 	return out
 }
 
-// EachPairRecord calls fn with the instance of every pair record of the
-// concept, zero-count records included, in unspecified order. It serves
-// order-independent folds over a concept's records, such as memo keys.
-func (kb *KB) EachPairRecord(concept string, fn func(instance string)) {
-	for e := range kb.byConcept[concept] {
-		fn(e)
+// EachPairRecord calls fn with the instance and count of every pair
+// record of the concept, zero-count records included, in unspecified
+// order. It serves order-independent folds over a concept's records,
+// such as memo keys and counts.
+func (kb *KB) EachPairRecord(concept string, fn func(instance string, count int)) {
+	for e, info := range kb.byConcept[concept] {
+		fn(e, info.Count)
 	}
 }
 
@@ -339,15 +417,8 @@ func (kb *KB) Concepts() []string {
 }
 
 // NumPairs returns the number of distinct pairs with positive count.
-func (kb *KB) NumPairs() int {
-	n := 0
-	for _, info := range kb.pairs {
-		if info.Count > 0 {
-			n++
-		}
-	}
-	return n
-}
+// The count is maintained by every mutator, so this is O(1).
+func (kb *KB) NumPairs() int { return kb.numPairs }
 
 // Pairs returns all active pairs, sorted by concept then instance.
 func (kb *KB) Pairs() []Pair {
@@ -444,18 +515,11 @@ func (kb *KB) subInstances(seen map[string]struct{}, concept, instance string) [
 }
 
 // ConceptsOfInstance returns all concepts currently holding the instance
-// with positive count, sorted. This is a full scan; callers that need
-// many lookups should build their own reverse index from Pairs().
-func (kb *KB) ConceptsOfInstance(instance string) []string {
-	var out []string
-	for c, m := range kb.byConcept {
-		if info := m[instance]; info != nil && info.Count > 0 {
-			out = append(out, c)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// with positive count, sorted; nil when none does. The list is
+// maintained by every mutator, so this is one map lookup. It is shared
+// and read-only: a later mutation replaces the KB's list rather than
+// editing it, so a returned list never changes.
+func (kb *KB) ConceptsOfInstance(instance string) []string { return kb.holders[instance] }
 
 // RollbackResult reports the effect of a roll-back cascade.
 type RollbackResult struct {
@@ -498,7 +562,7 @@ func (r *RollbackResult) touch(concept string) {
 // counts of its extracted pairs; pairs reaching zero are removed and the
 // process repeats until a fixpoint.
 func (kb *KB) RemovePairs(pairs []Pair) RollbackResult {
-	kb.version++
+	kb.mutation("RemovePairs")
 	res := RollbackResult{InitiallyRequested: len(pairs)}
 	removedPairs := map[Pair]bool{}
 	queue := make([]Pair, 0, len(pairs))
@@ -509,7 +573,7 @@ func (kb *KB) RemovePairs(pairs []Pair) RollbackResult {
 		}
 		// Forced removal: zero the count regardless of support.
 		res.CountsDecremented += info.Count
-		kb.digest[p.Concept] += setCount(p, info, 0)
+		kb.digest[p.Concept] += kb.setCount(p, info, 0)
 		removedPairs[p] = true
 		queue = append(queue, p)
 		res.PairsRemoved = append(res.PairsRemoved, p)
@@ -550,7 +614,7 @@ func (kb *KB) RemovePairs(pairs []Pair) RollbackResult {
 // back the extractions they enabled — the "one-shot removal" ablation
 // contrasted with the paper's Sec 4.2 cascade.
 func (kb *KB) RemovePairsNoCascade(pairs []Pair) RollbackResult {
-	kb.version++
+	kb.mutation("RemovePairsNoCascade")
 	res := RollbackResult{InitiallyRequested: len(pairs)}
 	for _, p := range pairs {
 		info := kb.pairs[p]
@@ -558,7 +622,7 @@ func (kb *KB) RemovePairsNoCascade(pairs []Pair) RollbackResult {
 			continue
 		}
 		res.CountsDecremented += info.Count
-		kb.digest[p.Concept] += setCount(p, info, 0)
+		kb.digest[p.Concept] += kb.setCount(p, info, 0)
 		res.PairsRemoved = append(res.PairsRemoved, p)
 		res.touch(p.Concept)
 	}
@@ -575,7 +639,7 @@ func (kb *KB) RemovePairsNoCascade(pairs []Pair) RollbackResult {
 // RollbackExtractions deactivates the given extractions directly (used for
 // Intentional-DP sentence-level cleaning, Sec 4.1) and cascades.
 func (kb *KB) RollbackExtractions(ids []int) RollbackResult {
-	kb.version++
+	kb.mutation("RollbackExtractions")
 	var res RollbackResult
 	res.InitiallyRequested = len(ids)
 	queue := make([]Pair, 0)
@@ -636,7 +700,7 @@ func (kb *KB) rollbackExtraction(ex *Extraction, res *RollbackResult) []Pair {
 		if info == nil || info.Count <= 0 {
 			continue
 		}
-		d += setCount(p, info, info.Count-1)
+		d += kb.setCount(p, info, info.Count-1)
 		res.CountsDecremented++
 		if info.Count == 0 {
 			zeroed = append(zeroed, p)

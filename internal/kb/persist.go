@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -114,7 +115,8 @@ func Read(r io.Reader) (*KB, error) {
 // it the same way Read validates a gob snapshot: extraction IDs must be
 // dense and in order, pair extraction references in range, counts
 // nonnegative, pairs unique. The trigger index is rebuilt from the
-// extraction records, exactly as the live KB maintains it. Build takes
+// extraction records, and the active-pair count and holder lists from
+// the pair records, exactly as the live KB maintains them. Build takes
 // ownership of the argument slices.
 func Build(extractions []Extraction, pairs []PairState) (*KB, error) {
 	kb := New()
@@ -154,6 +156,13 @@ func Build(extractions []Extraction, pairs []PairState) (*KB, error) {
 			kb.byConcept[p.Concept] = m
 		}
 		m[p.Instance] = info
+		if info.Count > 0 {
+			kb.numPairs++
+			kb.holders[p.Instance] = append(kb.holders[p.Instance], p.Concept)
+		}
+	}
+	for _, l := range kb.holders {
+		slices.Sort(l)
 	}
 	kb.digest = kb.recomputeDigests()
 	return kb, nil

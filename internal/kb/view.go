@@ -10,8 +10,8 @@ package kb
 //
 // Implementations must be safe for any number of concurrent readers
 // once construction finishes. *KB satisfies that only while no
-// goroutine mutates it — which is exactly why the snapshot layer
-// freezes a private clone (or an immutable binary view) before serving.
+// goroutine mutates it — which is exactly why the snapshot layer serves
+// only a sealed KB (KB.Seal) or an immutable binary view.
 type View interface {
 	// Stats returns aggregate statistics of the KB state.
 	Stats() Stats

@@ -2,10 +2,14 @@
 // view of a knowledge base. The extraction and cleaning pipeline mutates
 // a *kb.KB in place from a single goroutine; readers — the kbquery CLI,
 // the driftserve HTTP server, and any embedder of internal/serve — need a
-// stable view that never changes underneath them. Freeze produces one:
-// it deep-clones the KB (cheap: string contents are shared, only index
-// slices and maps are copied) and never mutates the clone again, so
+// stable view that never changes underneath them. FreezeOwned produces
+// one from a KB its owner hands over: it seals the KB (kb.KB.Seal), so
+// any later mutation panics instead of changing what readers see, and
 // every read method is safe for unbounded concurrent use without locks.
+// A session publishes each checkpoint that way, without a copy, because
+// it replays the next checkpoint into a fresh KB. Freeze serves callers
+// that keep mutating their KB: it freezes a deep clone (cheap: string
+// contents are shared, only index slices and maps are copied).
 //
 // Snapshot deliberately delegates all traversal — instance listing,
 // provenance explanation, drift depth — to the kb package itself, so
@@ -37,20 +41,18 @@ var generation atomic.Uint64
 // not N KB copies.
 type Snapshot struct {
 	gen uint64
-	// k is the backing read-only view: a private deep clone of a heap
-	// KB, or an inherently immutable mmap-backed binary snapshot view
+	// k is the backing read-only view: a sealed heap KB, or an
+	// inherently immutable mmap-backed binary snapshot view
 	// (internal/kb/binsnap). It is never mutated after the freeze.
 	k kb.View
 
 	// Precomputed at freeze: aggregates every query path touches.
 	stats    kb.Stats
 	concepts []string
-	// byInstance is the reverse index instance → concepts, so
-	// ConceptsOfInstance is a map lookup instead of the full scan the
-	// mutable KB performs. nil means the backing view answers
-	// ConceptsOfInstance natively at lookup cost (the binary snapshot
-	// stores the reverse index on disk) and the map would be pure
-	// duplication.
+	// byInstance is a shard view's reverse index instance → owned
+	// concepts. nil for a full view, whose backing view answers
+	// ConceptsOfInstance natively at lookup cost (the heap KB maintains
+	// the index, the binary snapshot stores it on disk).
 	byInstance map[string][]string
 	// owned, when non-nil, restricts the view to the concepts a
 	// Partition call assigned to this shard; reads about any other
@@ -64,35 +66,30 @@ type Snapshot struct {
 
 // Freeze deep-clones the KB into a new immutable snapshot. The caller
 // may keep mutating the original KB afterwards; the snapshot is
-// unaffected. Aggregate statistics, the concept list and the reverse
-// instance index are precomputed here so the hottest read paths do no
-// work proportional to KB size.
+// unaffected. The source may be sealed; Freeze only reads it.
 func Freeze(source *kb.KB) *Snapshot {
 	return FreezeOwned(source.Clone())
 }
 
 // FreezeOwned freezes a view the caller hands over without cloning it:
-// the caller promises nothing will ever mutate it again. This is the
-// zero-copy path for views that are immutable by construction — a KB
-// just decoded from disk that nothing else references, or an
-// mmap-backed binary snapshot view — and the reason a binary snapshot
-// reload costs O(1) heap work regardless of KB size.
+// the caller promises nothing will ever mutate it again, and a heap KB
+// is sealed here so a broken promise panics rather than corrupting the
+// snapshot. This is the zero-copy path for a session's published
+// checkpoint, a KB just decoded from disk that nothing else references,
+// or an mmap-backed binary snapshot view — and the reason a binary
+// snapshot reload costs O(1) heap work regardless of KB size. Aggregate
+// statistics and the concept list are precomputed here so the hottest
+// read paths do no work proportional to KB size.
 func FreezeOwned(v kb.View) *Snapshot {
-	s := &Snapshot{
+	if k, ok := v.(*kb.KB); ok {
+		k.Seal()
+	}
+	return &Snapshot{
 		gen:      generation.Add(1),
 		k:        v,
 		stats:    v.Stats(),
 		concepts: v.Concepts(),
 	}
-	if k, ok := v.(*kb.KB); ok {
-		// The mutable KB answers ConceptsOfInstance with a full scan;
-		// precompute the reverse index once so serving lookups are O(1).
-		s.byInstance = make(map[string][]string)
-		for _, p := range k.Pairs() {
-			s.byInstance[p.Instance] = append(s.byInstance[p.Instance], p.Concept)
-		}
-	}
-	return s
 }
 
 // Generation returns the snapshot's process-wide monotonic generation
@@ -166,10 +163,9 @@ func (s *Snapshot) SubInstances(concept, instance string) []string {
 }
 
 // ConceptsOfInstance returns all concepts holding the instance, sorted.
-// Unlike the mutable KB's full scan this is a single lookup — against
-// the reverse index built at freeze, or directly against a backing view
-// that stores its reverse index natively. The returned slice is shared
-// and must not be modified.
+// This is a single lookup — against a shard view's owner-scoped reverse
+// index, or directly against the backing view's own index. The returned
+// slice is shared and must not be modified.
 func (s *Snapshot) ConceptsOfInstance(instance string) []string {
 	if s.byInstance != nil {
 		return s.byInstance[instance]
@@ -206,7 +202,7 @@ func (s *Snapshot) NumPairs() int { return s.stats.DistinctPairs }
 
 // Partition splits the snapshot into n shard views by concept
 // ownership: owner maps each concept name onto a shard index in
-// [0, n). Every view shares the receiver's underlying KB clone — the
+// [0, n). Every view shares the receiver's underlying KB view — the
 // split costs index slices and scoped statistics, not KB copies — and
 // inherits its generation, so a router merging the shards' answers
 // reproduces the unpartitioned responses byte for byte.

@@ -77,6 +77,10 @@ go test -race -run 'TestDigestCacheReusesAcrossKBs' ./internal/rank
 go test -race -run 'TestTaskIndexMatchesFreshAnalysis' ./internal/core
 go test -race -run 'TestWarmRaceHammer|TestWarmParallelMatchesSerial' ./internal/feature
 
+echo "==> go test -race (clone-free publish: KB-maintained pair count and holder index, seal, published snapshot under a running checkpoint)"
+go test -race -run 'TestQuickIndexMatchesScan|TestSealedKBRejectsMutation|TestCloneSharesHolderListsCopyOnWrite' ./internal/kb
+go test -race -run 'TestPublishedSnapshot' .
+
 echo "==> go test -race (chaos: injected faults, panics, reload breaker)"
 go test -race ./internal/fault
 go test -race -run 'TestChaosDisabledFaultsAreNoOp|TestChaosPanicSurfacesAsReportError' .

@@ -105,7 +105,9 @@ func (s *Session) Sentences() []Sentence { return s.sys.Corpus.Sentences }
 
 // System returns the session's system: world, corpus, oracle, and the
 // current checkpoint's extraction result and cleaned KB (nil before the
-// first successful Ingest).
+// first successful Ingest). Once Publish has served that KB it is
+// sealed and shared with the snapshot: read it freely, but mutate only
+// a Clone — its mutators panic.
 func (s *Session) System() *System { return s.sys }
 
 // Checkpoints returns the number of successful Ingest calls so far.
@@ -179,6 +181,12 @@ func (s *Session) Ingest(ctx context.Context, batch []Sentence) (*Report, error)
 // immutable, generation-stamped snapshot, ready for serve.Service.Swap.
 // Each call returns a new snapshot with a fresh generation; the session
 // may keep ingesting afterwards without affecting published snapshots.
+//
+// Publishing copies nothing: the snapshot serves the checkpoint's KB
+// itself, sealed (kb.KB.Seal) so that any mutation panics. That is
+// sound because the session never mutates a committed checkpoint's KB:
+// every Ingest, an empty one included, replays into a fresh KB, and a
+// failed Ingest only restores the pointer to the committed one.
 func (s *Session) Publish() (*Snapshot, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
@@ -186,7 +194,7 @@ func (s *Session) Publish() (*Snapshot, error) {
 	if s.sys.KB == nil {
 		return nil, ErrNoCheckpoint
 	}
-	return snapshot.Freeze(s.sys.KB), nil
+	return snapshot.FreezeOwned(s.sys.KB), nil
 }
 
 // Close marks the session closed; subsequent Ingest and Publish calls
