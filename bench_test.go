@@ -14,6 +14,7 @@ package driftclean
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -100,18 +101,27 @@ func BenchmarkFigure5cConvergence(b *testing.B)  { benchExperiment(b, "fig5c") }
 
 // BenchmarkSessionCheckpoint measures one incremental checkpoint the way
 // driftserve -session runs it: a one-sentence Ingest followed by
-// Publish, on a default-config 6,000-sentence session whose first 5,940
-// sentences were ingested in bulk before the timer starts. The session
-// holds back 60 sentences, so one run measures at most 60 checkpoints:
+// Publish, on a default-config session of 6,000 or 40,000 sentences
+// whose all but last 60 sentences were ingested in bulk before the
+// timer starts. The session holds back 60 sentences, so one run
+// measures at most 60 checkpoints:
 //
 //	go test -run '^$' -bench SessionCheckpoint -benchtime 40x
+//
+// The two sizes chart how a checkpoint's cost grows with the session.
 func BenchmarkSessionCheckpoint(b *testing.B) {
+	for _, n := range []int{6000, 40000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) { benchmarkCheckpoint(b, n) })
+	}
+}
+
+func benchmarkCheckpoint(b *testing.B, sentences int) {
 	const tail = 60
 	if b.N > tail {
 		b.Fatalf("%d checkpoints requested, but the session holds back %d sentences; use -benchtime %dx or less", b.N, tail, tail)
 	}
 	cfg := DefaultConfig()
-	cfg.Corpus.NumSentences = 6000
+	cfg.Corpus.NumSentences = sentences
 	ctx := context.Background()
 	sess, err := Open(ctx, WithConfig(cfg))
 	if err != nil {

@@ -67,7 +67,7 @@ func showEq21(sys *driftclean.System) {
 		if !ex.Active || len(ex.Candidates) < 2 || len(ex.Triggers) == 0 {
 			continue
 		}
-		if clean.ExtractionPassesCheck(sys.KB, ex, scoresOf) {
+		if clean.ExtractionPassesCheck(sys.KB, sys.KB.ExtractionSyms(id), scoresOf) {
 			continue
 		}
 		truth := sys.Corpus.Truth(ex.SentenceID)

@@ -156,18 +156,21 @@ func TestParserNeverPanics(t *testing.T) {
 // TestExtractorHandlesUnparseableCorpus: a corpus of garbage lines is
 // counted, not fatal.
 func TestExtractorHandlesUnparseableCorpus(t *testing.T) {
-	x := extract.NewExtractor(extract.DefaultConfig())
+	s := extract.NewStream(extract.DefaultConfig())
 	garbage := []corpus.Sentence{
 		{ID: 0, Text: "complete nonsense"},
 		{ID: 1, Text: ""},
 		{ID: 2, Text: ". . . ."},
 	}
-	if core := x.Add(garbage); core != 0 {
-		t.Errorf("garbage produced %d core extractions", core)
+	if core, ambiguous := s.Append(garbage); core != 0 || ambiguous != 0 {
+		t.Errorf("garbage produced %d core and %d ambiguous parses", core, ambiguous)
 	}
-	res := x.Result()
+	res := s.Replay()
 	if res.Unparseable != 3 {
 		t.Errorf("unparseable = %d, want 3", res.Unparseable)
+	}
+	if n := res.KB.NumExtractions(); n != 0 {
+		t.Errorf("garbage produced %d extractions", n)
 	}
 }
 

@@ -204,17 +204,22 @@ func CleanRound(k *kb.KB, labels Labels, cfg Config) RoundResult {
 			return s
 		}
 	}
-	var flagged []int
+	var flagged, triggered []int
 	for _, concept := range concepts {
+		c, known := k.Sym(concept)
 		for instance, lbl := range labels[concept] {
 			if lbl != dp.Intentional {
 				continue
 			}
 			rr.IntentionalDPs++
-			exts := k.TriggeredExtractions(concept, instance)
-			for _, exID := range exts {
-				ex := k.Extraction(exID)
-				if !ex.Active || ex.Concept != concept {
+			e, ok := k.Sym(instance)
+			if !known || !ok {
+				continue
+			}
+			triggered = k.AppendTriggered(triggered[:0], c, e)
+			for _, exID := range triggered {
+				ex := k.ExtractionSyms(exID)
+				if !ex.Active || ex.Concept != c {
 					continue
 				}
 				rr.ExtractionsChecked++
@@ -270,21 +275,22 @@ func CleanRound(k *kb.KB, labels Labels, cfg Config) RoundResult {
 	return rr
 }
 
-// ExtractionPassesCheck evaluates Eq 21 for one extraction: it returns
-// true when the extraction's chosen concept attains the highest
+// ExtractionPassesCheck evaluates Eq 21 for one extraction of k: it
+// returns true when the extraction's chosen concept attains the highest
 // Score(s, C) among the sentence's candidate concepts.
-func ExtractionPassesCheck(k *kb.KB, ex *kb.Extraction, scoresOf func(string) rank.Scores) bool {
+func ExtractionPassesCheck(k *kb.KB, ex kb.ExtractionSyms, scoresOf func(string) rank.Scores) bool {
 	if len(ex.Candidates) < 2 {
 		return true // nothing to re-decide
 	}
-	best, bestScore := "", -1.0
+	var best kb.Sym
+	found, bestScore := false, -1.0
 	for _, c := range ex.Candidates {
-		s := SentenceScore(ex.Instances, c, ex.Candidates, scoresOf)
+		s := sentenceScore(ex.Instances, c, ex.Candidates, k.Name, scoresOf)
 		if s > bestScore {
-			best, bestScore = c, s
+			best, bestScore, found = c, s, true
 		}
 	}
-	return best == ex.Concept
+	return found && best == ex.Concept
 }
 
 // SentenceScore computes Eq 21:
@@ -293,16 +299,24 @@ func ExtractionPassesCheck(k *kb.KB, ex *kb.Extraction, scoresOf func(string) ra
 //
 // Instances unknown to every candidate contribute nothing.
 func SentenceScore(instances []string, concept string, candidates []string, scoresOf func(string) rank.Scores) float64 {
+	return sentenceScore(instances, concept, candidates, func(s string) string { return s }, scoresOf)
+}
+
+// sentenceScore is SentenceScore over names or IDs, with name mapping
+// an element to its name.
+func sentenceScore[T any](instances []T, concept T, candidates []T, name func(T) string, scoresOf func(string) rank.Scores) float64 {
+	conceptName := name(concept)
 	var total float64
 	for _, e := range instances {
+		en := name(e)
 		var denom float64
 		for _, c := range candidates {
-			denom += scoresOf(c)[e]
+			denom += scoresOf(name(c))[en]
 		}
 		if denom <= 0 {
 			continue
 		}
-		total += scoresOf(concept)[e] / denom
+		total += scoresOf(conceptName)[en] / denom
 	}
 	return total
 }
@@ -313,27 +327,34 @@ func SentenceScore(instances []string, concept string, candidates []string, scor
 // extraction it triggered. This mirrors ExtractionPassesCheck /
 // SentenceScore exactly so the parallel prepass covers the full demand.
 func phase1Concepts(k *kb.KB, labels Labels, concepts []string) []string {
-	need := map[string]bool{}
+	need := map[kb.Sym]bool{}
+	var triggered []int
 	for _, concept := range concepts {
+		c, known := k.Sym(concept)
 		for instance, lbl := range labels[concept] {
 			if lbl != dp.Intentional {
 				continue
 			}
-			for _, exID := range k.TriggeredExtractions(concept, instance) {
-				ex := k.Extraction(exID)
-				if !ex.Active || ex.Concept != concept || len(ex.Candidates) < 2 {
+			e, ok := k.Sym(instance)
+			if !known || !ok {
+				continue
+			}
+			triggered = k.AppendTriggered(triggered[:0], c, e)
+			for _, exID := range triggered {
+				ex := k.ExtractionSyms(exID)
+				if !ex.Active || ex.Concept != c || len(ex.Candidates) < 2 {
 					continue
 				}
-				need[concept] = true
-				for _, c := range ex.Candidates {
-					need[c] = true
+				need[c] = true
+				for _, cand := range ex.Candidates {
+					need[cand] = true
 				}
 			}
 		}
 	}
 	out := make([]string, 0, len(need))
 	for c := range need {
-		out = append(out, c)
+		out = append(out, k.Name(c))
 	}
 	sort.Strings(out)
 	return out

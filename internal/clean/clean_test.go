@@ -48,7 +48,7 @@ func driftedExtractionID(k *kb.KB) int {
 
 func TestEq21FlagsDriftedExtraction(t *testing.T) {
 	k := paperExampleKB()
-	ex := k.Extraction(driftedExtractionID(k))
+	ex := k.ExtractionSyms(driftedExtractionID(k))
 	if ExtractionPassesCheck(k, ex, scoresFunc(k)) {
 		t.Error("the paper's S3 extraction must fail the Eq 21 check")
 	}
@@ -60,7 +60,7 @@ func TestEq21AcceptsCleanExtraction(t *testing.T) {
 	// strong under animal, absent under food.
 	id := k.AddExtraction(300, "animal", []string{"animal", "food"},
 		[]string{"dog", "cat"}, []string{"dog"}, 2)
-	if !ExtractionPassesCheck(k, k.Extraction(id), scoresFunc(k)) {
+	if !ExtractionPassesCheck(k, k.ExtractionSyms(id), scoresFunc(k)) {
 		t.Error("a correctly resolved extraction must pass the Eq 21 check")
 	}
 }
@@ -68,7 +68,7 @@ func TestEq21AcceptsCleanExtraction(t *testing.T) {
 func TestEq21SingleCandidateAlwaysPasses(t *testing.T) {
 	k := paperExampleKB()
 	id := k.AddExtraction(301, "animal", []string{"animal"}, []string{"dog"}, []string{"chicken"}, 2)
-	if !ExtractionPassesCheck(k, k.Extraction(id), scoresFunc(k)) {
+	if !ExtractionPassesCheck(k, k.ExtractionSyms(id), scoresFunc(k)) {
 		t.Error("single-candidate extractions have nothing to re-decide")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -530,26 +531,37 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []st
 // depend on map order; an instance held by no exclusive concept adds
 // nothing, which is unambiguous since its tuple list is empty.
 func taskInputKey(k *kb.KB, a *Analysis, concept string, kcfg kpca.Config) uint64 {
-	// Exclusive(concept, o) implies o is in concept's sorted exclusive
-	// set, so tuples over that set cover every exclusive holder.
+	// Exclusive(concept, o) implies o is in concept's exclusive set, so
+	// tuples over that set cover every exclusive holder. The fold reads
+	// the KB by ID and each name's stored hash, never a string.
 	exclusive := a.Mutex.ExclusiveConcepts(concept)
+	c, known := k.Sym(concept)
 	var sum uint64
-	if len(exclusive) > 0 {
-		k.EachPairRecord(concept, func(e string, _ int) {
-			var tuples uint64
-			for _, o := range a.Features.ConceptsOf(e) {
-				if i := sort.SearchStrings(exclusive, o); i == len(exclusive) || exclusive[i] != o {
-					continue
-				}
-				info := k.Info(o, e)
-				core := uint64(0)
-				if info.FirstIter <= 1 {
-					core = 1
-				}
-				tuples += memo.Mix(memo.Mix(memo.String(o)+uint64(info.Count)) + core)
+	if len(exclusive) > 0 && known {
+		ids := make([]kb.Sym, 0, len(exclusive))
+		for _, o := range exclusive {
+			if s, ok := k.Sym(o); ok {
+				ids = append(ids, s)
 			}
+		}
+		slices.Sort(ids)
+		syms := k.Symbols()
+		var tuples uint64
+		fold := func(r kb.Record) {
+			if _, ok := slices.BinarySearch(ids, r.Concept); !ok {
+				return
+			}
+			core := uint64(0)
+			if r.FirstIter <= 1 {
+				core = 1
+			}
+			tuples += memo.Mix(memo.Mix(syms.Hash(r.Concept)+uint64(r.Count)) + core)
+		}
+		k.EachRecord(c, func(r kb.Record) {
+			tuples = 0
+			k.EachHolder(r.Instance, fold)
 			if tuples != 0 {
-				sum += memo.Mix(memo.String(e) + tuples)
+				sum += memo.Mix(syms.Hash(r.Instance) + tuples)
 			}
 		})
 	}

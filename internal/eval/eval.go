@@ -121,12 +121,16 @@ func (o *Oracle) KBPrecision(k *kb.KB, concepts []string) float64 {
 	}
 	correct, total := 0, 0
 	for _, c := range concepts {
-		k.EachPairRecord(c, func(e string, count int) {
-			if count <= 0 {
+		cs, ok := k.Sym(c)
+		if !ok {
+			continue
+		}
+		k.EachRecord(cs, func(r kb.Record) {
+			if r.Count <= 0 {
 				return
 			}
 			total++
-			if o.PairCorrect(c, e) {
+			if o.PairCorrect(c, k.Name(r.Instance)) {
 				correct++
 			}
 		})

@@ -398,8 +398,8 @@ func (r *Runner) Table5() *Table {
 				continue
 			}
 			for _, exID := range sys.KB.TriggeredExtractions(c, e) {
-				ex := sys.KB.Extraction(exID)
-				if !ex.Active || ex.Concept != c {
+				ex := sys.KB.ExtractionSyms(exID)
+				if !ex.Active || sys.KB.Name(ex.Concept) != c {
 					continue
 				}
 				candidates = append(candidates, exID)

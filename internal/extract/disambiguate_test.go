@@ -22,6 +22,28 @@ func knownKB(known map[string][]string) *kb.KB {
 	return k
 }
 
+// resolve runs disambiguate and appendTriggers on a parse by name,
+// interning its names in k's table, and returns the outcome by name.
+func resolve(k *kb.KB, p hearst.Parse) (concept string, triggers []string, ok bool) {
+	cands, insts := syms(k, p.Candidates), syms(k, p.Instances)
+	c, ok := disambiguate(k, cands, insts)
+	if !ok {
+		return "", nil, false
+	}
+	for _, e := range appendTriggers(nil, k, c, insts) {
+		triggers = append(triggers, k.Name(e))
+	}
+	return k.Name(c), triggers, true
+}
+
+func syms(k *kb.KB, names []string) []kb.Sym {
+	out := make([]kb.Sym, len(names))
+	for i, n := range names {
+		out[i] = k.Symbols().Intern(n)
+	}
+	return out
+}
+
 func TestDisambiguateTable(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -99,7 +121,7 @@ func TestDisambiguateTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := knownKB(tc.known)
-			concept, triggers, ok := disambiguate(k, tc.parse)
+			concept, triggers, ok := resolve(k, tc.parse)
 			if ok != tc.wantOK {
 				t.Fatalf("ok = %v, want %v", ok, tc.wantOK)
 			}
@@ -126,13 +148,13 @@ func TestDisambiguateTieBreaksAcrossIterations(t *testing.T) {
 		Candidates: []string{"food", "animal"},
 		Instances:  []string{"pork", "dog", "beef"},
 	}
-	if _, _, ok := disambiguate(k, p); ok {
+	if _, _, ok := resolve(k, p); ok {
 		t.Fatal("1-1 tie must stay pending in the first pass")
 	}
 
 	// New knowledge arrives: beef is food. The same parse now resolves.
 	k.AddExtraction(500, "food", nil, []string{"beef"}, nil, 1)
-	concept, triggers, ok := disambiguate(k, p)
+	concept, triggers, ok := resolve(k, p)
 	if !ok || concept != "food" {
 		t.Fatalf("after tie-break: concept=%q ok=%v, want food", concept, ok)
 	}
@@ -142,12 +164,17 @@ func TestDisambiguateTieBreaksAcrossIterations(t *testing.T) {
 
 	// And resolvePending applies it the same way at any worker count.
 	for _, workers := range []int{1, 4} {
-		resolved, still := resolvePending(k, []hearst.Parse{p}, workers, nil)
+		pl := &pool{syms: k.Symbols()}
+		pl.add([]parsedSentence{{parse: p, ok: true}})
+		resolved, still := pl.resolvePending(k, pl.pending, workers, nil, &scan{})
 		if len(resolved) != 1 || len(still) != 0 {
 			t.Fatalf("workers=%d: resolved=%d still=%d", workers, len(resolved), len(still))
 		}
-		if resolved[0].concept != "food" {
-			t.Errorf("workers=%d: concept = %q", workers, resolved[0].concept)
+		if got := k.Name(resolved[0].concept); got != "food" {
+			t.Errorf("workers=%d: concept = %q", workers, got)
+		}
+		if got := syms(k, []string{"pork", "beef"}); !reflect.DeepEqual(resolved[0].triggers, got) {
+			t.Errorf("workers=%d: triggers = %v, want %v", workers, resolved[0].triggers, got)
 		}
 	}
 }

@@ -25,6 +25,8 @@
 package extract
 
 import (
+	"slices"
+
 	"driftclean/internal/corpus"
 	"driftclean/internal/fault"
 	"driftclean/internal/hearst"
@@ -89,122 +91,214 @@ func parseAll(sentences []corpus.Sentence, workers int, inj *fault.Injector) []p
 	return out
 }
 
-// resolution is one disambiguated pending sentence.
+// parse is one parsed sentence by ID: its candidate and instance IDs
+// are consecutive spans of its pool's arena.
+type parse struct {
+	sentence     int
+	off          uint32
+	nCand, nInst uint32
+}
+
+// pool holds interned parses in arrival order, split into core
+// (unambiguous) and pending (ambiguous) — exactly the per-class order
+// Run's sentence-order scan produces.
+type pool struct {
+	syms           *kb.Symbols
+	ids            []kb.Sym
+	cores, pending []parse
+	unparseable    int
+	// pairsHint is the pair count of the last replay, the size hint for
+	// the next replay's pair index.
+	pairsHint int
+}
+
+func (p *pool) candidates(q parse) []kb.Sym { return p.ids[q.off : q.off+q.nCand] }
+
+func (p *pool) instances(q parse) []kb.Sym {
+	off := q.off + q.nCand
+	return p.ids[off : off+q.nInst]
+}
+
+// add interns every parsed sentence's names once and files the parse
+// as core or pending. It returns the number of parses added to each.
+func (p *pool) add(parsed []parsedSentence) (core, ambiguous int) {
+	for i := range parsed {
+		if !parsed[i].ok {
+			p.unparseable++
+			continue
+		}
+		hp := &parsed[i].parse
+		q := parse{sentence: hp.SentenceID, off: uint32(len(p.ids)),
+			nCand: uint32(len(hp.Candidates)), nInst: uint32(len(hp.Instances))}
+		for _, c := range hp.Candidates {
+			p.ids = append(p.ids, p.syms.Intern(c))
+		}
+		for _, e := range hp.Instances {
+			p.ids = append(p.ids, p.syms.Intern(e))
+		}
+		if hp.Ambiguous() {
+			p.pending = append(p.pending, q)
+			ambiguous++
+			continue
+		}
+		p.cores = append(p.cores, q)
+		core++
+	}
+	return core, ambiguous
+}
+
+// resolution is one disambiguated pending parse; triggers is a span of
+// the iteration's shared trigger buffer.
 type resolution struct {
-	parse    hearst.Parse
-	concept  string
-	triggers []string
+	q        parse
+	concept  kb.Sym
+	triggers []kb.Sym
+}
+
+// scan is one replay's resolution scratch, reused by every semantic
+// iteration: the per-slot outcomes, the resolutions with their shared
+// trigger buffer, and the still-pending parses. An iteration's
+// resolutions are applied before the next iteration overwrites them.
+type scan struct {
+	concepts []kb.Sym
+	hits     []bool
+	resolved []resolution
+	triggers []kb.Sym
+	still    []parse
 }
 
 // resolvePending scans the pending pool against a frozen KB and returns
-// the resolutions (in pending order) and the still-ambiguous remainder.
-// Each slot depends only on the frozen KB and its own parse, so the scan
-// is embarrassingly parallel; collecting into index-ordered slots keeps
-// the apply order — and therefore the KB — identical to a serial scan.
-func resolvePending(k *kb.KB, pending []hearst.Parse, workers int, inj *fault.Injector) (resolved []resolution, still []hearst.Parse) {
+// the resolutions (in pending order) and the still-ambiguous remainder,
+// both in sc's buffers. Each slot depends only on the frozen KB and its
+// own parse, so the scan is embarrassingly parallel; collecting into
+// index-ordered slots keeps the apply order — and therefore the KB —
+// identical to a serial scan. The triggers are collected afterwards,
+// serially and still against the frozen KB, into one buffer for the
+// whole iteration.
+func (p *pool) resolvePending(k *kb.KB, pending []parse, workers int, inj *fault.Injector, sc *scan) (resolved []resolution, still []parse) {
 	inj.Check("extract.resolve")
-	slots := make([]resolution, len(pending))
-	hits := make([]bool, len(pending))
+	sc.concepts = slices.Grow(sc.concepts[:0], len(pending))[:len(pending)]
+	sc.hits = slices.Grow(sc.hits[:0], len(pending))[:len(pending)]
 	par.For(len(pending), workers, func(i int) {
-		concept, triggers, ok := disambiguate(k, pending[i])
-		if !ok {
-			return
-		}
-		slots[i] = resolution{pending[i], concept, triggers}
-		hits[i] = true
+		sc.concepts[i], sc.hits[i] = disambiguate(k, p.candidates(pending[i]), p.instances(pending[i]))
 	})
-	for i := range slots {
-		if hits[i] {
-			resolved = append(resolved, slots[i])
-		} else {
-			still = append(still, pending[i])
+	resolved, still, buf := sc.resolved[:0], sc.still[:0], sc.triggers[:0]
+	for i, q := range pending {
+		if !sc.hits[i] {
+			still = append(still, q)
+			continue
 		}
+		start := len(buf)
+		buf = appendTriggers(buf, k, sc.concepts[i], p.instances(q))
+		resolved = append(resolved, resolution{q, sc.concepts[i], buf[start:len(buf):len(buf)]})
 	}
+	sc.resolved, sc.still, sc.triggers = resolved, still, buf
 	return resolved, still
 }
 
-// Run performs the full iterative extraction over a corpus.
-func Run(c *corpus.Corpus, cfg Config) *Result {
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = DefaultConfig().MaxIterations
+// replay materializes the extraction over the pool: every core parse
+// enters a fresh KB on the pool's table as iteration 1 in arrival
+// order, then each semantic iteration resolves pending parses against
+// the KB frozen at its start and applies all resolutions at once (new
+// knowledge only helps "in the next iteration", Sec 1).
+func (p *pool) replay(cfg Config) *Result {
+	// Every parse resolves at most once, and its triggers are a subset of
+	// its instances; the pair count of the previous replay, if any, is
+	// the best guess at this one's.
+	triggers := 0
+	for _, q := range p.pending {
+		triggers += int(q.nInst)
 	}
-	workers := cfg.workers()
-	res := &Result{KB: kb.New()}
-
-	// Parse everything once (parallel), then merge in sentence order.
-	parsed := parseAll(c.Sentences, workers, cfg.Fault)
-	var pending []hearst.Parse
-	newInIter := 0
-	for i := range parsed {
-		if !parsed[i].ok {
-			res.Unparseable++
-			continue
-		}
-		p := parsed[i].parse
-		if p.Ambiguous() {
-			pending = append(pending, p)
-			continue
-		}
-		// Iteration 1: unambiguous sentences only (core pairs).
-		res.KB.AddExtraction(p.SentenceID, p.Candidates[0], p.Candidates, p.Instances, nil, 1)
-		newInIter++
+	k := kb.NewWithSymbols(p.syms, kb.Sizes{
+		Extractions: len(p.cores) + len(p.pending),
+		IDs:         len(p.ids) + triggers,
+		Pairs:       p.pairsHint,
+	})
+	res := &Result{KB: k}
+	for _, q := range p.cores {
+		cands := p.candidates(q)
+		k.AddExtractionSyms(q.sentence, cands[0], cands, p.instances(q), nil, 1)
 	}
 	res.Iterations = 1
 	res.PerIteration = append(res.PerIteration, IterStats{
 		Iteration:      1,
-		NewExtractions: newInIter,
-		DistinctPairs:  res.KB.NumPairs(),
+		NewExtractions: len(p.cores),
+		DistinctPairs:  k.NumPairs(),
 	})
-
-	// Semantic iterations: resolve pending sentences against a KB frozen
-	// at the start of each iteration, then apply all resolutions at once
-	// (new knowledge only helps "in the next iteration", Sec 1).
+	// pending and the scan's still buffer trade places every iteration;
+	// the pool's own slice is copied first so it is never overwritten.
+	pending := slices.Clone(p.pending)
+	var sc scan
+	workers := cfg.workers()
 	for iter := 2; iter <= cfg.MaxIterations && len(pending) > 0; iter++ {
-		resolved, still := resolvePending(res.KB, pending, workers, cfg.Fault)
+		resolved, still := p.resolvePending(k, pending, workers, cfg.Fault, &sc)
 		if len(resolved) == 0 {
 			break
 		}
 		for _, r := range resolved {
-			res.KB.AddExtraction(r.parse.SentenceID, r.concept, r.parse.Candidates, r.parse.Instances, r.triggers, iter)
+			k.AddExtractionSyms(r.q.sentence, r.concept, p.candidates(r.q), p.instances(r.q), r.triggers, iter)
 		}
-		pending = still
+		pending, sc.still = still, pending
 		res.Iterations = iter
 		res.PerIteration = append(res.PerIteration, IterStats{
 			Iteration:      iter,
 			NewExtractions: len(resolved),
-			DistinctPairs:  res.KB.NumPairs(),
+			DistinctPairs:  k.NumPairs(),
 		})
 	}
+	res.Unparseable = p.unparseable
 	res.Unresolved = len(pending)
+	p.pairsHint = k.NumPairs()
 	return res
+}
+
+// Run performs the full iterative extraction over a corpus, on a name
+// table of its own.
+func Run(c *corpus.Corpus, cfg Config) *Result {
+	if cfg.MaxIterations <= 0 {
+		cfg.MaxIterations = DefaultConfig().MaxIterations
+	}
+	p := &pool{syms: kb.NewSymbols()}
+	// Parse everything once (parallel), then intern in sentence order.
+	p.add(parseAll(c.Sentences, cfg.workers(), cfg.Fault))
+	return p.replay(cfg)
 }
 
 // disambiguate picks the candidate concept with strictly the most known
 // instances among the sentence's instances. It returns ok=false when no
 // candidate has known instances or when the top two candidates tie.
-func disambiguate(k *kb.KB, p hearst.Parse) (concept string, triggers []string, ok bool) {
+func disambiguate(k *kb.KB, candidates, instances []kb.Sym) (concept kb.Sym, ok bool) {
 	bestCount, secondCount := 0, 0
-	var best string
-	var bestKnown []string
-	for _, c := range p.Candidates {
-		var known []string
-		for _, e := range p.Instances {
-			if k.Has(c, e) {
-				known = append(known, e)
+	var best kb.Sym
+	for _, c := range candidates {
+		known := 0
+		for _, e := range instances {
+			if k.HasSyms(c, e) {
+				known++
 			}
 		}
 		switch {
-		case len(known) > bestCount:
+		case known > bestCount:
 			secondCount = bestCount
-			bestCount = len(known)
+			bestCount = known
 			best = c
-			bestKnown = known
-		case len(known) > secondCount:
-			secondCount = len(known)
+		case known > secondCount:
+			secondCount = known
 		}
 	}
 	if bestCount == 0 || bestCount == secondCount {
-		return "", nil, false
+		return 0, false
 	}
-	return best, bestKnown, true
+	return best, true
+}
+
+// appendTriggers appends to buf, in sentence order, the instances k
+// holds under concept: the triggers of a resolution to concept.
+func appendTriggers(buf []kb.Sym, k *kb.KB, concept kb.Sym, instances []kb.Sym) []kb.Sym {
+	for _, e := range instances {
+		if k.HasSyms(concept, e) {
+			buf = append(buf, e)
+		}
+	}
+	return buf
 }

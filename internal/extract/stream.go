@@ -2,136 +2,34 @@ package extract
 
 import (
 	"driftclean/internal/corpus"
-	"driftclean/internal/hearst"
 	"driftclean/internal/kb"
 )
 
-// Extractor is the incremental form of Run: sentences arrive in batches
-// (the web is crawled continuously; Probase-style systems extend their
-// KB rather than rebuild it), each Extend run resolves what the current
-// knowledge allows and keeps the rest pending for later batches.
-//
-// Unambiguous sentences always enter as iteration-1 (core-quality)
-// evidence regardless of when they arrive — "core" means unambiguous
-// support, not chronology. Ambiguous sentences resolve at the semantic
-// iteration that disambiguates them.
-type Extractor struct {
-	cfg Config
-	kb  *kb.KB
-
-	pending     []hearst.Parse
-	iteration   int
-	perIter     []IterStats
-	unparseable int
-}
-
-// NewExtractor creates an empty incremental extractor.
-func NewExtractor(cfg Config) *Extractor {
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = DefaultConfig().MaxIterations
-	}
-	return &Extractor{cfg: cfg, kb: kb.New(), iteration: 1}
-}
-
-// KB exposes the knowledge base being built.
-func (x *Extractor) KB() *kb.KB { return x.kb }
-
-// Pending returns the number of ambiguous sentences awaiting resolution.
-func (x *Extractor) Pending() int { return len(x.pending) }
-
-// PerIteration returns the accumulated iteration statistics.
-func (x *Extractor) PerIteration() []IterStats { return x.perIter }
-
-// Add parses and ingests a batch of sentences: unambiguous parses are
-// extracted immediately as core evidence; ambiguous parses join the
-// pending pool. It returns the number of core extractions made. The
-// parse fans out across Config.Parallelism workers; the merge runs in
-// sentence order, so the KB is independent of the worker count.
-func (x *Extractor) Add(sentences []corpus.Sentence) int {
-	core := 0
-	parsed := parseAll(sentences, x.cfg.workers(), x.cfg.Fault)
-	for i := range parsed {
-		if !parsed[i].ok {
-			x.unparseable++
-			continue
-		}
-		p := parsed[i].parse
-		if p.Ambiguous() {
-			x.pending = append(x.pending, p)
-			continue
-		}
-		x.kb.AddExtraction(p.SentenceID, p.Candidates[0], p.Candidates, p.Instances, nil, 1)
-		core++
-	}
-	if core > 0 {
-		x.perIter = append(x.perIter, IterStats{
-			Iteration:      1,
-			NewExtractions: core,
-			DistinctPairs:  x.kb.NumPairs(),
-		})
-	}
-	return core
-}
-
-// Extend runs semantic iterations over the pending pool until a fixpoint
-// or the iteration budget, returning the number of sentences resolved.
-func (x *Extractor) Extend() int {
-	resolvedTotal := 0
-	for iter := 0; iter < x.cfg.MaxIterations && len(x.pending) > 0; iter++ {
-		x.iteration++
-		resolved, still := resolvePending(x.kb, x.pending, x.cfg.workers(), x.cfg.Fault)
-		if len(resolved) == 0 {
-			break
-		}
-		for _, r := range resolved {
-			x.kb.AddExtraction(r.parse.SentenceID, r.concept, r.parse.Candidates, r.parse.Instances, r.triggers, x.iteration)
-		}
-		x.pending = still
-		resolvedTotal += len(resolved)
-		x.perIter = append(x.perIter, IterStats{
-			Iteration:      x.iteration,
-			NewExtractions: len(resolved),
-			DistinctPairs:  x.kb.NumPairs(),
-		})
-	}
-	return resolvedTotal
-}
-
-// Result assembles a Run-compatible result from the current state.
-func (x *Extractor) Result() *Result {
-	return &Result{
-		KB:           x.kb,
-		Iterations:   x.iteration,
-		PerIteration: append([]IterStats(nil), x.perIter...),
-		Unparseable:  x.unparseable,
-		Unresolved:   len(x.pending),
-	}
-}
-
 // Stream is the checkpointed incremental extractor behind the session
-// API. Where Extractor extends one live KB (and therefore resolves
-// early-batch sentences with less knowledge than a batch run would
-// have), Stream keeps the *parses* — each sentence is parsed exactly
-// once, on arrival — and materializes the KB by replay: every Replay
-// runs the semantic fixpoint from the accumulated core evidence over
-// the full ambiguous pool, so the result is bit-identical to Run over
-// the concatenation of all appended batches, extraction IDs and
-// iteration numbers included. Replaying is cheap relative to a full
-// rerun because the Hearst parse — the only per-sentence string work —
-// never repeats; the fixpoint is integer bookkeeping over parses.
+// API. It keeps the *parses* — each sentence is parsed exactly once, on
+// arrival — and materializes the KB by replay: every Replay runs the
+// semantic fixpoint from the accumulated core evidence over the full
+// ambiguous pool, so the result is bit-identical to Run over the
+// concatenation of all appended batches, extraction IDs and iteration
+// numbers included.
+//
+// Append also interns each parse's names, once, in a table the Stream
+// owns for its lifetime, and every replayed KB is built on that table.
+// So a replay never touches a string: it copies ID spans into the KB's
+// flat arrays, disambiguation tests pair records by packed ID, and the
+// only allocations are the KB's own arrays and pair index, each grown
+// by doubling, plus the per-iteration scan slots — none per extraction.
+// What a replay costs is therefore proportional to the extractions it
+// re-adds, at integer-bookkeeping cost each; the Hearst parse and the
+// name hashing never repeat.
 //
 // A Stream is single-writer: Append, Replay, Mark and Rewind must not
-// be called concurrently.
+// be called concurrently. A KB it replayed may be read (once sealed)
+// while the next Append interns new names: the table is safe for that.
 type Stream struct {
-	cfg Config
-
-	// cores and pending hold unambiguous and ambiguous parses in
-	// arrival order — exactly the per-class order Run's sentence-order
-	// scan produces when batches arrive in corpus order.
-	cores       []hearst.Parse
-	pending     []hearst.Parse
-	unparseable int
-	sentences   int
+	cfg       Config
+	pool      pool
+	sentences int
 }
 
 // NewStream creates an empty checkpointed extractor.
@@ -139,58 +37,49 @@ func NewStream(cfg Config) *Stream {
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = DefaultConfig().MaxIterations
 	}
-	return &Stream{cfg: cfg}
+	return &Stream{cfg: cfg, pool: pool{syms: kb.NewSymbols()}}
 }
 
 // Sentences returns the number of sentences appended so far.
 func (s *Stream) Sentences() int { return s.sentences }
 
 // Pending returns the current size of the ambiguous parse pool.
-func (s *Stream) Pending() int { return len(s.pending) }
+func (s *Stream) Pending() int { return len(s.pool.pending) }
 
 // StreamMark is an opaque position in a Stream's append history,
 // captured by Mark and restored by Rewind.
 type StreamMark struct {
-	cores, pending, unparseable, sentences int
+	cores, pending, ids, unparseable, sentences int
 }
 
 // Mark captures the stream's current position so a failed checkpoint
 // can be rolled back with Rewind.
 func (s *Stream) Mark() StreamMark {
-	return StreamMark{len(s.cores), len(s.pending), s.unparseable, s.sentences}
+	p := &s.pool
+	return StreamMark{len(p.cores), len(p.pending), len(p.ids), p.unparseable, s.sentences}
 }
 
 // Rewind truncates the stream back to a previous Mark, discarding every
 // sentence appended since. Append only ever appends, so truncation
-// restores the exact prior state.
+// restores the exact prior state. Names interned since the mark stay
+// in the table, which only ever appends; no KB refers to them unless
+// they are appended again.
 func (s *Stream) Rewind(m StreamMark) {
-	s.cores = s.cores[:m.cores]
-	s.pending = s.pending[:m.pending]
-	s.unparseable = m.unparseable
+	p := &s.pool
+	p.cores = p.cores[:m.cores]
+	p.pending = p.pending[:m.pending]
+	p.ids = p.ids[:m.ids]
+	p.unparseable = m.unparseable
 	s.sentences = m.sentences
 }
 
 // Append parses one batch of sentences (fanning across
-// Config.Parallelism workers, merged in sentence order) and files each
-// parse as core (unambiguous) or pending (ambiguous). It returns the
-// number of parses added to each pool. No KB is touched — call Replay
-// to materialize the checkpoint.
+// Config.Parallelism workers, merged in sentence order), interns its
+// names and files each parse as core (unambiguous) or pending
+// (ambiguous). It returns the number of parses added to each pool. No
+// KB is touched — call Replay to materialize the checkpoint.
 func (s *Stream) Append(batch []corpus.Sentence) (core, ambiguous int) {
-	parsed := parseAll(batch, s.cfg.workers(), s.cfg.Fault)
-	for i := range parsed {
-		if !parsed[i].ok {
-			s.unparseable++
-			continue
-		}
-		p := parsed[i].parse
-		if p.Ambiguous() {
-			s.pending = append(s.pending, p)
-			ambiguous++
-			continue
-		}
-		s.cores = append(s.cores, p)
-		core++
-	}
+	core, ambiguous = s.pool.add(parseAll(batch, s.cfg.workers(), s.cfg.Fault))
 	s.sentences += len(batch)
 	return core, ambiguous
 }
@@ -201,37 +90,4 @@ func (s *Stream) Append(batch []corpus.Sentence) (core, ambiguous int) {
 // pool against a KB frozen per iteration — the same loop Run uses. The
 // result (KB contents, extraction IDs, iteration stats) is identical to
 // Run over the concatenation of every appended batch.
-func (s *Stream) Replay() *Result {
-	res := &Result{KB: kb.New()}
-	for _, p := range s.cores {
-		res.KB.AddExtraction(p.SentenceID, p.Candidates[0], p.Candidates, p.Instances, nil, 1)
-	}
-	res.Iterations = 1
-	res.PerIteration = append(res.PerIteration, IterStats{
-		Iteration:      1,
-		NewExtractions: len(s.cores),
-		DistinctPairs:  res.KB.NumPairs(),
-	})
-
-	pending := append([]hearst.Parse(nil), s.pending...)
-	workers := s.cfg.workers()
-	for iter := 2; iter <= s.cfg.MaxIterations && len(pending) > 0; iter++ {
-		resolved, still := resolvePending(res.KB, pending, workers, s.cfg.Fault)
-		if len(resolved) == 0 {
-			break
-		}
-		for _, r := range resolved {
-			res.KB.AddExtraction(r.parse.SentenceID, r.concept, r.parse.Candidates, r.parse.Instances, r.triggers, iter)
-		}
-		pending = still
-		res.Iterations = iter
-		res.PerIteration = append(res.PerIteration, IterStats{
-			Iteration:      iter,
-			NewExtractions: len(resolved),
-			DistinctPairs:  res.KB.NumPairs(),
-		})
-	}
-	res.Unparseable = s.unparseable
-	res.Unresolved = len(pending)
-	return res
-}
+func (s *Stream) Replay() *Result { return s.pool.replay(s.cfg) }

@@ -10,112 +10,6 @@ import (
 	"driftclean/internal/kb"
 )
 
-func TestStreamingBasics(t *testing.T) {
-	w := testWorld()
-	c := testCorpus(w, 12000)
-	x := NewExtractor(DefaultConfig())
-	// Two batches.
-	half := c.Len() / 2
-	core1 := x.Add(c.Sentences[:half])
-	if core1 == 0 {
-		t.Fatal("no core extractions from first batch")
-	}
-	r1 := x.Extend()
-	if r1 == 0 {
-		t.Fatal("first Extend resolved nothing")
-	}
-	pairsAfter1 := x.KB().NumPairs()
-
-	x.Add(c.Sentences[half:])
-	x.Extend()
-	if x.KB().NumPairs() <= pairsAfter1 {
-		t.Error("second batch added no pairs")
-	}
-	res := x.Result()
-	if res.Unresolved != x.Pending() {
-		t.Error("Result unresolved mismatch")
-	}
-}
-
-func TestStreamingLaterBatchResolvesEarlierPending(t *testing.T) {
-	w := testWorld()
-	c := testCorpus(w, 12000)
-	// Batch 1: only ambiguous sentences (no knowledge to resolve them).
-	var ambiguous, unambiguous []corpus.Sentence
-	for _, s := range c.Sentences {
-		if c.Truth(s.ID).Kind == corpus.Modifier {
-			ambiguous = append(ambiguous, s)
-		} else {
-			unambiguous = append(unambiguous, s)
-		}
-	}
-	x := NewExtractor(DefaultConfig())
-	x.Add(ambiguous[:500])
-	if got := x.Extend(); got != 0 {
-		t.Fatalf("ambiguous-only batch resolved %d sentences with an empty KB", got)
-	}
-	pendingBefore := x.Pending()
-
-	// Batch 2: unambiguous knowledge arrives; pending sentences resolve.
-	x.Add(unambiguous)
-	x.Extend()
-	if x.Pending() >= pendingBefore {
-		t.Errorf("pending did not shrink: %d -> %d", pendingBefore, x.Pending())
-	}
-}
-
-func TestStreamingUnambiguousAlwaysCore(t *testing.T) {
-	w := testWorld()
-	c := testCorpus(w, 6000)
-	x := NewExtractor(DefaultConfig())
-	x.Add(c.Sentences[:3000])
-	x.Extend()
-	x.Add(c.Sentences[3000:])
-	x.Extend()
-	k := x.KB()
-	// Every extraction without triggers must be recorded at iteration 1.
-	for id := 0; id < k.NumExtractions(); id++ {
-		ex := k.Extraction(id)
-		if len(ex.Triggers) == 0 && ex.Iteration != 1 {
-			t.Fatalf("core extraction %d at iteration %d", id, ex.Iteration)
-		}
-		if len(ex.Triggers) > 0 && ex.Iteration < 2 {
-			t.Fatalf("triggered extraction %d at iteration %d", id, ex.Iteration)
-		}
-	}
-}
-
-func TestStreamingMatchesBatchOnCorePairs(t *testing.T) {
-	// The core pair set (unambiguous evidence) must be identical between
-	// streaming and one-shot extraction; ambiguous resolution order may
-	// differ, core evidence may not.
-	w := testWorld()
-	c := testCorpus(w, 8000)
-
-	batch := Run(c, DefaultConfig())
-	x := NewExtractor(DefaultConfig())
-	third := c.Len() / 3
-	x.Add(c.Sentences[:third])
-	x.Extend()
-	x.Add(c.Sentences[third : 2*third])
-	x.Extend()
-	x.Add(c.Sentences[2*third:])
-	x.Extend()
-
-	for _, concept := range batch.KB.Concepts() {
-		a := batch.KB.InstancesAtIteration(concept, 1)
-		b := x.KB().InstancesAtIteration(concept, 1)
-		if len(a) != len(b) {
-			t.Fatalf("core set of %q differs: %d vs %d", concept, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("core set of %q differs at %d: %s vs %s", concept, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // kbFingerprint digests the full observable KB state — pairs, counts,
 // extraction count — plus each extraction's id/iteration, so two KBs
 // with equal fingerprints are interchangeable for the pipeline.

@@ -89,7 +89,8 @@ func NewExtractor(k *kb.KB, mx *mutex.Analysis) *Extractor {
 // the caller's analysis pass already holds, so the extractor sorts
 // nothing of its own. The extractor keeps and reads the lists without
 // copying them, and reads each instance's concepts from the KB's own
-// index (kb.ConceptsOfInstance), so it builds no per-pass index at all.
+// per-instance records (kb.EachHolder), so it builds no per-pass index
+// at all.
 // Like the lists, an extractor describes k as it was at construction:
 // read it only while k is not mutated.
 func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache, instances map[string][]string) *Extractor {
@@ -103,8 +104,7 @@ func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache, inst
 }
 
 // ConceptsOf lists, in concept order, the concepts holding the instance
-// with positive count (kb.ConceptsOfInstance). The list is shared and
-// read-only.
+// with positive count (kb.ConceptsOfInstance), in a fresh slice.
 func (x *Extractor) ConceptsOf(instance string) []string { return x.kb.ConceptsOfInstance(instance) }
 
 // Scores returns (building on first use) the random-walk scores of a
@@ -133,8 +133,9 @@ func (x *Extractor) classFreq(concept string) (sparsevec.Vector, float64) {
 	x.mu.Unlock()
 	insts := x.instances[concept]
 	v := make(sparsevec.Vector, len(insts))
+	c, known := x.kb.Sym(concept)
 	for _, inst := range insts {
-		v.Inc(inst, float64(x.kb.Count(concept, inst)))
+		v.Inc(inst, float64(x.count(c, known, inst)))
 	}
 	e.v, e.norm = v, v.L2()
 	close(e.ready)
@@ -155,8 +156,9 @@ func (x *Extractor) F1(concept string, subs []string) float64 {
 		return 0
 	}
 	subFreq := make(sparsevec.Vector, len(subs))
+	c, known := x.kb.Sym(concept)
 	for _, s := range subs {
-		subFreq.Inc(s, float64(x.kb.Count(concept, s)))
+		subFreq.Inc(s, float64(x.count(c, known, s)))
 	}
 	class, classNorm := x.classFreq(concept)
 	subNorm := subFreq.L2()
@@ -173,10 +175,12 @@ func (x *Extractor) F1(concept string, subs []string) float64 {
 // of the polysemous few (paper Fig 3b expects most non-DPs at 0).
 func (x *Extractor) F2(concept, instance string) float64 {
 	n := 0
-	for _, other := range x.kb.ConceptsOfInstance(instance) {
-		if x.mx.Exclusive(concept, other) && x.kb.Count(other, instance) > crossEvidenceMin {
-			n++
-		}
+	if e, ok := x.kb.Sym(instance); ok {
+		x.kb.EachHolder(e, func(r kb.Record) {
+			if r.Count > crossEvidenceMin && x.mx.Exclusive(concept, x.kb.Name(r.Concept)) {
+				n++
+			}
+		})
 	}
 	return float64(n)
 }
@@ -207,8 +211,9 @@ func (x *Extractor) F5(concept string, subs []string) float64 {
 		return 0
 	}
 	weak := 0
+	c, known := x.kb.Sym(concept)
 	for _, s := range subs {
-		if x.kb.Count(concept, s) <= WeakCount {
+		if x.count(c, known, s) <= WeakCount {
 			weak++
 		}
 	}
@@ -225,23 +230,46 @@ func (x *Extractor) F6(concept string, subs []string) float64 {
 	if len(subs) == 0 {
 		return 0
 	}
+	c, known := x.kb.Sym(concept)
 	cross := 0
+	var here int
+	var dragged bool
+	// Membership in the exclusive concept must be well evidenced (strays
+	// are everywhere in a drifted KB) and must dominate the support here
+	// — the scale-free signature of an instance dragged across the
+	// boundary from its real home.
+	check := func(r kb.Record) {
+		if !dragged && r.Count > crossEvidenceMin && r.Count >= 2*here &&
+			x.mx.Exclusive(concept, x.kb.Name(r.Concept)) {
+			dragged = true
+		}
+	}
 	for _, s := range subs {
-		here := x.kb.Count(concept, s)
-		for _, other := range x.kb.ConceptsOfInstance(s) {
-			// Membership in the exclusive concept must be well evidenced
-			// (strays are everywhere in a drifted KB) and must dominate
-			// the support here — the scale-free signature of an instance
-			// dragged across the boundary from its real home.
-			if x.mx.Exclusive(concept, other) &&
-				x.kb.Count(other, s) > crossEvidenceMin &&
-				x.kb.Count(other, s) >= 2*here {
-				cross++
-				break
-			}
+		e, ok := x.kb.Sym(s)
+		if !ok {
+			continue
+		}
+		here, dragged = x.count(c, known, s), false
+		x.kb.EachHolder(e, check)
+		if dragged {
+			cross++
 		}
 	}
 	return float64(cross) / float64(len(subs))
+}
+
+// count is Count(concept, instance) for a concept already resolved to
+// c; known=false means the KB's table has never seen the concept.
+func (x *Extractor) count(c kb.Sym, known bool, instance string) int {
+	if !known {
+		return 0
+	}
+	e, ok := x.kb.Sym(instance)
+	if !ok {
+		return 0
+	}
+	r, _ := x.kb.Record(c, e)
+	return r.Count
 }
 
 // crossEvidenceMin is the minimum support under the exclusive concept for

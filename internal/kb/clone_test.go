@@ -81,9 +81,10 @@ func TestCloneExplainMatchesOriginal(t *testing.T) {
 	}
 }
 
-// TestCloneSharesHolderListsCopyOnWrite: a clone shares the original's
-// instance → concepts lists, and a transition on either KB replaces its
-// own list, so a list returned before the mutation never changes.
+// TestCloneSharesHolderListsCopyOnWrite: a clone answers the
+// original's instance → concepts lists, a transition on either KB
+// changes only its own answers, and a list returned before the mutation
+// never changes.
 func TestCloneSharesHolderListsCopyOnWrite(t *testing.T) {
 	orig := buildCloneFixture()
 	orig.AddExtraction(4, "tool", []string{"tool"}, []string{"dog"}, nil, 1)

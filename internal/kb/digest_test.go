@@ -6,9 +6,11 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"driftclean/internal/bench"
 	"driftclean/internal/core"
 	"driftclean/internal/kb"
 	"driftclean/internal/kb/binsnap"
@@ -19,13 +21,31 @@ import (
 // exported API: core and triggered extractions, cascading and
 // no-cascade removals, direct rollbacks, and — every sequence — a pair
 // force-removed and then supported again, whose removal must change its
-// concept's digest. check runs after every step.
+// concept's digest. Every step is applied in lockstep to two KBs: one
+// on a name table of its own (kb.New) and one on a shared table that
+// already holds other names, interned in another order, so every name
+// has a different ID in the two. check runs on both after every step,
+// and the two must answer every query alike (sameAnswers).
 func digestOps(t *testing.T, seed int64, check func(step string, k *kb.KB) bool) bool {
 	rng := rand.New(rand.NewSource(seed))
 	concepts := []string{"c0", "c1", "c2"}
 	nInst := 10 + rng.Intn(15)
 	inst := func() string { return fmt.Sprintf("e%d", rng.Intn(nInst)) }
 	k := kb.New()
+	shared := kb.NewSymbols()
+	for i := 40; i >= 0; i-- {
+		shared.Intern(fmt.Sprintf("other%d", i))
+		shared.Intern(fmt.Sprintf("e%d", i))
+	}
+	shared.Intern("c2")
+	ks := kb.NewWithSymbols(shared, kb.Sizes{})
+	both := func(op func(k *kb.KB)) {
+		op(k)
+		op(ks)
+	}
+	checkBoth := func(step string) bool {
+		return check(step, k) && check(step+" (shared table)", ks) && sameAnswers(t, step, k, ks)
+	}
 	sentence := 0
 	add := func() {
 		c := concepts[rng.Intn(len(concepts))]
@@ -35,17 +55,18 @@ func digestOps(t *testing.T, seed int64, check func(step string, k *kb.KB) bool)
 		}
 		known := k.Instances(c)
 		if len(known) == 0 || rng.Intn(3) == 0 {
-			k.AddExtraction(sentence, c, concepts, insts, nil, 1)
+			both(func(k *kb.KB) { k.AddExtraction(sentence, c, concepts, insts, nil, 1) })
 		} else {
 			trig := known[rng.Intn(len(known))]
-			k.AddExtraction(sentence, c, concepts, append(insts, trig), []string{trig}, 2+rng.Intn(3))
+			iter := 2 + rng.Intn(3)
+			both(func(k *kb.KB) { k.AddExtraction(sentence, c, concepts, append(insts, trig), []string{trig}, iter) })
 		}
 		sentence++
 	}
 	for i := 0; i < 12; i++ {
 		add()
 	}
-	if !check("build", k) {
+	if !checkBoth("build") {
 		return false
 	}
 	resupport := 4 + rng.Intn(8)
@@ -56,34 +77,95 @@ func digestOps(t *testing.T, seed int64, check func(step string, k *kb.KB) bool)
 		case step == resupport && len(pairs) > 0:
 			p := pairs[rng.Intn(len(pairs))]
 			before := k.ConceptDigest(p.Concept)
-			k.RemovePairs([]kb.Pair{p})
+			both(func(k *kb.KB) { k.RemovePairs([]kb.Pair{p}) })
 			if k.ConceptDigest(p.Concept) == before {
 				t.Logf("step %d: forced removal of %v left its concept's digest unchanged", step, p)
 				return false
 			}
-			if !check("force-remove "+p.String(), k) {
+			if !checkBoth("force-remove " + p.String()) {
 				return false
 			}
-			k.AddExtraction(sentence, p.Concept, nil, []string{p.Instance}, nil, 1+rng.Intn(3))
+			iter := 1 + rng.Intn(3)
+			both(func(k *kb.KB) { k.AddExtraction(sentence, p.Concept, nil, []string{p.Instance}, nil, iter) })
 			sentence++
 			what = "re-support " + p.String()
 		case op == 0 && len(pairs) > 0:
 			p := pairs[rng.Intn(len(pairs))]
-			k.RemovePairs([]kb.Pair{p})
+			both(func(k *kb.KB) { k.RemovePairs([]kb.Pair{p}) })
 			what = "remove " + p.String()
 		case op == 1 && len(pairs) > 0:
 			p := pairs[rng.Intn(len(pairs))]
-			k.RemovePairsNoCascade([]kb.Pair{p})
+			both(func(k *kb.KB) { k.RemovePairsNoCascade([]kb.Pair{p}) })
 			what = "remove without cascade " + p.String()
 		case op == 2:
 			id := rng.Intn(k.NumExtractions())
-			k.RollbackExtractions([]int{id})
+			both(func(k *kb.KB) { k.RollbackExtractions([]int{id}) })
 			what = fmt.Sprintf("roll back extraction %d", id)
 		default:
 			add()
 			what = "add"
 		}
-		if !check(fmt.Sprintf("step %d (%s)", step, what), k) {
+		if !checkBoth(fmt.Sprintf("step %d (%s)", step, what)) {
+			return false
+		}
+	}
+	return true
+}
+
+// answers renders everything a reader can ask a KB, by name: every View
+// method over every concept and every instance an extraction mentions,
+// plus Pairs, every ConceptDigest, NumPairs, the digests and the
+// benchmark fingerprint.
+func answers(k *kb.KB) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%+v\n%q\n%v\nnumPairs=%d\n%v\n%s\n",
+		k.Stats(), k.Concepts(), k.Pairs(), k.NumPairs(), k.Digests(), bench.Fingerprint(k))
+	var active []string
+	k.ScanActiveExtractions(func(c string) { active = append(active, c) })
+	fmt.Fprintf(&b, "active: %q\n", active)
+	seen := map[string]bool{}
+	var instances []string
+	for id := 0; id < k.NumExtractions(); id++ {
+		fmt.Fprintf(&b, "ex %+v\n", *k.Extraction(id))
+		for _, e := range k.Extraction(id).Instances {
+			if !seen[e] {
+				seen[e] = true
+				instances = append(instances, e)
+			}
+		}
+	}
+	slices.Sort(instances)
+	for _, c := range []string{"c0", "c1", "c2", "never-seen"} {
+		fmt.Fprintf(&b, "%s: digest=%x instances=%q drift=%v\n",
+			c, k.ConceptDigest(c), k.Instances(c), k.DriftDepth(c))
+		for _, e := range instances {
+			ex, ok := k.Explain(c, e, 0)
+			fmt.Fprintf(&b, "  %s: has=%v count=%d subs=%q explain=%v %+v\n",
+				e, k.Has(c, e), k.Count(c, e), k.SubInstances(c, e), ok, ex)
+		}
+	}
+	for _, e := range append(instances, "never-seen") {
+		fmt.Fprintf(&b, "%s isA %q\n", e, k.ConceptsOfInstance(e))
+	}
+	return b.String()
+}
+
+// sameAnswers reports whether the shared-table KB ks answers every
+// query as the private-table KB k does, itself and through every reload
+// path.
+func sameAnswers(t *testing.T, step string, k, ks *kb.KB) bool {
+	want := answers(k)
+	if got := answers(ks); got != want {
+		t.Logf("%s: the shared-table KB answers\n%s\nthe private-table KB\n%s", step, got, want)
+		return false
+	}
+	copies := reloads(t, ks)
+	if copies == nil {
+		return false
+	}
+	for path, c := range copies {
+		if got := answers(c); got != want {
+			t.Logf("%s: the shared-table KB via %s answers\n%s\nthe private-table KB\n%s", step, path, got, want)
 			return false
 		}
 	}

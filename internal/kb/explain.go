@@ -41,22 +41,24 @@ type ChainLink struct {
 // pair is not currently in the KB. At most maxSupports supporting
 // extractions are traced (0 means all).
 func (kb *KB) Explain(concept, instance string, maxSupports int) (Explanation, bool) {
-	info := kb.pairs[Pair{concept, instance}]
-	if info == nil || info.Count <= 0 {
+	r := kb.find(concept, instance)
+	if r == nil || r.count <= 0 {
 		return Explanation{}, false
 	}
-	ex := Explanation{Pair: Pair{concept, instance}, Count: info.Count}
-	for _, exID := range info.Extractions {
-		e := kb.extractions[exID]
-		if !e.Active {
+	ex := Explanation{Pair: Pair{concept, instance}, Count: r.count}
+	for l := r.sup.head; l != 0; l = kb.links[l-1].next {
+		id := int(kb.links[l-1].ext)
+		x := &kb.exts[id]
+		if !x.active {
 			continue
 		}
+		triggers, _ := kb.names(nil, kb.triggers(x))
 		s := Support{
-			ExtractionID: e.ID,
-			SentenceID:   e.SentenceID,
-			Iteration:    e.Iteration,
-			Triggers:     append([]string(nil), e.Triggers...),
-			Chain:        kb.traceChain(concept, instance),
+			ExtractionID: id,
+			SentenceID:   x.sentence,
+			Iteration:    x.iteration,
+			Triggers:     triggers,
+			Chain:        kb.traceChain(r.concept, r.instance),
 		}
 		ex.Supports = append(ex.Supports, s)
 		if maxSupports > 0 && len(ex.Supports) >= maxSupports {
@@ -70,26 +72,31 @@ func (kb *KB) Explain(concept, instance string, maxSupports int) (Explanation, b
 // choosing at each hop the earliest-iteration active supporting
 // extraction and its first still-living trigger. Cycles are cut by a
 // visited set.
-func (kb *KB) traceChain(concept, instance string) []ChainLink {
+func (kb *KB) traceChain(concept, instance Sym) []ChainLink {
 	var chain []ChainLink
-	visited := map[string]bool{}
+	visited := map[Sym]bool{}
 	cur := instance
 	for {
 		if visited[cur] {
 			break
 		}
 		visited[cur] = true
-		info := kb.pairs[Pair{concept, cur}]
-		if info == nil || info.Count <= 0 {
+		i, ok := kb.pairIndex(concept, cur)
+		if !ok || kb.recs[i].count <= 0 {
 			break
 		}
-		link := ChainLink{Pair: Pair{concept, cur}, Iteration: info.FirstIter, Core: info.FirstIter <= 1}
+		r := &kb.recs[i]
+		link := ChainLink{
+			Pair:      Pair{kb.syms.Name(concept), kb.syms.Name(cur)},
+			Iteration: r.firstIter,
+			Core:      r.firstIter <= 1,
+		}
 		chain = append(chain, link)
 		if link.Core {
 			break
 		}
-		next := kb.earliestLivingTrigger(concept, cur)
-		if next == "" {
+		next, ok := kb.earliestLivingTrigger(r)
+		if !ok {
 			break
 		}
 		cur = next
@@ -97,28 +104,25 @@ func (kb *KB) traceChain(concept, instance string) []ChainLink {
 	return chain
 }
 
-// earliestLivingTrigger returns a trigger of the pair's earliest active
-// extraction that is still present in the KB, or "".
-func (kb *KB) earliestLivingTrigger(concept, instance string) string {
-	info := kb.pairs[Pair{concept, instance}]
-	if info == nil {
-		return ""
-	}
-	best := ""
+// earliestLivingTrigger returns a trigger of r's earliest active
+// supporting extraction that is still present in the KB.
+func (kb *KB) earliestLivingTrigger(r *pairRec) (Sym, bool) {
+	var best Sym
+	found := false
 	bestIter := int(^uint(0) >> 1)
-	for _, exID := range info.Extractions {
-		e := kb.extractions[exID]
-		if !e.Active || e.Iteration >= bestIter {
+	for l := r.sup.head; l != 0; l = kb.links[l-1].next {
+		x := &kb.exts[kb.links[l-1].ext]
+		if !x.active || x.iteration >= bestIter {
 			continue
 		}
-		for _, t := range e.Triggers {
-			if kb.Count(concept, t) > 0 {
-				best, bestIter = t, e.Iteration
+		for _, t := range kb.triggers(x) {
+			if kb.HasSyms(r.concept, t) {
+				best, bestIter, found = t, x.iteration, true
 				break
 			}
 		}
 	}
-	return best
+	return best, found
 }
 
 // Format renders the explanation as human-readable text.
@@ -155,8 +159,14 @@ func (ex Explanation) Format() string {
 // are the hallmark of drift cascades.
 func (kb *KB) DriftDepth(concept string) map[string]int {
 	out := map[string]int{}
-	for _, e := range kb.Instances(concept) {
-		out[e] = len(kb.traceChain(concept, e))
+	c, ok := kb.syms.Lookup(concept)
+	if !ok {
+		return out
+	}
+	for i := kb.stateOf(c).cHead; i != 0; i = kb.recs[i-1].nextC {
+		if r := &kb.recs[i-1]; r.count > 0 {
+			out[kb.syms.Name(r.instance)] = len(kb.traceChain(c, r.instance))
+		}
 	}
 	return out
 }

@@ -11,6 +11,28 @@
 //   - the cascading roll-back of Sec 4.2: removing a pair rolls back
 //     every extraction that depended on it, which can zero other pairs'
 //     counts and propagate further.
+//
+// # Storage
+//
+// Every concept and instance name is interned once in a Symbols table
+// and the KB stores only the dense uint32 IDs (Sym). Its state is a
+// handful of flat, pointer-free arrays: extraction records whose
+// candidate, instance and trigger IDs are spans of one shared ID arena;
+// pair records, found through one map keyed on the packed (concept,
+// instance) IDs; per-pair supporting and triggered extraction lists
+// threaded through one links array; and per-ID state (the concept's
+// digest and the heads of its and the instance's record lists). Adding
+// an extraction therefore appends to those arrays and allocates nothing
+// of its own, Clone copies a few flat slices, and the garbage collector
+// has no pointers inside a KB to chase.
+//
+// Several KBs may share one table — a checkpointed extract.Stream
+// replays every checkpoint on its own — so IDs say nothing about a name
+// except its identity. The string methods (the View surface, Pairs,
+// Info, Extraction, Export) translate at the boundary, and every order
+// they expose is lexicographic by name, never by ID. Analysis passes
+// read the ID form (Record, EachRecord, EachHolder, AppendTriggered,
+// ExtractionSyms) and the hashes the table stores with each name.
 package kb
 
 import (
@@ -31,7 +53,7 @@ type Pair struct {
 // String renders the pair in "(instance isA concept)" form.
 func (p Pair) String() string { return fmt.Sprintf("(%s isA %s)", p.Instance, p.Concept) }
 
-// Extraction records one resolved sentence parse.
+// Extraction records one resolved sentence parse, by name.
 type Extraction struct {
 	ID         int
 	SentenceID int
@@ -43,6 +65,19 @@ type Extraction struct {
 	Active     bool     // false once rolled back
 }
 
+// ExtractionSyms is one extraction by ID. Its slices are read-only
+// views into the KB's arena: reading an extraction this way allocates
+// nothing.
+type ExtractionSyms struct {
+	SentenceID int
+	Concept    Sym
+	Candidates []Sym
+	Instances  []Sym
+	Triggers   []Sym
+	Iteration  int
+	Active     bool
+}
+
 // PairInfo aggregates the state of one isA pair.
 type PairInfo struct {
 	Count       int   // number of active extractions supporting the pair
@@ -50,40 +85,134 @@ type PairInfo struct {
 	Extractions []int // extraction IDs supporting the pair (including inactive)
 }
 
+// Record is one pair record by ID.
+type Record struct {
+	Concept, Instance Sym
+	Count, FirstIter  int
+}
+
+// ref is a 1-based index into one of the KB's arrays; 0 is the end of a
+// list.
+type ref = uint32
+
+// extRec is one extraction. Its candidates, instances and triggers are
+// consecutive spans of the arena starting at off.
+type extRec struct {
+	sentence, iteration int
+	concept             Sym
+	off                 uint32
+	nCand, nInst, nTrig uint32
+	active              bool
+}
+
+// list is a list of extraction IDs threaded through the links array, in
+// append order.
+type list struct{ head, tail ref }
+
+type link struct {
+	ext  uint32
+	next ref
+}
+
+// pairRec is the record of one (concept, instance) pair. A record with
+// isPair false is a placeholder that only carries the extractions the
+// pair triggered: an extraction may name a trigger its concept does not
+// hold. A placeholder is no pair — no count, no digest term, no export
+// — until an extraction supports it.
+type pairRec struct {
+	count, firstIter  int
+	concept, instance Sym
+	sup, trig         list
+	// nextC and nextI link the concept's and the instance's pair
+	// records (placeholders are in neither list).
+	nextC, nextI ref
+	isPair       bool
+}
+
+// symState is the per-ID state of a KB.
+type symState struct {
+	// digest is ConceptDigest of the name as a concept; defined (even
+	// when zero) once the KB holds an extraction or pair record of it.
+	digest  uint64
+	defined bool
+	// cHead and iHead start the lists of pair records with this name as
+	// concept and as instance; active counts the concept's pair records
+	// with positive count.
+	cHead, iHead ref
+	active       int32
+}
+
 // KB is the mutable knowledge base. It is not safe for concurrent use
 // while mutated; a sealed KB (Seal) is never mutated again and is safe
-// for any number of concurrent readers.
+// for any number of concurrent readers, also while another KB interns
+// new names into the table they share.
 type KB struct {
-	pairs       map[Pair]*PairInfo
-	extractions []*Extraction
-	// triggeredBy[p] lists extraction IDs in which pair p served as a
-	// trigger.
-	triggeredBy map[Pair][]int
-	byConcept   map[string]map[string]*PairInfo // concept -> instance -> info
+	syms  *Symbols
+	exts  []extRec
+	arena []Sym
+	recs  []pairRec
+	// index maps pairKey(concept, instance) to the pair's record.
+	index map[uint64]uint32
+	links []link
+	// state is indexed by Sym and grows on demand: an ID past its end
+	// has zero state.
+	state []symState
 	// version counts mutations (extraction adds, pair removals,
 	// rollbacks). Caches keyed on KB state compare versions to detect
 	// that their entries went stale.
 	version uint64
-	// digest[c] is ConceptDigest(c), kept current by every mutator.
-	digest map[string]uint64
-	// numPairs counts the pair records with positive count, and
-	// holders[e] lists, sorted, the concepts holding e with positive
-	// count (no key when none does). Both change only at a record's
-	// 0↔positive count transitions, in supportPair and setCount. A
-	// holder list is copy-on-write: a transition replaces the slice and
-	// never edits it, so a returned list never changes and clones share
-	// the lists.
+	// numPairs counts the pair records with positive count. It changes
+	// only at a record's 0↔positive count transitions (activate,
+	// deactivate).
 	numPairs int
-	holders  map[string][]string
 	// sealed makes every mutator panic (Seal).
 	sealed bool
 }
 
+// New returns an empty knowledge base with a table of its own.
+func New() *KB { return NewWithSymbols(NewSymbols(), Sizes{}) }
+
+// Sizes is a capacity hint for a new KB: roughly how many extractions
+// it will record, how many candidate, instance and trigger IDs those
+// carry in total, and how many pair records they create. A caller that
+// knows what it is about to add saves the arrays' regrowth; a wrong
+// hint costs only memory or regrowth, never contents.
+type Sizes struct {
+	Extractions, IDs, Pairs int
+}
+
+// NewWithSymbols returns an empty knowledge base that interns its names
+// in t, which it may share with other KBs, with room for hint.
+func NewWithSymbols(t *Symbols, hint Sizes) *KB {
+	return &KB{
+		syms:  t,
+		exts:  make([]extRec, 0, hint.Extractions),
+		arena: make([]Sym, 0, hint.IDs),
+		links: make([]link, 0, hint.IDs),
+		recs:  make([]pairRec, 0, hint.Pairs),
+		index: make(map[uint64]uint32, hint.Pairs),
+		state: make([]symState, 0, t.Len()),
+	}
+}
+
+// Symbols returns the KB's name table.
+func (kb *KB) Symbols() *Symbols { return kb.syms }
+
+// Sym returns the ID of name in the KB's table, or ok=false when the
+// table has never seen it (so the KB holds nothing about it).
+func (kb *KB) Sym(name string) (Sym, bool) { return kb.syms.Lookup(name) }
+
+// Name returns the name of an ID of the KB's table.
+func (kb *KB) Name(s Sym) string { return kb.syms.Name(s) }
+
+func pairKey(c, e Sym) uint64 { return uint64(c)<<32 | uint64(e) }
+
 // Seal makes the KB read-only for good: every later AddExtraction,
-// RemovePairs, RemovePairsNoCascade or RollbackExtractions call panics.
-// A published snapshot serves its KB without copying it, so a mutation
-// that would corrupt what readers see fails loudly instead. Sealing
-// counts as a mutation for Version. Clone returns an unsealed copy.
+// AddExtractionSyms, RemovePairs, RemovePairsNoCascade or
+// RollbackExtractions call panics. A published snapshot serves its KB
+// without copying it, so a mutation that would corrupt what readers see
+// fails loudly instead. Sealing counts as a mutation for Version. Clone
+// returns an unsealed copy.
 func (kb *KB) Seal() {
 	if !kb.sealed {
 		kb.version++
@@ -101,10 +230,31 @@ func (kb *KB) mutation(op string) {
 }
 
 // Version returns the KB's mutation counter. It increases on every
-// mutating call (AddExtraction, RemovePairs, RemovePairsNoCascade,
-// RollbackExtractions, and the first Seal), so two reads returning the
-// same value bracket a window in which the KB was not modified.
+// mutating call (AddExtraction, AddExtractionSyms, RemovePairs,
+// RemovePairsNoCascade, RollbackExtractions, and the first Seal), so two
+// reads returning the same value bracket a window in which the KB was
+// not modified.
 func (kb *KB) Version() uint64 { return kb.version }
+
+// stateOf returns the state of s, zero past the end of the array.
+func (kb *KB) stateOf(s Sym) symState {
+	if int(s) < len(kb.state) {
+		return kb.state[s]
+	}
+	return symState{}
+}
+
+// st returns s's state for writing, growing the array to the table's
+// size when s lies past its end. The pointer is valid until the next st
+// call.
+func (kb *KB) st(s Sym) *symState {
+	if old := len(kb.state); int(s) >= old {
+		n := max(kb.syms.Len(), int(s)+1)
+		kb.state = slices.Grow(kb.state, n-old)[:n]
+		clear(kb.state[old:])
+	}
+	return &kb.state[s]
+}
 
 // ConceptDigest returns a 64-bit content digest of one concept's slice
 // of the KB: the sum, mod 2⁶⁴, of one mixed term per extraction of the
@@ -117,17 +267,33 @@ func (kb *KB) Version() uint64 { return kb.version }
 // concept — the instance list and core, the sub(e) index and the
 // trigger graph — is a function of those records, so equal digests
 // mean equal artifacts, on any KB of this process: the terms are keyed
-// hashes under a per-process seed (memo.String), which also keeps
-// collisions from being crafted through ingested text. Both kinds of
-// term are needed: RemovePairs zeroes a pair's count without
+// hashes of names under a per-process seed (memo.String, stored with
+// each name in the table), never of IDs, so KBs on different tables
+// agree, and collisions cannot be crafted through ingested text. Both
+// kinds of term are needed: RemovePairs zeroes a pair's count without
 // deactivating the extractions that support it. A concept the KB has
 // never seen has digest 0.
-func (kb *KB) ConceptDigest(concept string) uint64 { return kb.digest[concept] }
+func (kb *KB) ConceptDigest(concept string) uint64 {
+	c, ok := kb.syms.Lookup(concept)
+	if !ok {
+		return 0
+	}
+	return kb.stateOf(c).digest
+}
 
-// extractionTerm is ex's term of its concept's digest.
-func extractionTerm(ex *Extraction) uint64 {
-	h := memo.Strings(memo.Strings(uint64(ex.Iteration), ex.Instances), ex.Triggers)
-	if ex.Active {
+// foldSyms is memo.Strings over the names of ids, read from their
+// stored hashes.
+func (kb *KB) foldSyms(acc uint64, ids []Sym) uint64 {
+	for _, s := range ids {
+		acc = memo.Mix(acc + kb.syms.Hash(s))
+	}
+	return memo.Mix(acc + uint64(len(ids)))
+}
+
+// extractionTerm is x's term of its concept's digest.
+func (kb *KB) extractionTerm(x *extRec) uint64 {
+	h := kb.foldSyms(kb.foldSyms(uint64(x.iteration), kb.instances(x)), kb.triggers(x))
+	if x.active {
 		h++
 	}
 	return memo.Mix(h)
@@ -135,239 +301,352 @@ func extractionTerm(ex *Extraction) uint64 {
 
 // pairTerm is the term of one pair record of its concept's digest,
 // given the record's instance hash (memo.String).
-func pairTerm(instance uint64, info *PairInfo) uint64 {
-	return memo.Mix(memo.Mix(instance+uint64(info.Count)) + uint64(info.FirstIter))
+func pairTerm(instance uint64, count, firstIter int) uint64 {
+	return memo.Mix(memo.Mix(instance+uint64(count)) + uint64(firstIter))
 }
 
-// setCount changes a pair record's count, keeps the whole-KB
-// aggregates current, and returns the change it makes to its concept's
-// digest.
-func (kb *KB) setCount(p Pair, info *PairInfo, count int) uint64 {
-	h := memo.String(p.Instance)
-	old := pairTerm(h, info)
-	switch was := info.Count; {
+func (kb *KB) span(off, n uint32) []Sym { return kb.arena[off : off+n : off+n] }
+
+func (kb *KB) candidates(x *extRec) []Sym { return kb.span(x.off, x.nCand) }
+func (kb *KB) instances(x *extRec) []Sym  { return kb.span(x.off+x.nCand, x.nInst) }
+func (kb *KB) triggers(x *extRec) []Sym {
+	return kb.span(x.off+x.nCand+x.nInst, x.nTrig)
+}
+
+// addDigest adds d to concept c's digest.
+func (kb *KB) addDigest(c Sym, d uint64) {
+	s := kb.st(c)
+	s.digest += d
+	s.defined = true
+}
+
+// setCount changes record i's count, keeps the whole-KB aggregates
+// current, and returns the change it makes to its concept's digest.
+func (kb *KB) setCount(i uint32, count int) uint64 {
+	r := &kb.recs[i]
+	h := kb.syms.Hash(r.instance)
+	old := pairTerm(h, r.count, r.firstIter)
+	switch was := r.count; {
 	case was <= 0 && count > 0:
-		kb.activate(p)
+		kb.activate(r.concept)
 	case was > 0 && count <= 0:
-		kb.deactivate(p)
+		kb.deactivate(r.concept)
 	}
-	info.Count = count
-	return pairTerm(h, info) - old
+	r.count = count
+	return pairTerm(h, r.count, r.firstIter) - old
 }
 
-// activate records p's count turning positive: one more active pair,
-// and p's concept joins the instance's holder list (a new slice).
-func (kb *KB) activate(p Pair) {
+// activate and deactivate record a pair count of concept c turning
+// positive or reaching zero.
+func (kb *KB) activate(c Sym) {
 	kb.numPairs++
-	old := kb.holders[p.Instance]
-	i, _ := slices.BinarySearch(old, p.Concept)
-	l := make([]string, len(old)+1)
-	copy(l, old[:i])
-	l[i] = p.Concept
-	copy(l[i+1:], old[i:])
-	kb.holders[p.Instance] = l
+	kb.st(c).active++
 }
 
-// deactivate records p's count reaching zero: one active pair fewer,
-// and p's concept leaves the instance's holder list (a new slice, or
-// no key once the list is empty).
-func (kb *KB) deactivate(p Pair) {
+func (kb *KB) deactivate(c Sym) {
 	kb.numPairs--
-	old := kb.holders[p.Instance]
-	if len(old) == 1 {
-		delete(kb.holders, p.Instance)
-		return
-	}
-	i, _ := slices.BinarySearch(old, p.Concept)
-	l := make([]string, 0, len(old)-1)
-	kb.holders[p.Instance] = append(append(l, old[:i]...), old[i+1:]...)
-}
-
-// recomputeDigests builds every concept's digest from scratch.
-func (kb *KB) recomputeDigests() map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, ex := range kb.extractions {
-		out[ex.Concept] += extractionTerm(ex)
-	}
-	for p, info := range kb.pairs {
-		out[p.Concept] += pairTerm(memo.String(p.Instance), info)
-	}
-	return out
-}
-
-// New returns an empty knowledge base.
-func New() *KB {
-	return &KB{
-		pairs:       make(map[Pair]*PairInfo),
-		triggeredBy: make(map[Pair][]int),
-		byConcept:   make(map[string]map[string]*PairInfo),
-		digest:      make(map[string]uint64),
-		holders:     make(map[string][]string),
-	}
+	kb.st(c).active--
 }
 
 // AddExtraction records a resolved sentence: all instances are extracted
 // under concept, enabled by the given trigger instances (nil for
-// iteration-1 core extractions). It returns the new extraction's ID.
+// iteration-1 core extractions). The names are interned in the KB's
+// table. It returns the new extraction's ID.
 func (kb *KB) AddExtraction(sentenceID int, concept string, candidates, instances, triggers []string, iteration int) int {
 	kb.mutation("AddExtraction")
-	// The three defensive copies share one backing array (each segment
-	// separately capped, so appending to one can never reach another);
-	// empty inputs stay nil, matching Clone.
-	buf := make([]string, 0, len(candidates)+len(instances)+len(triggers))
-	carve := func(src []string) []string {
-		if len(src) == 0 {
-			return nil
+	ids := make([]Sym, 0, len(candidates)+len(instances)+len(triggers))
+	for _, names := range [][]string{candidates, instances, triggers} {
+		for _, n := range names {
+			ids = append(ids, kb.syms.Intern(n))
 		}
-		start := len(buf)
-		buf = append(buf, src...)
-		return buf[start:len(buf):len(buf)]
 	}
-	ex := &Extraction{
-		ID:         len(kb.extractions),
-		SentenceID: sentenceID,
-		Concept:    concept,
-		Candidates: carve(candidates),
-		Instances:  carve(instances),
-		Triggers:   carve(triggers),
-		Iteration:  iteration,
-		Active:     true,
-	}
-	kb.extractions = append(kb.extractions, ex)
-	d := kb.digest[concept] + extractionTerm(ex)
-	for _, e := range ex.Instances {
-		d += kb.supportPair(Pair{concept, e}, ex)
-	}
-	kb.digest[concept] = d
-	for _, trig := range ex.Triggers {
-		p := Pair{concept, trig}
-		kb.triggeredBy[p] = append(kb.triggeredBy[p], ex.ID)
-	}
-	return ex.ID
+	nc, ni := len(candidates), len(candidates)+len(instances)
+	return kb.addExtraction(sentenceID, kb.syms.Intern(concept), ids[:nc], ids[nc:ni], ids[ni:], iteration)
 }
 
-// supportPair counts one more supporting extraction of p and returns
-// the change it makes to p's concept digest.
-func (kb *KB) supportPair(p Pair, ex *Extraction) uint64 {
-	h := memo.String(p.Instance)
-	var delta uint64
-	info := kb.pairs[p]
-	if info == nil {
-		info = &PairInfo{FirstIter: ex.Iteration}
-		kb.pairs[p] = info
-		m := kb.byConcept[p.Concept]
-		if m == nil {
-			m = make(map[string]*PairInfo)
-			kb.byConcept[p.Concept] = m
-		}
-		m[p.Instance] = info
+// AddExtractionSyms is AddExtraction by ID: every ID must come from the
+// KB's table. The KB copies the IDs into its arena, so the caller keeps
+// ownership of the slices.
+func (kb *KB) AddExtractionSyms(sentenceID int, concept Sym, candidates, instances, triggers []Sym, iteration int) int {
+	kb.mutation("AddExtraction")
+	return kb.addExtraction(sentenceID, concept, candidates, instances, triggers, iteration)
+}
+
+func (kb *KB) addExtraction(sentenceID int, concept Sym, candidates, instances, triggers []Sym, iteration int) int {
+	id := len(kb.exts)
+	off := len(kb.arena)
+	kb.arena = append(append(append(kb.arena, candidates...), instances...), triggers...)
+	kb.exts = append(kb.exts, extRec{
+		sentence:  sentenceID,
+		iteration: iteration,
+		concept:   concept,
+		off:       uint32(off),
+		nCand:     uint32(len(candidates)),
+		nInst:     uint32(len(instances)),
+		nTrig:     uint32(len(triggers)),
+		active:    true,
+	})
+	d := kb.extractionTerm(&kb.exts[id])
+	for _, e := range instances {
+		d += kb.supportPair(concept, e, id, iteration)
+	}
+	kb.addDigest(concept, d)
+	for _, t := range triggers {
+		i := kb.recordFor(concept, t)
+		kb.appendLink(&kb.recs[i].trig, id)
+	}
+	return id
+}
+
+// recordFor returns the record of (c, e), creating a placeholder when
+// there is none.
+func (kb *KB) recordFor(c, e Sym) uint32 {
+	key := pairKey(c, e)
+	if i, ok := kb.index[key]; ok {
+		return i
+	}
+	i := uint32(len(kb.recs))
+	kb.recs = append(kb.recs, pairRec{concept: c, instance: e})
+	kb.index[key] = i
+	return i
+}
+
+// makePair turns placeholder i into a pair record first supported at
+// firstIter and links it into its concept's and instance's lists.
+func (kb *KB) makePair(i uint32, firstIter int) {
+	r := &kb.recs[i]
+	r.isPair, r.firstIter = true, firstIter
+	c := kb.st(r.concept)
+	c.defined = true
+	r.nextC, c.cHead = c.cHead, i+1
+	e := kb.st(r.instance)
+	r.nextI, e.iHead = e.iHead, i+1
+}
+
+func (kb *KB) appendLink(l *list, ext int) {
+	kb.links = append(kb.links, link{ext: uint32(ext)})
+	r := ref(len(kb.links))
+	if l.tail == 0 {
+		l.head = r
 	} else {
-		delta -= pairTerm(h, info)
+		kb.links[l.tail-1].next = r
 	}
-	info.Count++
-	if info.Count == 1 {
-		kb.activate(p)
+	l.tail = r
+}
+
+// supportPair counts one more supporting extraction of (c, e) and
+// returns the change it makes to c's digest.
+func (kb *KB) supportPair(c, e Sym, ext, iteration int) uint64 {
+	h := kb.syms.Hash(e)
+	i := kb.recordFor(c, e)
+	var delta uint64
+	if !kb.recs[i].isPair {
+		kb.makePair(i, iteration)
+	} else {
+		delta -= pairTerm(h, kb.recs[i].count, kb.recs[i].firstIter)
 	}
-	if ex.Iteration < info.FirstIter {
-		info.FirstIter = ex.Iteration
+	r := &kb.recs[i]
+	r.count++
+	if r.count == 1 {
+		kb.activate(c)
 	}
-	info.Extractions = append(info.Extractions, ex.ID)
-	return delta + pairTerm(h, info)
+	if iteration < r.firstIter {
+		r.firstIter = iteration
+	}
+	kb.appendLink(&r.sup, ext)
+	return delta + pairTerm(h, r.count, r.firstIter)
 }
 
 // Clone returns a deep copy of the KB: mutating either copy (adding
-// extractions, rolling back pairs) never affects the other. String
-// contents are shared — Go strings are immutable — and so are the
-// copy-on-write holder lists, so a clone costs one allocation per
-// extraction, pair and index slice rather than a byte copy of the
-// vocabulary. The clone is unsealed, even when the KB is sealed: it is
-// how a caller gets a mutable copy of a published KB, and how
-// snapshot.Freeze isolates a snapshot from a KB its owner keeps
-// mutating.
+// extractions, rolling back pairs) never affects the other. The copies
+// share the name table, which only ever appends, so a clone costs one
+// copy of each flat array and of the pair index. The clone is unsealed,
+// even when the KB is sealed: it is how a caller gets a mutable copy of
+// a published KB, and how snapshot.Freeze isolates a snapshot from a KB
+// its owner keeps mutating.
 func (kb *KB) Clone() *KB {
-	out := New()
-	out.extractions = make([]*Extraction, len(kb.extractions))
-	for i, ex := range kb.extractions {
-		c := *ex
-		c.Candidates = append([]string(nil), ex.Candidates...)
-		c.Instances = append([]string(nil), ex.Instances...)
-		c.Triggers = append([]string(nil), ex.Triggers...)
-		out.extractions[i] = &c
+	return &KB{
+		syms:     kb.syms,
+		exts:     slices.Clone(kb.exts),
+		arena:    slices.Clone(kb.arena),
+		recs:     slices.Clone(kb.recs),
+		index:    maps.Clone(kb.index),
+		links:    slices.Clone(kb.links),
+		state:    slices.Clone(kb.state),
+		version:  kb.version,
+		numPairs: kb.numPairs,
 	}
-	for p, ids := range kb.triggeredBy {
-		cp := make([]int, len(ids))
-		copy(cp, ids)
-		out.triggeredBy[p] = cp
+}
+
+// pairIndex returns the record index of the pair (c, e) when the KB
+// holds a pair record (of any count) for it.
+func (kb *KB) pairIndex(c, e Sym) (uint32, bool) {
+	i, ok := kb.index[pairKey(c, e)]
+	if !ok || !kb.recs[i].isPair {
+		return 0, false
 	}
-	for p, info := range kb.pairs {
-		ci := &PairInfo{
-			Count:       info.Count,
-			FirstIter:   info.FirstIter,
-			Extractions: append([]int(nil), info.Extractions...),
-		}
-		out.pairs[p] = ci
-		m := out.byConcept[p.Concept]
-		if m == nil {
-			m = make(map[string]*PairInfo)
-			out.byConcept[p.Concept] = m
-		}
-		m[p.Instance] = ci
+	return i, true
+}
+
+// find returns the pair record of (concept, instance) by name, or nil.
+func (kb *KB) find(concept, instance string) *pairRec {
+	c, ok := kb.syms.Lookup(concept)
+	if !ok {
+		return nil
 	}
-	out.version = kb.version
-	out.digest = maps.Clone(kb.digest)
-	out.numPairs = kb.numPairs
-	out.holders = maps.Clone(kb.holders)
-	return out
+	e, ok := kb.syms.Lookup(instance)
+	if !ok {
+		return nil
+	}
+	if i, ok := kb.pairIndex(c, e); ok {
+		return &kb.recs[i]
+	}
+	return nil
 }
 
 // Has reports whether the pair is currently in the KB with positive count.
 func (kb *KB) Has(concept, instance string) bool {
-	info := kb.pairs[Pair{concept, instance}]
-	return info != nil && info.Count > 0
+	r := kb.find(concept, instance)
+	return r != nil && r.count > 0
+}
+
+// HasSyms is Has by ID.
+func (kb *KB) HasSyms(concept, instance Sym) bool {
+	i, ok := kb.index[pairKey(concept, instance)]
+	return ok && kb.recs[i].count > 0
 }
 
 // Count returns the active support count of a pair (0 if absent).
 func (kb *KB) Count(concept, instance string) int {
-	if info := kb.pairs[Pair{concept, instance}]; info != nil {
-		return info.Count
+	if r := kb.find(concept, instance); r != nil {
+		return r.count
 	}
 	return 0
 }
 
-// Info returns the PairInfo for a pair, or nil.
-func (kb *KB) Info(concept, instance string) *PairInfo {
-	return kb.pairs[Pair{concept, instance}]
+// Record returns the pair record of (concept, instance) by ID, zero
+// count included; ok=false when the KB holds none.
+func (kb *KB) Record(concept, instance Sym) (Record, bool) {
+	i, ok := kb.pairIndex(concept, instance)
+	if !ok {
+		return Record{}, false
+	}
+	return kb.recs[i].record(), true
 }
 
-// Extraction returns the extraction with the given ID.
-func (kb *KB) Extraction(id int) *Extraction { return kb.extractions[id] }
+// RecordOf is Record by name.
+func (kb *KB) RecordOf(concept, instance string) (Record, bool) {
+	if r := kb.find(concept, instance); r != nil {
+		return r.record(), true
+	}
+	return Record{}, false
+}
+
+func (r *pairRec) record() Record {
+	return Record{Concept: r.concept, Instance: r.instance, Count: r.count, FirstIter: r.firstIter}
+}
+
+// Info returns a copy of the state of a pair, or nil when the KB holds
+// no record of it.
+func (kb *KB) Info(concept, instance string) *PairInfo {
+	r := kb.find(concept, instance)
+	if r == nil {
+		return nil
+	}
+	return &PairInfo{Count: r.count, FirstIter: r.firstIter, Extractions: kb.listIDs(r.sup, nil)}
+}
+
+// listIDs appends the extraction IDs of l to buf.
+func (kb *KB) listIDs(l list, buf []int) []int {
+	for r := l.head; r != 0; r = kb.links[r-1].next {
+		buf = append(buf, int(kb.links[r-1].ext))
+	}
+	return buf
+}
+
+// Extraction returns, by name, the extraction with the given ID. The
+// record is materialized on each call; analysis passes read
+// ExtractionSyms instead.
+func (kb *KB) Extraction(id int) *Extraction {
+	x := &kb.exts[id]
+	ex, _ := kb.extraction(id, make([]string, 0, x.nCand+x.nInst+x.nTrig))
+	return &ex
+}
+
+// extraction materializes extraction id, carving its name lists from
+// buf (each capped, so appending to one never reaches another; empty
+// lists are nil). It returns the grown buf.
+func (kb *KB) extraction(id int, buf []string) (Extraction, []string) {
+	x := &kb.exts[id]
+	ex := Extraction{
+		ID:         id,
+		SentenceID: x.sentence,
+		Concept:    kb.syms.Name(x.concept),
+		Iteration:  x.iteration,
+		Active:     x.active,
+	}
+	ex.Candidates, buf = kb.names(buf, kb.candidates(x))
+	ex.Instances, buf = kb.names(buf, kb.instances(x))
+	ex.Triggers, buf = kb.names(buf, kb.triggers(x))
+	return ex, buf
+}
+
+// names appends the names of ids to buf and returns them as a capped
+// slice (nil when ids is empty) along with the grown buf.
+func (kb *KB) names(buf []string, ids []Sym) ([]string, []string) {
+	if len(ids) == 0 {
+		return nil, buf
+	}
+	start := len(buf)
+	for _, s := range ids {
+		buf = append(buf, kb.syms.Name(s))
+	}
+	return buf[start:len(buf):len(buf)], buf
+}
+
+// ExtractionSyms returns the extraction with the given ID by ID,
+// without allocating.
+func (kb *KB) ExtractionSyms(id int) ExtractionSyms {
+	x := &kb.exts[id]
+	return ExtractionSyms{
+		SentenceID: x.sentence,
+		Concept:    x.concept,
+		Candidates: kb.candidates(x),
+		Instances:  kb.instances(x),
+		Triggers:   kb.triggers(x),
+		Iteration:  x.iteration,
+		Active:     x.active,
+	}
+}
 
 // NumExtractions returns the total number of recorded extractions
 // (including rolled-back ones).
-func (kb *KB) NumExtractions() int { return len(kb.extractions) }
+func (kb *KB) NumExtractions() int { return len(kb.exts) }
 
 // Instances returns the instances currently under a concept, sorted.
 func (kb *KB) Instances(concept string) []string {
-	m := kb.byConcept[concept]
-	out := make([]string, 0, len(m))
-	for e, info := range m {
-		if info.Count > 0 {
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return kb.instancesWhere(concept, func(*pairRec) bool { return true })
 }
 
 // InstancesAtIteration returns instances whose first supporting extraction
 // happened at or before the given iteration (E(C, i) in the paper's
 // notation), sorted. Rolled-back pairs are excluded.
 func (kb *KB) InstancesAtIteration(concept string, iteration int) []string {
-	m := kb.byConcept[concept]
-	out := make([]string, 0, len(m))
-	for e, info := range m {
-		if info.Count > 0 && info.FirstIter <= iteration {
-			out = append(out, e)
+	return kb.instancesWhere(concept, func(r *pairRec) bool { return r.firstIter <= iteration })
+}
+
+// instancesWhere lists, sorted, the names of the concept's instances
+// with positive count that keep passes.
+func (kb *KB) instancesWhere(concept string, keep func(*pairRec) bool) []string {
+	c, ok := kb.syms.Lookup(concept)
+	if !ok {
+		return []string{}
+	}
+	st := kb.stateOf(c)
+	out := make([]string, 0, st.active)
+	for i := st.cHead; i != 0; i = kb.recs[i-1].nextC {
+		if r := &kb.recs[i-1]; r.count > 0 && keep(r) {
+			out = append(out, kb.syms.Name(r.instance))
 		}
 	}
 	sort.Strings(out)
@@ -380,36 +659,53 @@ func (kb *KB) InstancesAtIteration(concept string, iteration int) []string {
 // analysis pass that already holds the instance list reads the core
 // from it.
 func (kb *KB) CoreOf(concept string, instances []string) []string {
-	m := kb.byConcept[concept]
 	out := make([]string, 0, len(instances))
+	c, _ := kb.syms.Lookup(concept)
 	for _, e := range instances {
-		if m[e].FirstIter <= 1 {
+		s, _ := kb.syms.Lookup(e)
+		if i, _ := kb.pairIndex(c, s); kb.recs[i].firstIter <= 1 {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// EachPairRecord calls fn with the instance and count of every pair
-// record of the concept, zero-count records included, in unspecified
-// order. It serves order-independent folds over a concept's records,
-// such as memo keys and counts.
-func (kb *KB) EachPairRecord(concept string, fn func(instance string, count int)) {
-	for e, info := range kb.byConcept[concept] {
-		fn(e, info.Count)
+// EachRecord calls fn with every pair record of the concept, zero-count
+// records included, in unspecified order. It serves order-independent
+// folds over a concept's records, such as memo keys and counts.
+func (kb *KB) EachRecord(concept Sym, fn func(Record)) {
+	for i := kb.stateOf(concept).cHead; i != 0; i = kb.recs[i-1].nextC {
+		fn(kb.recs[i-1].record())
 	}
+}
+
+// EachHolder calls fn with the record of every concept holding the
+// instance with positive count, in unspecified order.
+func (kb *KB) EachHolder(instance Sym, fn func(Record)) {
+	for i := kb.stateOf(instance).iHead; i != 0; i = kb.recs[i-1].nextI {
+		if r := &kb.recs[i-1]; r.count > 0 {
+			fn(r.record())
+		}
+	}
+}
+
+// AppendTriggered appends to buf the ID of every extraction, active or
+// not, in which the pair (concept, instance) served as a trigger, in ID
+// order.
+func (kb *KB) AppendTriggered(buf []int, concept, instance Sym) []int {
+	if i, ok := kb.index[pairKey(concept, instance)]; ok {
+		buf = kb.listIDs(kb.recs[i].trig, buf)
+	}
+	return buf
 }
 
 // Concepts returns all concepts that currently have at least one instance,
 // sorted.
 func (kb *KB) Concepts() []string {
-	out := make([]string, 0, len(kb.byConcept))
-	for c, m := range kb.byConcept {
-		for _, info := range m {
-			if info.Count > 0 {
-				out = append(out, c)
-				break
-			}
+	out := make([]string, 0)
+	for s := range kb.state {
+		if kb.state[s].active > 0 {
+			out = append(out, kb.syms.Name(Sym(s)))
 		}
 	}
 	sort.Strings(out)
@@ -422,25 +718,28 @@ func (kb *KB) NumPairs() int { return kb.numPairs }
 
 // Pairs returns all active pairs, sorted by concept then instance.
 func (kb *KB) Pairs() []Pair {
-	out := make([]Pair, 0, len(kb.pairs))
-	for p, info := range kb.pairs {
-		if info.Count > 0 {
-			out = append(out, p)
+	out := make([]Pair, 0, kb.numPairs)
+	for i := range kb.recs {
+		if r := &kb.recs[i]; r.isPair && r.count > 0 {
+			out = append(out, Pair{kb.syms.Name(r.concept), kb.syms.Name(r.instance)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Concept != out[j].Concept {
-			return out[i].Concept < out[j].Concept
-		}
-		return out[i].Instance < out[j].Instance
-	})
+	sortPairs(out)
 	return out
 }
 
 // TriggeredExtractions returns the IDs of extractions in which the pair
 // served as a trigger (active and inactive).
 func (kb *KB) TriggeredExtractions(concept, instance string) []int {
-	return kb.triggeredBy[Pair{concept, instance}]
+	c, ok := kb.syms.Lookup(concept)
+	if !ok {
+		return nil
+	}
+	e, ok := kb.syms.Lookup(instance)
+	if !ok {
+		return nil
+	}
+	return kb.AppendTriggered(nil, c, e)
 }
 
 // SubInstances returns sub(e): the set of instances whose extraction under
@@ -450,7 +749,12 @@ func (kb *KB) TriggeredExtractions(concept, instance string) []int {
 // evaluation of a single instance); an analysis pass that needs sub(e) for
 // many instances of a concept reads them from one SubIndex instead.
 func (kb *KB) SubInstances(concept, instance string) []string {
-	out := kb.subInstances(map[string]struct{}{}, concept, instance)
+	var out []string
+	c, okc := kb.syms.Lookup(concept)
+	e, oke := kb.syms.Lookup(instance)
+	if okc && oke {
+		out = kb.subInstances(map[Sym]struct{}{}, c, e)
+	}
 	if out == nil {
 		out = []string{}
 	}
@@ -465,13 +769,18 @@ func (kb *KB) SubInstances(concept, instance string) []string {
 // goroutines.
 func (kb *KB) SubIndex(concept string) map[string][]string {
 	out := make(map[string][]string)
-	seen := make(map[string]struct{})
-	for e, info := range kb.byConcept[concept] {
-		if info.Count <= 0 {
+	c, ok := kb.syms.Lookup(concept)
+	if !ok {
+		return out
+	}
+	seen := make(map[Sym]struct{})
+	for i := kb.stateOf(c).cHead; i != 0; i = kb.recs[i-1].nextC {
+		r := &kb.recs[i-1]
+		if r.count <= 0 {
 			continue
 		}
-		if subs := kb.subInstances(seen, concept, e); subs != nil {
-			out[e] = subs
+		if subs := kb.subInstances(seen, c, r.instance); subs != nil {
+			out[kb.syms.Name(r.instance)] = subs
 		}
 	}
 	return out
@@ -479,47 +788,48 @@ func (kb *KB) SubIndex(concept string) map[string][]string {
 
 // subInstances computes sorted sub(e) using seen as scratch (cleared
 // first), returning nil when sub(e) is empty.
-func (kb *KB) subInstances(seen map[string]struct{}, concept, instance string) []string {
+func (kb *KB) subInstances(seen map[Sym]struct{}, c, e Sym) []string {
 	clear(seen)
-	for _, exID := range kb.triggeredBy[Pair{concept, instance}] {
-		ex := kb.extractions[exID]
-		if !ex.Active {
+	i, ok := kb.index[pairKey(c, e)]
+	if !ok {
+		return nil
+	}
+	for l := kb.recs[i].trig.head; l != 0; l = kb.links[l-1].next {
+		x := &kb.exts[kb.links[l-1].ext]
+		if !x.active {
 			continue
 		}
-		for _, e := range ex.Instances {
-			if e == instance {
-				continue
+		trig := kb.triggers(x)
+		for _, s := range kb.instances(x) {
+			if s != e && !slices.Contains(trig, s) {
+				seen[s] = struct{}{}
 			}
-			isTrigger := false
-			for _, t := range ex.Triggers {
-				if t == e {
-					isTrigger = true
-					break
-				}
-			}
-			if isTrigger {
-				continue
-			}
-			seen[e] = struct{}{}
 		}
 	}
 	if len(seen) == 0 {
 		return nil
 	}
 	out := make([]string, 0, len(seen))
-	for e := range seen {
-		out = append(out, e)
+	for s := range seen {
+		out = append(out, kb.syms.Name(s))
 	}
 	sort.Strings(out)
 	return out
 }
 
 // ConceptsOfInstance returns all concepts currently holding the instance
-// with positive count, sorted; nil when none does. The list is
-// maintained by every mutator, so this is one map lookup. It is shared
-// and read-only: a later mutation replaces the KB's list rather than
-// editing it, so a returned list never changes.
-func (kb *KB) ConceptsOfInstance(instance string) []string { return kb.holders[instance] }
+// with positive count, sorted; nil when none does. The list is built
+// from the instance's records on each call and belongs to the caller.
+func (kb *KB) ConceptsOfInstance(instance string) []string {
+	e, ok := kb.syms.Lookup(instance)
+	if !ok {
+		return nil
+	}
+	var out []string
+	kb.EachHolder(e, func(r Record) { out = append(out, kb.syms.Name(r.Concept)) })
+	sort.Strings(out)
+	return out
+}
 
 // RollbackResult reports the effect of a roll-back cascade.
 type RollbackResult struct {
@@ -556,6 +866,30 @@ func (r *RollbackResult) touch(concept string) {
 	r.touched[concept] = struct{}{}
 }
 
+// removeAll force-removes the listed pairs that are present with
+// positive count, zeroing their counts regardless of support, and
+// returns their records.
+func (kb *KB) removeAll(pairs []Pair, res *RollbackResult) []uint32 {
+	queue := make([]uint32, 0, len(pairs))
+	for _, p := range pairs {
+		c, okc := kb.syms.Lookup(p.Concept)
+		e, oke := kb.syms.Lookup(p.Instance)
+		if !okc || !oke {
+			continue
+		}
+		i, ok := kb.pairIndex(c, e)
+		if !ok || kb.recs[i].count <= 0 {
+			continue
+		}
+		res.CountsDecremented += kb.recs[i].count
+		kb.addDigest(c, kb.setCount(i, 0))
+		queue = append(queue, i)
+		res.PairsRemoved = append(res.PairsRemoved, p)
+		res.touch(p.Concept)
+	}
+	return queue
+}
+
 // RemovePairs removes the given pairs outright and rolls back the cascade
 // of extractions they enabled (paper Sec 4.2): every extraction all of
 // whose triggers are gone is deactivated; deactivation decrements the
@@ -564,49 +898,8 @@ func (r *RollbackResult) touch(concept string) {
 func (kb *KB) RemovePairs(pairs []Pair) RollbackResult {
 	kb.mutation("RemovePairs")
 	res := RollbackResult{InitiallyRequested: len(pairs)}
-	removedPairs := map[Pair]bool{}
-	queue := make([]Pair, 0, len(pairs))
-	for _, p := range pairs {
-		info := kb.pairs[p]
-		if info == nil || info.Count <= 0 || removedPairs[p] {
-			continue
-		}
-		// Forced removal: zero the count regardless of support.
-		res.CountsDecremented += info.Count
-		kb.digest[p.Concept] += kb.setCount(p, info, 0)
-		removedPairs[p] = true
-		queue = append(queue, p)
-		res.PairsRemoved = append(res.PairsRemoved, p)
-		res.touch(p.Concept)
-	}
-	depth := 0
-	for len(queue) > 0 {
-		depth++
-		var next []Pair
-		for _, p := range queue {
-			for _, exID := range kb.triggeredBy[p] {
-				ex := kb.extractions[exID]
-				if !ex.Active {
-					continue
-				}
-				if kb.anyTriggerAlive(ex) {
-					continue
-				}
-				next = append(next, kb.rollbackExtraction(ex, &res)...)
-			}
-		}
-		queue = next
-		if len(next) > 0 {
-			res.CascadeDepth = depth
-		}
-	}
-	sort.Slice(res.PairsRemoved, func(i, j int) bool {
-		a, b := res.PairsRemoved[i], res.PairsRemoved[j]
-		if a.Concept != b.Concept {
-			return a.Concept < b.Concept
-		}
-		return a.Instance < b.Instance
-	})
+	kb.cascade(kb.removeAll(pairs, &res), &res)
+	sortPairs(res.PairsRemoved)
 	return res
 }
 
@@ -616,23 +909,8 @@ func (kb *KB) RemovePairs(pairs []Pair) RollbackResult {
 func (kb *KB) RemovePairsNoCascade(pairs []Pair) RollbackResult {
 	kb.mutation("RemovePairsNoCascade")
 	res := RollbackResult{InitiallyRequested: len(pairs)}
-	for _, p := range pairs {
-		info := kb.pairs[p]
-		if info == nil || info.Count <= 0 {
-			continue
-		}
-		res.CountsDecremented += info.Count
-		kb.digest[p.Concept] += kb.setCount(p, info, 0)
-		res.PairsRemoved = append(res.PairsRemoved, p)
-		res.touch(p.Concept)
-	}
-	sort.Slice(res.PairsRemoved, func(i, j int) bool {
-		a, b := res.PairsRemoved[i], res.PairsRemoved[j]
-		if a.Concept != b.Concept {
-			return a.Concept < b.Concept
-		}
-		return a.Instance < b.Instance
-	})
+	kb.removeAll(pairs, &res)
+	sortPairs(res.PairsRemoved)
 	return res
 }
 
@@ -642,28 +920,32 @@ func (kb *KB) RollbackExtractions(ids []int) RollbackResult {
 	kb.mutation("RollbackExtractions")
 	var res RollbackResult
 	res.InitiallyRequested = len(ids)
-	queue := make([]Pair, 0)
+	queue := make([]uint32, 0)
 	for _, id := range ids {
-		ex := kb.extractions[id]
-		if ex == nil || !ex.Active {
+		if !kb.exts[id].active {
 			continue
 		}
-		queue = append(queue, kb.rollbackExtraction(ex, &res)...)
+		queue = append(queue, kb.rollbackExtraction(id, &res)...)
 	}
+	kb.cascade(queue, &res)
+	return res
+}
+
+// cascade rolls back, level by level, every active extraction that a
+// zeroed record in queue triggered and that has no living trigger left,
+// until no further record reaches zero.
+func (kb *KB) cascade(queue []uint32, res *RollbackResult) {
 	depth := 0
 	for len(queue) > 0 {
 		depth++
-		var next []Pair
-		for _, p := range queue {
-			for _, exID := range kb.triggeredBy[p] {
-				ex := kb.extractions[exID]
-				if !ex.Active {
+		var next []uint32
+		for _, i := range queue {
+			for r := kb.recs[i].trig.head; r != 0; r = kb.links[r-1].next {
+				id := int(kb.links[r-1].ext)
+				if x := &kb.exts[id]; !x.active || kb.anyTriggerAlive(x) {
 					continue
 				}
-				if kb.anyTriggerAlive(ex) {
-					continue
-				}
-				next = append(next, kb.rollbackExtraction(ex, &res)...)
+				next = append(next, kb.rollbackExtraction(id, res)...)
 			}
 		}
 		queue = next
@@ -671,51 +953,44 @@ func (kb *KB) RollbackExtractions(ids []int) RollbackResult {
 			res.CascadeDepth = depth
 		}
 	}
-	return res
 }
 
-// anyTriggerAlive reports whether at least one trigger pair of ex is still
+// anyTriggerAlive reports whether at least one trigger pair of x is still
 // present — extractions remain supported while any trigger survives.
-func (kb *KB) anyTriggerAlive(ex *Extraction) bool {
-	for _, t := range ex.Triggers {
-		if kb.Count(ex.Concept, t) > 0 {
+func (kb *KB) anyTriggerAlive(x *extRec) bool {
+	for _, t := range kb.triggers(x) {
+		if kb.HasSyms(x.concept, t) {
 			return true
 		}
 	}
-	return len(ex.Triggers) == 0 // core extractions have no triggers and never cascade away
+	return x.nTrig == 0 // core extractions have no triggers and never cascade away
 }
 
-// rollbackExtraction deactivates ex, decrements its pairs and returns the
-// pairs whose count reached zero.
-func (kb *KB) rollbackExtraction(ex *Extraction, res *RollbackResult) []Pair {
-	d := kb.digest[ex.Concept] - extractionTerm(ex)
-	ex.Active = false
-	d += extractionTerm(ex)
+// rollbackExtraction deactivates extraction id, decrements its pairs and
+// returns the records whose count reached zero.
+func (kb *KB) rollbackExtraction(id int, res *RollbackResult) []uint32 {
+	x := &kb.exts[id]
+	d := -kb.extractionTerm(x)
+	x.active = false
+	d += kb.extractionTerm(x)
+	concept := kb.syms.Name(x.concept)
 	res.ExtractionsRolled++
-	res.touch(ex.Concept)
-	var zeroed []Pair
-	for _, e := range ex.Instances {
-		p := Pair{ex.Concept, e}
-		info := kb.pairs[p]
-		if info == nil || info.Count <= 0 {
+	res.touch(concept)
+	var zeroed []uint32
+	for _, e := range kb.instances(x) {
+		i, ok := kb.pairIndex(x.concept, e)
+		if !ok || kb.recs[i].count <= 0 {
 			continue
 		}
-		d += kb.setCount(p, info, info.Count-1)
+		d += kb.setCount(i, kb.recs[i].count-1)
 		res.CountsDecremented++
-		if info.Count == 0 {
-			zeroed = append(zeroed, p)
-			res.PairsRemoved = append(res.PairsRemoved, p)
+		if kb.recs[i].count == 0 {
+			zeroed = append(zeroed, i)
+			res.PairsRemoved = append(res.PairsRemoved, Pair{concept, kb.syms.Name(e)})
 		}
 	}
-	kb.digest[ex.Concept] = d
+	kb.addDigest(x.concept, d)
 	return zeroed
-}
-
-// Snapshot captures the distinct active pair count per concept, used for
-// the per-iteration curves of Fig 5(a).
-type Snapshot struct {
-	Iteration     int
-	DistinctPairs int
 }
 
 // Stats returns aggregate KB statistics.
@@ -729,17 +1004,36 @@ type Stats struct {
 // Stats computes the current aggregate statistics.
 func (kb *KB) Stats() Stats {
 	var s Stats
-	s.Concepts = len(kb.Concepts())
-	for _, info := range kb.pairs {
-		if info.Count > 0 {
-			s.DistinctPairs++
-			s.TotalCount += info.Count
+	for i := range kb.state {
+		if kb.state[i].active > 0 {
+			s.Concepts++
 		}
 	}
-	for _, ex := range kb.extractions {
-		if ex.Active {
+	for i := range kb.recs {
+		if r := &kb.recs[i]; r.isPair && r.count > 0 {
+			s.DistinctPairs++
+			s.TotalCount += r.count
+		}
+	}
+	for i := range kb.exts {
+		if kb.exts[i].active {
 			s.ActiveExtractions++
 		}
 	}
 	return s
+}
+
+// recomputeDigests builds every concept's digest from scratch, by name.
+func (kb *KB) recomputeDigests() map[string]uint64 {
+	out := make(map[string]uint64)
+	for i := range kb.exts {
+		x := &kb.exts[i]
+		out[kb.syms.Name(x.concept)] += kb.extractionTerm(x)
+	}
+	for i := range kb.recs {
+		if r := &kb.recs[i]; r.isPair {
+			out[kb.syms.Name(r.concept)] += pairTerm(kb.syms.Hash(r.instance), r.count, r.firstIter)
+		}
+	}
+	return out
 }

@@ -254,3 +254,43 @@ func TestRemovePairsNoCascade(t *testing.T) {
 		t.Errorf("ExtractionsRolled = %d, want 0", res.ExtractionsRolled)
 	}
 }
+
+// TestTriggerWithoutPairRecord: an extraction may name a trigger its
+// concept does not hold. That pair is no pair — not listed, counted,
+// exported or digested — but its triggered extractions are kept, and
+// once an extraction supports it, it is an ordinary pair first seen at
+// that extraction's iteration, on the KB and on every reload.
+func TestTriggerWithoutPairRecord(t *testing.T) {
+	k := New()
+	k.AddExtraction(1, "animal", nil, []string{"dog"}, nil, 1)
+	ex := k.AddExtraction(2, "animal", nil, []string{"cat"}, []string{"ghost"}, 2)
+	if k.Has("animal", "ghost") || k.Info("animal", "ghost") != nil || k.NumPairs() != 2 {
+		t.Fatalf("a trigger-only pair must not be a pair: Has=%v NumPairs=%d", k.Has("animal", "ghost"), k.NumPairs())
+	}
+	if got := k.TriggeredExtractions("animal", "ghost"); !reflect.DeepEqual(got, []int{ex}) {
+		t.Fatalf("TriggeredExtractions(animal, ghost) = %v, want [%d]", got, ex)
+	}
+	if _, pairs := k.Export(); len(pairs) != 2 {
+		t.Fatalf("Export lists %d pairs, want 2", len(pairs))
+	}
+	if got, want := k.recomputeDigests(), k.Digests(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("digests %v, recomputed %v", want, got)
+	}
+
+	k.AddExtraction(3, "animal", nil, []string{"ghost"}, nil, 3)
+	info := k.Info("animal", "ghost")
+	if info == nil || info.Count != 1 || info.FirstIter != 3 || !reflect.DeepEqual(info.Extractions, []int{2}) {
+		t.Fatalf("supported ghost = %+v, want count 1, first iteration 3, extraction 2", info)
+	}
+	if got := k.ConceptsOfInstance("ghost"); !reflect.DeepEqual(got, []string{"animal"}) {
+		t.Fatalf("ConceptsOfInstance(ghost) = %v", got)
+	}
+	if got, want := k.recomputeDigests(), k.Digests(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("digests %v, recomputed %v", want, got)
+	}
+	re := roundTripQuick(k)
+	if !reflect.DeepEqual(re.Pairs(), k.Pairs()) || !reflect.DeepEqual(re.TriggeredExtractions("animal", "ghost"), []int{ex}) ||
+		!reflect.DeepEqual(re.Digests(), k.Digests()) {
+		t.Fatal("a gob round trip changed the pairs, trigger lists or digests")
+	}
+}

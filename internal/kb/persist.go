@@ -2,6 +2,7 @@ package kb
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -39,28 +40,45 @@ type PairState struct {
 	Extractions       []int
 }
 
-// Export returns the KB's full serializable state: every extraction in
-// ID order (struct copies whose slices share backing arrays with the
-// KB) and every pair — including rolled-back, zero-count ones — sorted
-// by concept then instance. Callers must treat the result as read-only;
-// it is the single source every snapshot encoder serializes from, so
-// two formats written from one KB describe identical state.
+// Export returns the KB's full serializable state, by name: every
+// extraction in ID order and every pair — including rolled-back,
+// zero-count ones — sorted by concept then instance. The result is a
+// fresh copy; it is the single source every snapshot encoder serializes
+// from, so two formats written from one KB describe identical state.
 func (kb *KB) Export() ([]Extraction, []PairState) {
-	exts := make([]Extraction, len(kb.extractions))
-	for i, ex := range kb.extractions {
-		exts[i] = *ex
+	exts := make([]Extraction, len(kb.exts))
+	buf := make([]string, 0, len(kb.arena))
+	for i := range kb.exts {
+		exts[i], buf = kb.extraction(i, buf)
 	}
-	keys := kb.sortedPairKeys()
-	pairs := make([]PairState, 0, len(keys))
-	for _, p := range keys {
-		info := kb.pairs[p]
-		pairs = append(pairs, PairState{
-			Concept:     p.Concept,
-			Instance:    p.Instance,
-			Count:       info.Count,
-			FirstIter:   info.FirstIter,
-			Extractions: info.Extractions,
-		})
+	keys := make([]uint32, 0, len(kb.recs))
+	for i := range kb.recs {
+		if kb.recs[i].isPair {
+			keys = append(keys, uint32(i))
+		}
+	}
+	slices.SortFunc(keys, func(a, b uint32) int {
+		ra, rb := &kb.recs[a], &kb.recs[b]
+		if c := cmp.Compare(kb.syms.Name(ra.concept), kb.syms.Name(rb.concept)); c != 0 {
+			return c
+		}
+		return cmp.Compare(kb.syms.Name(ra.instance), kb.syms.Name(rb.instance))
+	})
+	ids := make([]int, 0, len(kb.links))
+	pairs := make([]PairState, len(keys))
+	for j, i := range keys {
+		r := &kb.recs[i]
+		start := len(ids)
+		ids = kb.listIDs(r.sup, ids)
+		pairs[j] = PairState{
+			Concept:   kb.syms.Name(r.concept),
+			Instance:  kb.syms.Name(r.instance),
+			Count:     r.count,
+			FirstIter: r.firstIter,
+		}
+		if len(ids) > start {
+			pairs[j].Extractions = ids[start:len(ids):len(ids)]
+		}
 	}
 	return exts, pairs
 }
@@ -78,17 +96,6 @@ func (kb *KB) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, fmt.Errorf("kb: encoding snapshot: %w", err)
 	}
 	return cw.n, nil
-}
-
-// sortedPairKeys returns all pair keys (active and zeroed) in
-// deterministic order.
-func (kb *KB) sortedPairKeys() []Pair {
-	out := make([]Pair, 0, len(kb.pairs))
-	for p := range kb.pairs {
-		out = append(out, p)
-	}
-	sortPairs(out)
-	return out
 }
 
 // Read deserializes a KB previously written with WriteTo. The wire
@@ -114,57 +121,70 @@ func Read(r io.Reader) (*KB, error) {
 // Build reconstructs a KB from exported state (see Export), validating
 // it the same way Read validates a gob snapshot: extraction IDs must be
 // dense and in order, pair extraction references in range, counts
-// nonnegative, pairs unique. The trigger index is rebuilt from the
-// extraction records, and the active-pair count and holder lists from
-// the pair records, exactly as the live KB maintains them. Build takes
-// ownership of the argument slices.
+// nonnegative, pairs unique. The names are interned in a table of the
+// KB's own. The trigger lists are rebuilt from the extraction records,
+// and the active-pair count and per-concept aggregates from the pair
+// records, exactly as the live KB maintains them.
 func Build(extractions []Extraction, pairs []PairState) (*KB, error) {
 	kb := New()
-	kb.extractions = make([]*Extraction, len(extractions))
 	for i := range extractions {
-		ex := extractions[i]
+		ex := &extractions[i]
 		if ex.ID != i {
 			return nil, fmt.Errorf("kb: extraction %d has ID %d", i, ex.ID)
 		}
-		kb.extractions[i] = &ex
+		off := len(kb.arena)
+		for _, names := range [][]string{ex.Candidates, ex.Instances, ex.Triggers} {
+			for _, n := range names {
+				kb.arena = append(kb.arena, kb.syms.Intern(n))
+			}
+		}
+		c := kb.syms.Intern(ex.Concept)
+		kb.exts = append(kb.exts, extRec{
+			sentence:  ex.SentenceID,
+			iteration: ex.Iteration,
+			concept:   c,
+			off:       uint32(off),
+			nCand:     uint32(len(ex.Candidates)),
+			nInst:     uint32(len(ex.Instances)),
+			nTrig:     uint32(len(ex.Triggers)),
+			active:    ex.Active,
+		})
+		kb.st(c).defined = true
 		// Trigger provenance is kept for inactive extractions too, as in
-		// the live KB (rollback never removes triggeredBy entries).
-		for _, trig := range ex.Triggers {
-			p := Pair{ex.Concept, trig}
-			kb.triggeredBy[p] = append(kb.triggeredBy[p], ex.ID)
+		// the live KB (rollback never removes trigger links).
+		for _, t := range kb.triggers(&kb.exts[i]) {
+			kb.appendLink(&kb.recs[kb.recordFor(c, t)].trig, i)
 		}
 	}
 	for _, ps := range pairs {
 		p := Pair{ps.Concept, ps.Instance}
-		if _, dup := kb.pairs[p]; dup {
+		c, e := kb.syms.Intern(ps.Concept), kb.syms.Intern(ps.Instance)
+		if _, dup := kb.pairIndex(c, e); dup {
 			return nil, fmt.Errorf("kb: snapshot lists pair %s twice", p)
 		}
 		if ps.Count < 0 {
 			return nil, fmt.Errorf("kb: pair %s has negative count %d", p, ps.Count)
 		}
 		for _, id := range ps.Extractions {
-			if id < 0 || id >= len(kb.extractions) {
+			if id < 0 || id >= len(kb.exts) {
 				return nil, fmt.Errorf("kb: pair %s references extraction %d, but the snapshot holds %d extractions",
-					p, id, len(kb.extractions))
+					p, id, len(kb.exts))
 			}
 		}
-		info := &PairInfo{Count: ps.Count, FirstIter: ps.FirstIter, Extractions: ps.Extractions}
-		kb.pairs[p] = info
-		m := kb.byConcept[p.Concept]
-		if m == nil {
-			m = make(map[string]*PairInfo)
-			kb.byConcept[p.Concept] = m
+		i := kb.recordFor(c, e)
+		kb.makePair(i, ps.FirstIter)
+		kb.recs[i].count = ps.Count
+		for _, id := range ps.Extractions {
+			kb.appendLink(&kb.recs[i].sup, id)
 		}
-		m[p.Instance] = info
-		if info.Count > 0 {
-			kb.numPairs++
-			kb.holders[p.Instance] = append(kb.holders[p.Instance], p.Concept)
+		if ps.Count > 0 {
+			kb.activate(c)
 		}
 	}
-	for _, l := range kb.holders {
-		slices.Sort(l)
+	for name, d := range kb.recomputeDigests() {
+		c, _ := kb.syms.Lookup(name)
+		kb.st(c).digest = d
 	}
-	kb.digest = kb.recomputeDigests()
 	return kb, nil
 }
 

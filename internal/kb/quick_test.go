@@ -147,9 +147,9 @@ func TestQuickSubIndexMatchesSubInstances(t *testing.T) {
 				k.RemovePairsNoCascade([]Pair{pairs[rng.Intn(len(pairs))]})
 			default:
 				var zeroed []Pair
-				for p, info := range k.pairs {
-					if info.Count == 0 {
-						zeroed = append(zeroed, p)
+				for _, r := range k.recs {
+					if r.isPair && r.count == 0 {
+						zeroed = append(zeroed, Pair{k.Name(r.concept), k.Name(r.instance)})
 					}
 				}
 				if len(zeroed) == 0 {

@@ -12,9 +12,11 @@ import (
 // SubInstances(c, e), an absent key standing for the empty list, and the
 // index has no key beyond those instances.
 func checkSubIndex(k *KB) error {
-	concepts := make([]string, 0, len(k.byConcept))
-	for c := range k.byConcept {
-		concepts = append(concepts, c)
+	concepts := make([]string, 0)
+	for s, st := range k.state {
+		if st.cHead != 0 {
+			concepts = append(concepts, k.Name(Sym(s)))
+		}
 	}
 	sort.Strings(concepts)
 	for _, c := range concepts {

@@ -50,9 +50,9 @@ var _ View = (*KB)(nil)
 // ScanActiveExtractions calls yield with the concept of every active
 // extraction, in extraction-ID order.
 func (kb *KB) ScanActiveExtractions(yield func(concept string)) {
-	for _, ex := range kb.extractions {
-		if ex.Active {
-			yield(ex.Concept)
+	for i := range kb.exts {
+		if x := &kb.exts[i]; x.active {
+			yield(kb.syms.Name(x.concept))
 		}
 	}
 }

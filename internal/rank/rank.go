@@ -15,6 +15,7 @@ package rank
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"driftclean/internal/floats"
@@ -57,37 +58,46 @@ type Edge struct {
 // sort-by-(from,to) formulation: sources are visited in ascending index
 // order and each neighbor list is sorted ascending.
 func BuildGraph(k *kb.KB, concept string) *Graph {
-	nodes := k.Instances(concept)
+	// The nodes are the concept's active pair records, read by ID and
+	// listed in name order.
+	var recs []kb.Record
+	c, known := k.Sym(concept)
+	if known {
+		k.EachRecord(c, func(r kb.Record) {
+			if r.Count > 0 {
+				recs = append(recs, r)
+			}
+		})
+	}
+	sort.Slice(recs, func(i, j int) bool { return k.Name(recs[i].Instance) < k.Name(recs[j].Instance) })
+	n := len(recs)
 	g := &Graph{
 		Concept: concept,
-		Nodes:   nodes,
-		Index:   make(map[string]int, len(nodes)),
+		Nodes:   make([]string, n),
+		Index:   make(map[string]int, n),
 	}
-	for i, e := range nodes {
-		g.Index[e] = i
-	}
-	n := len(nodes)
+	index := make(map[kb.Sym]int, n)
 	g.Out = make([][]Edge, n)
 	g.In = make([][]Edge, n)
 	g.Core = make([]bool, n)
 	g.CoreWeight = make([]float64, n)
-	// The core is E(C,1): the active instances first extracted in
-	// iteration 1, read off the same sorted list as the nodes.
-	for i, e := range nodes {
-		if info := k.Info(concept, e); info.FirstIter <= 1 {
+	for i, r := range recs {
+		name := k.Name(r.Instance)
+		g.Nodes[i] = name
+		g.Index[name] = i
+		index[r.Instance] = i
+		// The core is E(C,1): the active instances first extracted in
+		// iteration 1.
+		if r.FirstIter <= 1 {
 			g.Core[i] = true
 			// Log-damped evidence: a count-1 mis-parse in the core gets a
 			// sliver of restart mass, a well-attested head gets several
 			// times more, but no single popular instance dominates the
 			// restart distribution.
-			g.CoreWeight[i] = math.Log2(1 + float64(info.Count))
+			g.CoreWeight[i] = math.Log2(1 + float64(r.Count))
 		}
 	}
 
-	// trigSets memoizes each extraction's trigger membership set; an
-	// extraction with t triggers in this graph is visited t times, and the
-	// old code re-scanned its trigger list for every instance each visit.
-	trigSets := make(map[int]map[string]struct{})
 	counts := make([]float64, n) // scratch: weight accumulator per target
 	touched := make([]int, 0, 16)
 	// Edge counts are ~constant-degree in practice; 4n absorbs the first
@@ -95,31 +105,26 @@ func BuildGraph(k *kb.KB, concept string) *Graph {
 	outFlat := make([]Edge, 0, 4*n)
 	outStart := make([]int, n+1)
 	inDeg := make([]int, n)
-	for u, e := range nodes {
+	var triggered []int
+	for u, r := range recs {
 		touched = touched[:0]
-		for _, exID := range k.TriggeredExtractions(concept, e) {
-			ex := k.Extraction(exID)
+		e := r.Instance
+		triggered = k.AppendTriggered(triggered[:0], c, e)
+		// Extractions are read by ID, so a visit allocates nothing.
+		for _, exID := range triggered {
+			ex := k.ExtractionSyms(exID)
 			if !ex.Active {
 				continue
-			}
-			ts, ok := trigSets[exID]
-			if !ok {
-				//lint:ignore hotalloc memo miss path: each extraction's set is built once and reused on every later visit
-				ts = make(map[string]struct{}, len(ex.Triggers))
-				for _, t := range ex.Triggers {
-					ts[t] = struct{}{}
-				}
-				trigSets[exID] = ts
 			}
 			for _, sub := range ex.Instances {
 				if sub == e {
 					continue
 				}
-				v, ok := g.Index[sub]
+				v, ok := index[sub]
 				if !ok {
 					continue // rolled back
 				}
-				if _, isTrigger := ts[sub]; isTrigger {
+				if slices.Contains(ex.Triggers, sub) {
 					continue
 				}
 				if counts[v] == 0 {

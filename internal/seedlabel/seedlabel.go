@@ -118,8 +118,8 @@ func (l *Labeler) EvidencedCorrect(concept, instance string) bool {
 // iteration 1, while evidenced correct for a concept mutually exclusive
 // with this one.
 func (l *Labeler) EvidencedIncorrect(concept, instance string) bool {
-	info := l.kb.Info(concept, instance)
-	if info == nil || info.Count < 1 || info.Count > l.cfg.AccidentalCountMax || info.FirstIter <= 1 {
+	r, ok := l.kb.RecordOf(concept, instance)
+	if !ok || r.Count < 1 || r.Count > l.cfg.AccidentalCountMax || r.FirstIter <= 1 {
 		return false
 	}
 	for _, other := range l.correctOf[instance] {
@@ -171,9 +171,9 @@ func (l *Labeler) Label(concept, instance string, subs []string) (dp.Label, bool
 			}
 			// A weak, late sub with no positive evidence for C is
 			// unexplained; it blocks the non-DP rule below.
-			if info := l.kb.Info(concept, sub); info != nil &&
+			if r, ok := l.kb.RecordOf(concept, sub); ok &&
 				!l.EvidencedCorrect(concept, sub) &&
-				info.FirstIter > 1 && info.Count <= 1 {
+				r.FirstIter > 1 && r.Count <= 1 {
 				suspicious++
 			}
 		}

@@ -8,8 +8,8 @@
 // every read method is safe for unbounded concurrent use without locks.
 // A session publishes each checkpoint that way, without a copy, because
 // it replays the next checkpoint into a fresh KB. Freeze serves callers
-// that keep mutating their KB: it freezes a deep clone (cheap: string
-// contents are shared, only index slices and maps are copied).
+// that keep mutating their KB: it freezes a deep clone (cheap: the
+// clone copies a few flat arrays and shares the name table).
 //
 // Snapshot deliberately delegates all traversal — instance listing,
 // provenance explanation, drift depth — to the kb package itself, so
@@ -51,8 +51,8 @@ type Snapshot struct {
 	concepts []string
 	// byInstance is a shard view's reverse index instance → owned
 	// concepts. nil for a full view, whose backing view answers
-	// ConceptsOfInstance natively at lookup cost (the heap KB maintains
-	// the index, the binary snapshot stores it on disk).
+	// ConceptsOfInstance natively (the heap KB walks the instance's
+	// pair records, the binary snapshot stores the index on disk).
 	byInstance map[string][]string
 	// owned, when non-nil, restricts the view to the concepts a
 	// Partition call assigned to this shard; reads about any other

@@ -110,6 +110,30 @@ func checkPublishedIsolation(t *testing.T, readers int) {
 			hammer(a, instances, stop, &mismatches)
 		}()
 	}
+	if readers > 0 {
+		// A writer interns never-seen names into the table the published
+		// KB shares with the session's stream — enough to grow the ID
+		// array past a chunk and fold the name map — while the readers
+		// and the later checkpoints run, and reads each back through the
+		// snapshot, which must know nothing of it.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concept := a.Concepts()[0]
+			for i := 0; i < 50000; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				name := fmt.Sprintf("never-seen-%d", i)
+				published.Symbols().Intern(name)
+				if len(a.Instances(name)) != 0 || a.ConceptsOfInstance(name) != nil || a.Has(concept, name) {
+					mismatches.Add(1)
+				}
+			}
+		}()
+	}
 	checkpoint := func(what string, batch []Sentence) {
 		t.Helper()
 		if _, err := sess.Ingest(ctx, batch); err != nil && !errors.Is(err, ErrNoDPsDetected) {
@@ -168,6 +192,8 @@ func TestPublishedSnapshotIsolation(t *testing.T) { checkPublishedIsolation(t, 0
 
 // TestPublishedSnapshotConcurrentReaders is the same sequence with
 // readers hammering the published snapshot while every later checkpoint
-// runs; under -race it proves the next checkpoint never writes to what
-// the snapshot reads.
+// runs, and a writer interning never-seen names into the name table the
+// snapshot's KB shares with the session; under -race it proves neither
+// the next checkpoint nor the table ever writes to what the snapshot
+// reads.
 func TestPublishedSnapshotConcurrentReaders(t *testing.T) { checkPublishedIsolation(t, 4) }

@@ -81,6 +81,10 @@ echo "==> go test -race (clone-free publish: KB-maintained pair count and holder
 go test -race -run 'TestQuickIndexMatchesScan|TestSealedKBRejectsMutation|TestCloneSharesHolderListsCopyOnWrite' ./internal/kb
 go test -race -run 'TestPublishedSnapshot' .
 
+echo "==> go test -race (interned IDs: lock-free name table under a concurrent writer, shared-table KB = private-table KB, exclusive holder's core bit in the task key)"
+go test -race -run 'TestSymbols|TestQuickDigestMatchesRecompute|TestQuickIndexMatchesScan' ./internal/kb
+go test -race -run 'TestTaskKeyCoversExclusiveHolderCore' ./internal/core
+
 echo "==> go test -race (chaos: injected faults, panics, reload breaker)"
 go test -race ./internal/fault
 go test -race -run 'TestChaosDisabledFaultsAreNoOp|TestChaosPanicSurfacesAsReportError' .
