@@ -240,32 +240,6 @@ func canceledErr(ctxErr error) error {
 	return fmt.Errorf("%w: %w", ErrCanceled, ctxErr)
 }
 
-// Clean runs the complete pipeline with the paper's multi-task method.
-//
-// Deprecated: Clean is the pre-context API, kept so existing callers
-// compile. New code should use CleanContext, which adds cancellation,
-// progress reporting and typed errors.
-func Clean(cfg Config) (*Report, error) {
-	return stripNoDPs(CleanContext(context.Background(), WithConfig(cfg)))
-}
-
-// CleanWith is Clean with an explicit detection method.
-//
-// Deprecated: CleanWith is the pre-context API, kept so existing
-// callers compile. New code should use CleanWithContext.
-func CleanWith(cfg Config, method DetectorKind) (*Report, error) {
-	return stripNoDPs(CleanWithContext(context.Background(), method, WithConfig(cfg)))
-}
-
-// stripNoDPs preserves the legacy contract: a DP-free run is a success,
-// not an error.
-func stripNoDPs(rep *Report, err error) (*Report, error) {
-	if errors.Is(err, ErrNoDPsDetected) {
-		return rep, nil
-	}
-	return rep, err
-}
-
 // Experiment types re-exported from the experiments engine. An
 // ExperimentTable holds the rows/series one table or figure of the paper
 // reports; ExperimentOptions scales the run.

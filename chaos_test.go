@@ -55,8 +55,8 @@ func TestChaosDisabledFaultsAreNoOp(t *testing.T) {
 	run := func(inj *fault.Injector) string {
 		cfg := chaosConfig()
 		cfg.Fault = inj
-		rep, err := Clean(cfg)
-		if err != nil {
+		rep, err := CleanContext(context.Background(), WithConfig(cfg))
+		if err != nil && !errors.Is(err, ErrNoDPsDetected) {
 			t.Fatalf("fault-free pipeline failed: %v", err)
 		}
 		return bench.Fingerprint(rep.System.KB)
@@ -71,7 +71,7 @@ func TestChaosDisabledFaultsAreNoOp(t *testing.T) {
 	counting := fault.New(1, nil)
 	cfg := chaosConfig()
 	cfg.Fault = counting
-	if _, err := Clean(cfg); err != nil {
+	if _, err := CleanContext(context.Background(), WithConfig(cfg)); err != nil && !errors.Is(err, ErrNoDPsDetected) {
 		t.Fatal(err)
 	}
 	for _, site := range pipelineSites {
@@ -88,8 +88,8 @@ func TestChaosLatencyOnlyIsByteIdentical(t *testing.T) {
 	run := func(inj *fault.Injector) string {
 		cfg := chaosConfig()
 		cfg.Fault = inj
-		rep, err := Clean(cfg)
-		if err != nil {
+		rep, err := CleanContext(context.Background(), WithConfig(cfg))
+		if err != nil && !errors.Is(err, ErrNoDPsDetected) {
 			t.Fatalf("pipeline failed under latency-only chaos: %v", err)
 		}
 		return bench.Fingerprint(rep.System.KB)
@@ -146,8 +146,8 @@ func TestChaosSmokeFingerprintMatchesBenchArtifact(t *testing.T) {
 	cfg.Corpus.NumSentences = sc.Sentences
 	cfg.Clean.MaxRounds = sc.Rounds
 	cfg.Fault = fault.New(1, nil) // armed, ruleless: must be a pure no-op
-	rep, err := Clean(cfg)
-	if err != nil {
+	rep, err := CleanContext(context.Background(), WithConfig(cfg))
+	if err != nil && !errors.Is(err, ErrNoDPsDetected) {
 		t.Fatal(err)
 	}
 	if got := bench.Fingerprint(rep.System.KB); got != sc.Serial.Fingerprint {

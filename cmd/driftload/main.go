@@ -1,21 +1,19 @@
-// Command driftload is the serving load harness: it builds a KB, shards
-// it behind the scatter-gather router at every requested shard count,
-// verifies that responses are byte-identical across shard counts, then
-// sweeps closed-loop (fixed workers) and open-loop (fixed offered rate)
-// load over the fleet, reporting exact p50/p99/p999/max latencies per
-// cell. The artifact is BENCH_serve.json, next to BENCH_pipeline.json
-// (schema documented in DESIGN.md §11).
+// Command driftload is the serving load harness: it builds a KB, serves
+// it through one serve.Service, fingerprints a canonical response set,
+// then sweeps closed-loop (fixed workers) and open-loop (fixed offered
+// rate) load over the service, reporting exact p50/p99/p999/max
+// latencies per cell. The artifact is BENCH_serve.json, next to
+// BENCH_pipeline.json (schema documented in DESIGN.md §11).
 //
 // Usage:
 //
-//	driftload                        # full sweep (shards 1/2/4/8)
+//	driftload                        # full sweep
 //	driftload -smoke                 # tiny sweep, for CI
 //	driftload -out serve.json        # artifact path (default BENCH_serve.json)
 //	driftload -sentences N           # corpus size of the KB under load
-//	driftload -shards 1,4,16         # shard counts to sweep
 //	driftload -duration 2s           # wall time per load cell
 //	driftload -seed 7                # query-mix seed
-//	driftload -inflight N -queue N   # per-shard admission control
+//	driftload -inflight N -queue N   # admission control
 //	driftload -minreload 5           # require binary reload ≥5x faster than gob
 //	driftload -validate serve.json   # validate an existing artifact and exit
 //
@@ -24,11 +22,9 @@
 // hot-reload latency plus per-replica heap for each; the comparison
 // lands in the artifact's "reload" block.
 //
-// The exit status is nonzero if responses diverge across shard counts
-// (sharding must be semantically invisible), if any load cell completes
-// no queries or reports incoherent percentiles, if the binary-format
-// reload speedup falls below -minreload, or if -validate finds a
-// malformed artifact.
+// The exit status is nonzero if any load cell completes no queries or
+// reports incoherent percentiles, if the binary-format reload speedup
+// falls below -minreload, or if -validate finds a malformed artifact.
 package main
 
 import (
@@ -36,8 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"driftclean/internal/bench"
 )
@@ -46,16 +40,15 @@ func main() {
 	smoke := flag.Bool("smoke", false, "run the tiny CI sweep instead of the full one")
 	out := flag.String("out", "BENCH_serve.json", "artifact output path")
 	sentences := flag.Int("sentences", 0, "corpus size of the KB under load (0 keeps the sweep default)")
-	shardsCSV := flag.String("shards", "", `comma-separated shard counts to sweep, e.g. "1,4,16" (empty keeps the sweep default)`)
 	duration := flag.Duration("duration", 0, "wall time per load cell (0 keeps the sweep default)")
 	seed := flag.Int64("seed", 0, "query-mix seed (0 keeps the sweep default)")
-	inflight := flag.Int("inflight", 0, "per-shard admission: max concurrently executing queries (0 = unlimited)")
-	queue := flag.Int("queue", 0, "per-shard admission: queued queries beyond -inflight before shedding")
+	inflight := flag.Int("inflight", 0, "admission: max concurrently executing queries (0 = unlimited)")
+	queue := flag.Int("queue", 0, "admission: queued queries beyond -inflight before shedding")
 	minReload := flag.Float64("minreload", 0, "fail unless the binary snapshot reloads at least this many times faster than gob (0 = only require not-slower)")
 	validate := flag.String("validate", "", "validate an existing artifact at this path and exit")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: driftload [-smoke] [-out FILE] [-sentences N] [-shards 1,4,16] [-duration 2s] [-seed N] [-validate FILE]")
+		fmt.Fprintln(os.Stderr, "usage: driftload [-smoke] [-out FILE] [-sentences N] [-duration 2s] [-seed N] [-validate FILE]")
 		os.Exit(2)
 	}
 
@@ -75,14 +68,6 @@ func main() {
 	if *sentences > 0 {
 		cfg.Sentences = *sentences
 	}
-	if *shardsCSV != "" {
-		counts, err := parseShardCounts(*shardsCSV)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "driftload: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.ShardCounts = counts
-	}
 	if *duration > 0 {
 		cfg.Duration = *duration
 	}
@@ -99,17 +84,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("\nshard counts %v  identical=%v  cells=%d  artifact=%s\n",
-		cfg.ShardCounts, res.Identical, len(res.Cells), *out)
+	fmt.Printf("\nresponse fingerprint %s  cells=%d  artifact=%s\n",
+		res.ResponseFingerprint, len(res.Cells), *out)
 	if rl := res.Reload; rl != nil {
 		fmt.Printf("reload p50: gob %dus -> binary %dus (%.1fx faster), heap/replica: gob %d KB -> binary %d KB\n",
 			rl.Gob.ReloadP50Micros, rl.Binary.ReloadP50Micros, rl.SpeedupX,
 			rl.Gob.HeapBytesPerReplica/1024, rl.Binary.HeapBytesPerReplica/1024)
-	}
-	if !res.Identical {
-		fmt.Fprintf(os.Stderr, "driftload: responses diverged across shard counts: %v — sharding must be semantically invisible\n",
-			res.ResponseFingerprint)
-		os.Exit(1)
 	}
 	if err := bench.ValidateServe(res); err != nil {
 		fmt.Fprintf(os.Stderr, "driftload: malformed run: %v\n", err)
@@ -120,19 +100,6 @@ func main() {
 			res.Reload.SpeedupX, *minReload)
 		os.Exit(1)
 	}
-}
-
-// parseShardCounts parses the -shards CSV into positive ints.
-func parseShardCounts(csv string) ([]int, error) {
-	var counts []int
-	for _, f := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-shards %q: each count must be a positive integer", csv)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
 }
 
 // validateArtifact loads an artifact from disk and runs the schema and

@@ -4,15 +4,8 @@
 // With -kb FILE, a KB saved with driftclean -savekb is frozen into an
 // immutable snapshot at startup; POST /v1/reload (or SIGHUP) re-reads
 // the file and atomically swaps in a fresh snapshot without dropping
-// in-flight requests. Adding -shards N partitions the snapshot by
-// concept (consistent hashing) into N independent services behind a
-// scatter-gather router: listing queries fan out and merge
-// deterministically (responses are byte-identical to the unsharded
-// server), point lookups route to the owning shard, and each shard
-// reloads, sheds load (-inflight/-queue, HTTP 429) and goes stale
-// independently. With -partial, a failing shard degrades scatter-gather
-// responses (X-Driftclean-Degraded header) instead of failing them with
-// 503.
+// in-flight requests. -inflight and -queue bound the queries executing
+// and waiting at once; a query beyond both is shed with HTTP 429.
 //
 // With -session, the server owns a live incremental pipeline
 // (driftclean.Session): POST /v1/ingest appends a sentence batch, runs
@@ -26,7 +19,7 @@
 //
 // Usage:
 //
-//	driftserve -kb FILE   [-shards N] [-partial] [-inflight N] [-queue N] [-addr :8080] [-timeout 5s] [-cache 4096]
+//	driftserve -kb FILE   [-inflight N] [-queue N] [-addr :8080] [-timeout 5s] [-cache 4096]
 //	driftserve -session   [-sentences N] [-addr :8080] [-timeout 5s] [-cache 4096]
 //
 // Endpoints:
@@ -35,7 +28,7 @@
 //	GET  /v1/concepts                            concepts with instance counts
 //	GET  /v1/instances?concept=C                 a concept's instances
 //	GET  /v1/explain?concept=C&instance=E[&n=N]  provenance of one pair
-//	GET  /v1/drifted[?concept=C][&n=N]           deepest provenance chains (fleet-wide without concept)
+//	GET  /v1/drifted[?concept=C][&n=N]           deepest provenance chains (KB-wide without concept)
 //	GET  /v1/generation                          serving generation + stale flag
 //	POST /v1/ingest                              advance the session pipeline (-session)
 //	POST /v1/reload                              hot-reload the KB file (-kb)
@@ -71,36 +64,26 @@ func main() {
 		kbPath    = flag.String("kb", "", "path to a KB snapshot written with -savekb")
 		session   = flag.Bool("session", false, "serve a live incremental pipeline instead of a KB file")
 		sentences = flag.Int("sentences", 0, "with -session: corpus size (0 uses the default config)")
-		shards    = flag.Int("shards", 0, "with -kb: shard the snapshot by concept across N services behind a scatter-gather router")
-		partial   = flag.Bool("partial", false, "with -shards: degrade scatter-gather responses on shard failure instead of answering 503")
-		inflight  = flag.Int("inflight", 0, "per-service admission: max concurrently executing queries (0 = unlimited)")
-		queue     = flag.Int("queue", 0, "per-service admission: queries queued beyond -inflight before shedding with 429")
+		inflight  = flag.Int("inflight", 0, "with -kb: max concurrently executing queries (0 = unlimited)")
+		queue     = flag.Int("queue", 0, "with -kb: queries queued beyond -inflight before shedding with 429")
 		addr      = flag.String("addr", ":8080", "listen address")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request timeout (0 disables; ingest exempt)")
 		cache     = flag.Int("cache", serve.DefaultCacheSize, "result cache entries (negative disables)")
 	)
 	flag.Parse()
 	usage := func() {
-		fmt.Fprintln(os.Stderr, "usage: driftserve -kb FILE [-shards N] [-partial] | -session [-sentences N]  [-addr :8080] [-timeout 5s] [-cache 4096]")
+		fmt.Fprintln(os.Stderr, "usage: driftserve -kb FILE [-inflight N] [-queue N] | -session [-sentences N]  [-addr :8080] [-timeout 5s] [-cache 4096]")
 		os.Exit(2)
 	}
 	if (*kbPath == "") == !*session || flag.NArg() > 0 {
 		usage()
 	}
-	if *session && (*shards > 0 || *partial) {
-		fmt.Fprintln(os.Stderr, "driftserve: -shards/-partial require -kb mode (the session pipeline is single-writer)")
-		usage()
-	}
 	logger := log.New(os.Stderr, "driftserve: ", log.LstdFlags)
-	admission := serve.Options{CacheSize: *cache, MaxInflight: *inflight, QueueDepth: *queue}
 	var err error
-	switch {
-	case *session:
+	if *session {
 		err = runSession(*sentences, *addr, *timeout, *cache, logger)
-	case *shards > 0:
-		err = runSharded(*kbPath, *shards, *partial, *addr, *timeout, admission, logger)
-	default:
-		err = run(*kbPath, *addr, *timeout, admission, logger)
+	} else {
+		err = run(*kbPath, *addr, *timeout, serve.Options{CacheSize: *cache, MaxInflight: *inflight, QueueDepth: *queue}, logger)
 	}
 	if err != nil {
 		logger.Print(err)
@@ -155,72 +138,6 @@ func run(kbPath, addr string, timeout time.Duration, opts serve.Options, logger 
 		}
 	}()
 
-	return serveUntilShutdown(ctx, srv, logger)
-}
-
-// runSharded partitions the KB snapshot by concept across a fleet of
-// independent services behind a scatter-gather router, then serves the
-// fleet through the same handler a single service uses. Each shard has
-// its own cache, admission queue, reloader and stale flag: one shard
-// failing to reload leaves the other shards fresh, and /v1/reload
-// reports every shard's error rather than stopping at the first.
-func runSharded(kbPath string, shards int, partial bool, addr string, timeout time.Duration, opts serve.Options, logger *log.Logger) error {
-	snap, format, err := kbio.FreezeFile(kbPath)
-	if err != nil {
-		return err
-	}
-	ring := serve.NewRing(shards, 0)
-	parts := snap.Partition(shards, ring.Owner)
-	svcs := make([]*serve.Service, shards)
-	reloaders := make([]*serve.Reloader, shards)
-	for i := range svcs {
-		svcs[i] = serve.New(parts[i], opts)
-		shard := i
-		// Each shard re-reads the file and freezes its own partition, so
-		// one shard's reload failure cannot poison the others' views.
-		reloaders[i] = serve.NewReloader(svcs[i], func() (*snapshot.Snapshot, error) {
-			next, err := freezeFile(kbPath)
-			if err != nil {
-				return nil, err
-			}
-			return next.Partition(shards, ring.Owner)[shard], nil
-		}, serve.ReloadConfig{JitterSeed: int64(shard + 1)})
-	}
-	router := serve.NewRouter(svcs, ring, serve.RouterOptions{AllowPartial: partial})
-	logger.Printf("loaded %s (%s format) across %d shards: generation %d, %d concepts, %d pairs",
-		kbPath, format, shards, snap.Generation(), snap.Stats().Concepts, snap.Stats().DistinctPairs)
-
-	reload := func() error {
-		var errs []error
-		for i, rl := range reloaders {
-			if err := rl.Reload(); err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-			}
-		}
-		if err := errors.Join(errs...); err != nil {
-			return fmt.Errorf("reload: %w", err)
-		}
-		logger.Printf("reloaded %s: fleet generation %d", kbPath, router.Generation())
-		return nil
-	}
-
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           newHandler(handlerConfig{svc: router, reload: reload, timeout: timeout}),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			if err := reload(); err != nil {
-				logger.Print(err)
-			}
-		}
-	}()
 	return serveUntilShutdown(ctx, srv, logger)
 }
 
@@ -319,8 +236,7 @@ func serveUntilShutdown(ctx context.Context, srv *http.Server, logger *log.Logge
 
 // freezeFile loads a KB file — gob or binary columnar, auto-detected —
 // and freezes it into a snapshot. Binary snapshots open zero-copy via
-// mmap, so reload cost does not grow with KB size and co-located shard
-// replicas share the file's page cache.
+// mmap, so reload cost does not grow with KB size.
 func freezeFile(path string) (*snapshot.Snapshot, error) {
 	snap, _, err := kbio.FreezeFile(path)
 	return snap, err

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"driftclean/internal/fault"
 	"driftclean/internal/kb"
 	"driftclean/internal/serve"
 )
@@ -133,17 +136,17 @@ func TestEndpointsEndToEnd(t *testing.T) {
 		t.Errorf("drifted = %+v", drifted)
 	}
 
-	// Fleet-wide form: no concept parameter ranks across every concept
+	// KB-wide form: no concept parameter ranks across every concept
 	// and each row carries its concept.
 	code, body = get(t, ts.URL+"/v1/drifted?n=3")
 	if code != 200 {
-		t.Fatalf("fleet-wide drifted: %d %s", code, body)
+		t.Fatalf("KB-wide drifted: %d %s", code, body)
 	}
 	if err := json.Unmarshal([]byte(body), &drifted); err != nil {
 		t.Fatal(err)
 	}
 	if len(drifted) != 3 || drifted[0].Concept != "animal" || drifted[0].Name != "dingo" || drifted[0].Depth != 3 {
-		t.Errorf("fleet-wide drifted = %+v", drifted)
+		t.Errorf("KB-wide drifted = %+v", drifted)
 	}
 
 	code, body = get(t, ts.URL+"/debug/vars")
@@ -163,7 +166,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"/v1/instances", 400},                                  // missing concept
 		{"/v1/explain?concept=animal", 400},                     // missing instance
 		{"/v1/explain?instance=dog", 400},                       // missing concept
-		{"/v1/drifted?n=potato", 400},                           // malformed n, fleet-wide form
+		{"/v1/drifted?n=potato", 400},                           // malformed n, KB-wide form
 		{"/v1/drifted?concept=animal&n=potato", 400},            // malformed n
 		{"/v1/drifted?concept=animal&n=-3", 400},                // non-positive n
 		{"/v1/explain?concept=animal&instance=dog&n=zero", 400}, // malformed n
@@ -267,5 +270,75 @@ func TestRequestTimeout(t *testing.T) {
 func TestFreezeFileErrors(t *testing.T) {
 	if _, err := freezeFile(filepath.Join(t.TempDir(), "absent.gob")); err == nil {
 		t.Error("freezeFile on a missing file did not error")
+	}
+}
+
+// TestRespondStatusMapping: the admission and lookup sentinels map onto
+// their HTTP statuses (e2e shed behavior is covered in internal/serve;
+// this pins the transport contract).
+func TestRespondStatusMapping(t *testing.T) {
+	cases := []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("q: %w", serve.ErrOverloaded), http.StatusTooManyRequests},
+		{fmt.Errorf("q: %w", serve.ErrNoSnapshot), http.StatusServiceUnavailable},
+		{fmt.Errorf("q: %w", serve.ErrNotFound), http.StatusNotFound},
+		{errors.New("plain failure"), http.StatusInternalServerError},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		respond(rec, nil, tc.err)
+		if rec.Code != tc.want {
+			t.Errorf("respond(%v) = %d, want %d", tc.err, rec.Code, tc.want)
+		}
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("respond(%v): not a JSON error envelope: %s", tc.err, rec.Body)
+		}
+	}
+}
+
+// TestOverloadSurfacesAs429: a shed query reaches the client as 429
+// through the full HTTP stack. The fault injector stalls the one
+// execution slot; with no queue, a concurrent query sheds.
+func TestOverloadSurfacesAs429(t *testing.T) {
+	snap, err := freezeFile(writeTestKB(t, t.TempDir(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every drifted query holds the one slot for 20ms, so concurrent
+	// arrivals are certain to find it taken.
+	stall := fault.New(1, map[string]fault.Rule{"serve.drifted": {Latency: 20 * time.Millisecond}})
+	svc := serve.New(snap, serve.Options{MaxInflight: 1, QueueDepth: 0, Fault: stall})
+	ts := newTestServer(t, handlerConfig{svc: svc}, "")
+
+	// Distinct n values defeat the result cache and singleflight
+	// coalescing, so every query needs the slot. The goroutines report
+	// transport errors as status 0: only the test goroutine may Fatal.
+	codes := make(chan int, 64)
+	for i := 0; i < 64; i++ {
+		go func(i int) {
+			resp, err := http.Get(ts.URL + "/v1/drifted?n=" + strconv.Itoa(1000+i))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}(i)
+	}
+	saw429 := false
+	for i := 0; i < 64; i++ {
+		switch code := <-codes; code {
+		case http.StatusOK:
+		case http.StatusTooManyRequests:
+			saw429 = true
+		default:
+			t.Errorf("unexpected status %d", code)
+		}
+	}
+	if !saw429 {
+		t.Error("64 concurrent queries against a stalled single-slot service: none shed with 429")
 	}
 }

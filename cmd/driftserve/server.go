@@ -13,11 +13,9 @@ import (
 	"driftclean/internal/serve"
 )
 
-// handlerConfig wires the HTTP surface to a query backend: a single
-// serve.Service or, in -shards mode, a serve.Router scatter-gathering a
-// sharded fleet. The handler code is identical either way.
+// handlerConfig wires the HTTP surface to the query service.
 type handlerConfig struct {
-	svc serve.Querier
+	svc *serve.Service
 	// reload re-freezes the snapshot from the KB file and swaps it in;
 	// nil disables the /v1/reload endpoint.
 	reload func() error
@@ -78,7 +76,7 @@ type errorBody struct {
 //	GET  /v1/concepts                            concepts with instance counts
 //	GET  /v1/instances?concept=C                 a concept's instances
 //	GET  /v1/explain?concept=C&instance=E[&n=N]  provenance of one pair
-//	GET  /v1/drifted[?concept=C][&n=N]           deepest provenance chains (fleet-wide without concept)
+//	GET  /v1/drifted[?concept=C][&n=N]           deepest provenance chains (KB-wide without concept)
 //	GET  /v1/generation                          serving generation + stale flag
 //	POST /v1/ingest                              advance the session pipeline (-session)
 //	POST /v1/reload                              re-freeze from the -kb file
@@ -118,8 +116,8 @@ func newHandler(cfg handlerConfig) http.Handler {
 		respond(w, result, err)
 	}))
 	mux.Handle("GET /v1/drifted", query(cfg, func(w http.ResponseWriter, r *http.Request) {
-		// concept is optional: scoped ranking when given, fleet-wide
-		// ranking (scatter-gathered in -shards mode) when absent.
+		// concept is optional: scoped ranking when given, KB-wide
+		// ranking when absent.
 		concept := r.URL.Query().Get("concept")
 		n, ok := intParam(w, r, "n", 10)
 		if !ok {
@@ -183,58 +181,26 @@ func newHandler(cfg handlerConfig) http.Handler {
 	return h
 }
 
-// query wraps a /v1 query handler with the stale marker, the degraded
-// marker and the test seam. The X-Driftclean-Stale header is set before
-// the handler writes so clients can tell they are reading a last-good
-// snapshot that a failed reload has left behind; X-Driftclean-Degraded
-// is stamped lazily at first write, because a scatter-gather only knows
-// it lost shards after the backend call returns.
+// query wraps a /v1 query handler with the stale marker and the test
+// seam. The X-Driftclean-Stale header is set before the handler writes
+// so clients can tell they are reading a last-good snapshot that a
+// failed reload has left behind.
 func query(cfg handlerConfig, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if cfg.svc.Stale() {
 			w.Header().Set("X-Driftclean-Stale", "true")
 		}
-		ctx, gs := serve.WithGatherStatus(r.Context())
 		if cfg.beforeQuery != nil {
 			cfg.beforeQuery()
 		}
-		h(&degradedHeaderWriter{ResponseWriter: w, gs: gs}, r.WithContext(ctx))
+		h(w, r)
 	})
-}
-
-// degradedHeaderWriter stamps X-Driftclean-Degraded on the response the
-// moment the first byte or status is written, if the request's gathers
-// lost shards by then. Headers are immutable after the first write, so
-// the stamp cannot wait for the handler to finish.
-type degradedHeaderWriter struct {
-	http.ResponseWriter
-	gs      *serve.GatherStatus
-	stamped bool
-}
-
-func (w *degradedHeaderWriter) WriteHeader(status int) {
-	w.stamp()
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *degradedHeaderWriter) Write(b []byte) (int, error) {
-	w.stamp()
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *degradedHeaderWriter) stamp() {
-	if !w.stamped {
-		w.stamped = true
-		if w.gs.Degraded() {
-			w.Header().Set("X-Driftclean-Degraded", "true")
-		}
-	}
 }
 
 // respond writes the result as JSON, mapping service errors to HTTP
 // status codes: ErrNotFound → 404, ErrOverloaded → 429 (admission shed:
-// back off and retry), ErrNoSnapshot / ErrShard / canceled or timed-out
-// contexts → 503, anything else → 500.
+// back off and retry), ErrNoSnapshot / canceled or timed-out contexts →
+// 503, anything else → 500.
 func respond(w http.ResponseWriter, result any, err error) {
 	if err != nil {
 		switch {
@@ -243,7 +209,6 @@ func respond(w http.ResponseWriter, result any, err error) {
 		case errors.Is(err, serve.ErrOverloaded):
 			writeError(w, http.StatusTooManyRequests, err.Error())
 		case errors.Is(err, serve.ErrNoSnapshot),
-			errors.Is(err, serve.ErrShard),
 			errors.Is(err, context.Canceled),
 			errors.Is(err, context.DeadlineExceeded):
 			writeError(w, http.StatusServiceUnavailable, err.Error())

@@ -1,19 +1,16 @@
 // Serving benchmark: the driftload harness behind BENCH_serve.json.
 //
-// One pipeline run builds a KB; the harness then freezes it once and,
-// for each configured shard count, partitions that same snapshot behind
-// a serve.Router and drives a seeded query mix against it in-process —
-// closed-loop (a fixed worker pool, each worker issuing its next query
-// as soon as the last returns) and open-loop (a fixed offered rate,
-// arrivals independent of completions, the regime where queues actually
-// build). Every cell reports exact p50/p99/p999/max latencies computed
+// One pipeline run builds a KB; the harness then freezes it once,
+// serves that snapshot through one serve.Service per load cell and
+// drives a seeded query mix against it in-process — closed-loop (a
+// fixed worker pool, each worker issuing its next query as soon as the
+// last returns) and open-loop (a fixed offered rate, arrivals
+// independent of completions, the regime where queues actually build). Every cell reports exact p50/p99/p999/max latencies computed
 // from the full sorted sample, never an approximation.
 //
 // Before any load runs, the harness fingerprints a canonical response
-// set (stats, listings, rankings, point lookups) at every shard count.
-// All fingerprints must be identical: sharding is required to be
-// invisible in responses, and the artifact proves it was checked — the
-// same role Identical plays in the pipeline benchmark.
+// set (stats, listings, rankings, point lookups), so a change to what
+// the service answers shows in the artifact.
 package bench
 
 import (
@@ -42,22 +39,18 @@ import (
 type ServeConfig struct {
 	// Sentences is the corpus size of the KB under load.
 	Sentences int
-	// ShardCounts is the fleet-size sweep; every count serves the same
-	// frozen snapshot.
-	ShardCounts []int
-	// ClosedWorkers are the closed-loop worker counts swept per shard
-	// count.
+	// ClosedWorkers are the closed-loop worker counts swept.
 	ClosedWorkers []int
 	// OpenRates are the open-loop offered rates (queries per second)
-	// swept per shard count.
+	// swept.
 	OpenRates []int
 	// Duration is the wall time of each load cell.
 	Duration time.Duration
 	// Seed drives the query mix; equal seeds issue identical query
 	// sequences per worker.
 	Seed int64
-	// CacheSize, MaxInflight and QueueDepth configure every shard
-	// service (zero values: default cache, no admission control).
+	// CacheSize, MaxInflight and QueueDepth configure the service
+	// (zero values: default cache, no admission control).
 	CacheSize   int
 	MaxInflight int
 	QueueDepth  int
@@ -74,7 +67,6 @@ type ServeConfig struct {
 func DefaultServeConfig() ServeConfig {
 	return ServeConfig{
 		Sentences:      12000,
-		ShardCounts:    []int{1, 2, 4, 8},
 		ClosedWorkers:  []int{1, 4, 16},
 		OpenRates:      []int{500, 2000},
 		Duration:       1500 * time.Millisecond,
@@ -83,12 +75,11 @@ func DefaultServeConfig() ServeConfig {
 	}
 }
 
-// SmokeServeConfig is the tiny CI sweep; its value is the response-
-// identity check across shard counts, not the timings.
+// SmokeServeConfig is the tiny CI sweep; its value is exercising the
+// harness end to end, not the timings.
 func SmokeServeConfig() ServeConfig {
 	return ServeConfig{
 		Sentences:      3000,
-		ShardCounts:    []int{1, 2},
 		ClosedWorkers:  []int{4},
 		OpenRates:      []int{200},
 		Duration:       150 * time.Millisecond,
@@ -112,10 +103,9 @@ type LatencyStats struct {
 	ThroughputRPS float64 `json:"throughput_rps"`
 }
 
-// ServeCell is one point of the saturation sweep: a (shard count, load
-// mode, intensity) combination and its measured latencies.
+// ServeCell is one point of the saturation sweep: a (load mode,
+// intensity) combination and its measured latencies.
 type ServeCell struct {
-	Shards int `json:"shards"`
 	// Mode is "closed" (Workers issue back to back) or "open" (arrivals
 	// at OfferedRPS regardless of completions).
 	Mode       string       `json:"mode"`
@@ -136,28 +126,25 @@ type ServeResult struct {
 	// Concepts and Pairs describe the KB under load.
 	Concepts int `json:"concepts"`
 	Pairs    int `json:"kb_pairs"`
-	// ResponseFingerprint maps each shard count (as a decimal string,
-	// JSON keys being strings) to the fingerprint of its canonical
-	// response set; Identical asserts they all match.
-	ResponseFingerprint map[string]string `json:"response_fingerprint"`
-	Identical           bool              `json:"identical"`
+	// ResponseFingerprint is the FNV-64a hash of the canonical response
+	// set's JSON encodings (see responseFingerprint).
+	ResponseFingerprint string `json:"response_fingerprint"`
 	// Reload compares hot-reload latency and per-replica heap between
 	// the gob and binary snapshot formats over this run's KB.
 	Reload *ReloadStats `json:"reload"`
 	Cells  []ServeCell  `json:"cells"`
 }
 
-// RunServe builds the KB, verifies response identity across every shard
-// count, runs the load sweep and assembles the artifact.
+// RunServe builds the KB, fingerprints the service's responses, runs
+// the load sweep and assembles the artifact.
 func RunServe(cfg ServeConfig) *ServeResult {
 	res := &ServeResult{
-		GeneratedUnix:       time.Now().Unix(),
-		CPUs:                runtime.NumCPU(),
-		GoMaxProcs:          runtime.GOMAXPROCS(0),
-		GoVersion:           runtime.Version(),
-		Sentences:           cfg.Sentences,
-		Seed:                cfg.Seed,
-		ResponseFingerprint: make(map[string]string, len(cfg.ShardCounts)),
+		GeneratedUnix: time.Now().Unix(),
+		CPUs:          runtime.NumCPU(),
+		GoMaxProcs:    runtime.GOMAXPROCS(0),
+		GoVersion:     runtime.Version(),
+		Sentences:     cfg.Sentences,
+		Seed:          cfg.Seed,
 	}
 
 	snap, benchKB := buildServeSnapshot(cfg.Sentences)
@@ -178,31 +165,22 @@ func RunServe(cfg ServeConfig) *ServeResult {
 		res.Reload = reload
 	}
 
-	res.Identical = true
-	first := ""
-	for _, shards := range cfg.ShardCounts {
-		router := buildServeFleet(snap, shards, cfg)
-		fp := responseFingerprint(router, space)
-		res.ResponseFingerprint[fmt.Sprintf("%d", shards)] = fp
-		if first == "" {
-			first = fp
-		} else if fp != first {
-			res.Identical = false
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("shards=%d response fingerprint %s", shards, fp))
-		}
+	res.ResponseFingerprint = responseFingerprint(newServeService(snap, cfg), space)
+	if cfg.Progress != nil {
+		cfg.Progress("response fingerprint " + res.ResponseFingerprint)
+	}
 
-		for _, workers := range cfg.ClosedWorkers {
-			cell := runClosedCell(buildServeFleet(snap, shards, cfg), space, cfg, shards, workers)
-			reportServe(cfg.Progress, cell)
-			res.Cells = append(res.Cells, cell)
-		}
-		for _, rate := range cfg.OpenRates {
-			cell := runOpenCell(buildServeFleet(snap, shards, cfg), space, cfg, shards, rate)
-			reportServe(cfg.Progress, cell)
-			res.Cells = append(res.Cells, cell)
-		}
+	// Each cell gets a fresh service, so no cell inherits another's
+	// warm cache.
+	for _, workers := range cfg.ClosedWorkers {
+		cell := runClosedCell(newServeService(snap, cfg), space, cfg, workers)
+		reportServe(cfg.Progress, cell)
+		res.Cells = append(res.Cells, cell)
+	}
+	for _, rate := range cfg.OpenRates {
+		cell := runOpenCell(newServeService(snap, cfg), space, cfg, rate)
+		reportServe(cfg.Progress, cell)
+		res.Cells = append(res.Cells, cell)
 	}
 	return res
 }
@@ -222,20 +200,14 @@ func buildServeSnapshot(sentences int) (*snapshot.Snapshot, *kb.KB) {
 	return snapshot.Freeze(ext.KB), ext.KB
 }
 
-// buildServeFleet partitions snap across the shard count behind a
-// strict router, exactly as driftserve -shards wires it.
-func buildServeFleet(snap *snapshot.Snapshot, shards int, cfg ServeConfig) *serve.Router {
-	ring := serve.NewRing(shards, 0)
-	parts := snap.Partition(shards, ring.Owner)
-	svcs := make([]*serve.Service, shards)
-	for i := range svcs {
-		svcs[i] = serve.New(parts[i], serve.Options{
-			CacheSize:   cfg.CacheSize,
-			MaxInflight: cfg.MaxInflight,
-			QueueDepth:  cfg.QueueDepth,
-		})
-	}
-	return serve.NewRouter(svcs, ring, serve.RouterOptions{})
+// newServeService serves snap with the run's cache and admission
+// settings, as driftserve -kb wires it.
+func newServeService(snap *snapshot.Snapshot, cfg ServeConfig) *serve.Service {
+	return serve.New(snap, serve.Options{
+		CacheSize:   cfg.CacheSize,
+		MaxInflight: cfg.MaxInflight,
+		QueueDepth:  cfg.QueueDepth,
+	})
 }
 
 // querySpace is the concept/instance population queries draw from.
@@ -256,10 +228,10 @@ func newQuerySpace(snap *snapshot.Snapshot) *querySpace {
 	return qs
 }
 
-// issue runs one query drawn from rng against the router: a mix that
+// issue runs one query drawn from rng against the service: a mix that
 // touches every endpoint, dominated by the point lookups a serving KB
 // actually sees. Returns whether the query was shed by admission.
-func (qs *querySpace) issue(ctx context.Context, r *serve.Router, rng *rand.Rand) (shed bool, err error) {
+func (qs *querySpace) issue(ctx context.Context, r *serve.Service, rng *rand.Rand) (shed bool, err error) {
 	ci := rng.Intn(len(qs.concepts))
 	concept := qs.concepts[ci]
 	switch pick := rng.Intn(10); {
@@ -274,22 +246,15 @@ func (qs *querySpace) issue(ctx context.Context, r *serve.Router, rng *rand.Rand
 		_, err = r.Explain(ctx, concept, insts[rng.Intn(len(insts))], 3)
 	case pick < 8: // 10% concept-scoped drift rankings
 		_, err = r.Drifted(ctx, concept, 10)
-	case pick < 9: // 10% fleet-wide drift rankings (scatter-gather)
+	case pick < 9: // 10% KB-wide drift rankings
 		_, err = r.Drifted(ctx, "", 20)
-	default: // 10% concept listings (scatter-gather)
+	default: // 10% concept listings
 		_, err = r.Concepts(ctx)
 	}
-	if err != nil && isShed(err) {
+	if errors.Is(err, serve.ErrOverloaded) {
 		return true, nil
 	}
 	return false, err
-}
-
-// isShed reports whether err is (or wraps) an admission shed.
-// ErrOverloaded may arrive wrapped in ErrShard when a gather observed
-// the shed on one of its shards.
-func isShed(err error) bool {
-	return errors.Is(err, serve.ErrOverloaded)
 }
 
 // sample accumulates one cell's latencies; guarded by mu because open-
@@ -352,7 +317,7 @@ func percentile(sorted []int64, q float64) int64 {
 
 // runClosedCell drives `workers` goroutines, each issuing queries back
 // to back until the cell duration elapses.
-func runClosedCell(router *serve.Router, space *querySpace, cfg ServeConfig, shards, workers int) ServeCell {
+func runClosedCell(svc *serve.Service, space *querySpace, cfg ServeConfig, workers int) ServeCell {
 	var smp sample
 	ctx := context.Background()
 	deadline := time.Now().Add(cfg.Duration)
@@ -365,7 +330,7 @@ func runClosedCell(router *serve.Router, space *querySpace, cfg ServeConfig, sha
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
 			for time.Now().Before(deadline) {
 				t0 := time.Now()
-				shed, err := space.issue(ctx, router, rng)
+				shed, err := space.issue(ctx, svc, rng)
 				smp.add(time.Since(t0), shed, err)
 			}
 		}(w)
@@ -373,7 +338,6 @@ func runClosedCell(router *serve.Router, space *querySpace, cfg ServeConfig, sha
 	wg.Wait()
 	wall := time.Since(start)
 	return ServeCell{
-		Shards:    shards,
 		Mode:      "closed",
 		Workers:   workers,
 		DurationS: wall.Seconds(),
@@ -383,10 +347,10 @@ func runClosedCell(router *serve.Router, space *querySpace, cfg ServeConfig, sha
 
 // runOpenCell offers queries at a fixed rate for the cell duration:
 // arrivals are scheduled on the clock, not gated on completions, so a
-// fleet slower than the offered rate accumulates genuine queueing
+// service slower than the offered rate accumulates genuine queueing
 // delay — the regime where p99/p999 and admission control earn their
 // keep.
-func runOpenCell(router *serve.Router, space *querySpace, cfg ServeConfig, shards, rate int) ServeCell {
+func runOpenCell(svc *serve.Service, space *querySpace, cfg ServeConfig, rate int) ServeCell {
 	var smp sample
 	ctx := context.Background()
 	interval := time.Second / time.Duration(rate)
@@ -409,14 +373,13 @@ func runOpenCell(router *serve.Router, space *querySpace, cfg ServeConfig, shard
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*104729))
 			t0 := time.Now()
-			shed, err := space.issue(ctx, router, rng)
+			shed, err := space.issue(ctx, svc, rng)
 			smp.add(time.Since(t0), shed, err)
 		}(i)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 	return ServeCell{
-		Shards:     shards,
 		Mode:       "open",
 		OfferedRPS: rate,
 		DurationS:  wall.Seconds(),
@@ -425,11 +388,10 @@ func runOpenCell(router *serve.Router, space *querySpace, cfg ServeConfig, shard
 }
 
 // responseFingerprint hashes a canonical response set — stats, the full
-// concept listing, fleet-wide and per-concept drift rankings, instance
+// concept listing, KB-wide and per-concept drift rankings, instance
 // listings and a provenance explain per concept — through their JSON
-// encodings, so "byte-identical responses" is checked over the literal
-// wire format.
-func responseFingerprint(router *serve.Router, space *querySpace) string {
+// encodings, so the fingerprint pins the literal wire format.
+func responseFingerprint(svc *serve.Service, space *querySpace) string {
 	ctx := context.Background()
 	h := fnv.New64a()
 	feed := func(v any, err error) {
@@ -444,24 +406,23 @@ func responseFingerprint(router *serve.Router, space *querySpace) string {
 		_, _ = h.Write([]byte{0x1f})
 	}
 
-	st, err := router.Stats(ctx)
+	st, err := svc.Stats(ctx)
 	// Generation is process-global state, not response content: two runs
 	// of this process freeze different generation numbers for the same
-	// KB. The shard-count comparison shares one freeze, but zeroing it
-	// also keeps fingerprints comparable across artifact regenerations.
+	// KB. Zeroing it keeps fingerprints comparable across runs.
 	st.Generation = 0
 	feed(st, err)
-	cs, err := router.Concepts(ctx)
+	cs, err := svc.Concepts(ctx)
 	feed(cs, err)
-	dr, err := router.Drifted(ctx, "", 100)
+	dr, err := svc.Drifted(ctx, "", 100)
 	feed(dr, err)
 	for i, c := range space.concepts {
-		ins, err := router.Instances(ctx, c)
+		ins, err := svc.Instances(ctx, c)
 		feed(ins, err)
-		dr, err := router.Drifted(ctx, c, 5)
+		dr, err := svc.Drifted(ctx, c, 5)
 		feed(dr, err)
 		if insts := space.instances[i]; len(insts) > 0 {
-			ex, err := router.Explain(ctx, c, insts[0], 3)
+			ex, err := svc.Explain(ctx, c, insts[0], 3)
 			feed(ex, err)
 		}
 	}
@@ -476,23 +437,19 @@ func reportServe(progress func(string), c ServeCell) {
 	if c.Mode == "open" {
 		load = fmt.Sprintf("offered=%drps", c.OfferedRPS)
 	}
-	progress(fmt.Sprintf("shards=%d %-6s %-14s %7.0f rps  p50 %5dus  p99 %6dus  p999 %6dus  max %6dus  shed %d err %d",
-		c.Shards, c.Mode, load, c.Latency.ThroughputRPS,
+	progress(fmt.Sprintf("%-6s %-14s %7.0f rps  p50 %5dus  p99 %6dus  p999 %6dus  max %6dus  shed %d err %d",
+		c.Mode, load, c.Latency.ThroughputRPS,
 		c.Latency.P50Micros, c.Latency.P99Micros, c.Latency.P999Micros, c.Latency.MaxMicros,
 		c.Latency.Shed, c.Latency.Errors))
 }
 
-// ValidateServe checks an artifact's internal consistency: the identity
-// gate must have passed, at least two shard counts must have been
-// swept, every cell must hold a coherent latency summary. CI runs this
-// against the freshly produced smoke artifact so a malformed or
-// shortcut run fails loudly.
+// ValidateServe checks an artifact's internal consistency: a response
+// fingerprint must be recorded and every cell must hold a coherent
+// latency summary. CI runs this against the freshly produced smoke
+// artifact so a malformed or shortcut run fails loudly.
 func ValidateServe(r *ServeResult) error {
-	if !r.Identical {
-		return fmt.Errorf("bench: response fingerprints diverge across shard counts: %v", r.ResponseFingerprint)
-	}
-	if len(r.ResponseFingerprint) < 2 {
-		return fmt.Errorf("bench: sweep covered %d shard counts, need at least 2 for the identity gate", len(r.ResponseFingerprint))
+	if r.ResponseFingerprint == "" {
+		return fmt.Errorf("bench: artifact records no response fingerprint")
 	}
 	if len(r.Cells) == 0 {
 		return fmt.Errorf("bench: artifact holds no load cells")
@@ -503,12 +460,10 @@ func ValidateServe(r *ServeResult) error {
 	for i, c := range r.Cells {
 		l := c.Latency
 		switch {
-		case c.Shards < 1:
-			return fmt.Errorf("bench: cell %d: invalid shard count %d", i, c.Shards)
 		case c.Mode != "closed" && c.Mode != "open":
 			return fmt.Errorf("bench: cell %d: unknown mode %q", i, c.Mode)
 		case l.Count <= 0:
-			return fmt.Errorf("bench: cell %d (%s shards=%d): no completed queries", i, c.Mode, c.Shards)
+			return fmt.Errorf("bench: cell %d (%s): no completed queries", i, c.Mode)
 		case l.P50Micros > l.P99Micros || l.P99Micros > l.P999Micros || l.P999Micros > l.MaxMicros:
 			return fmt.Errorf("bench: cell %d: percentiles out of order: p50=%d p99=%d p999=%d max=%d",
 				i, l.P50Micros, l.P99Micros, l.P999Micros, l.MaxMicros)

@@ -7,12 +7,16 @@ import (
 	"time"
 )
 
-// tinyServeConfig is the smallest sweep that still exercises the
-// identity gate (two shard counts) and both load modes.
+// tinyServeFingerprint is the response fingerprint of the 1,200-sentence
+// KB tinyServeConfig serves. It pins every /v1/* response body: a change
+// to what the service answers for the same KB changes it.
+const tinyServeFingerprint = "b54ca4095055855f"
+
+// tinyServeConfig is the smallest sweep that still exercises both load
+// modes.
 func tinyServeConfig() ServeConfig {
 	return ServeConfig{
 		Sentences:      1200,
-		ShardCounts:    []int{1, 3},
 		ClosedWorkers:  []int{2},
 		OpenRates:      []int{100},
 		Duration:       40 * time.Millisecond,
@@ -22,26 +26,23 @@ func tinyServeConfig() ServeConfig {
 }
 
 // TestRunServeProducesCoherentArtifact: one end-to-end harness run must
-// pass the identity gate, fill every cell, validate cleanly and
-// round-trip through WriteJSON.
+// reproduce the pinned response fingerprint, fill every cell, validate
+// cleanly and round-trip through WriteJSON.
 func TestRunServeProducesCoherentArtifact(t *testing.T) {
 	res := RunServe(tinyServeConfig())
 
-	if !res.Identical {
-		t.Fatalf("responses diverged across shard counts: %v", res.ResponseFingerprint)
+	if res.ResponseFingerprint != tinyServeFingerprint {
+		t.Fatalf("response fingerprint = %s, want %s", res.ResponseFingerprint, tinyServeFingerprint)
 	}
-	if len(res.ResponseFingerprint) != 2 {
-		t.Fatalf("fingerprints = %v, want one per shard count", res.ResponseFingerprint)
-	}
-	if got, want := len(res.Cells), 2*2; got != want {
-		t.Fatalf("cells = %d, want %d (2 shard counts x 2 modes)", got, want)
+	if got, want := len(res.Cells), 2; got != want {
+		t.Fatalf("cells = %d, want %d (one per load mode)", got, want)
 	}
 	for _, c := range res.Cells {
 		if c.Latency.Count == 0 {
-			t.Errorf("cell shards=%d mode=%s completed no queries", c.Shards, c.Mode)
+			t.Errorf("cell mode=%s completed no queries", c.Mode)
 		}
 		if c.Latency.Errors != 0 {
-			t.Errorf("cell shards=%d mode=%s had %d failed queries", c.Shards, c.Mode, c.Latency.Errors)
+			t.Errorf("cell mode=%s had %d failed queries", c.Mode, c.Latency.Errors)
 		}
 	}
 	if res.Reload == nil {
@@ -68,10 +69,9 @@ func TestRunServeProducesCoherentArtifact(t *testing.T) {
 func TestValidateServeRejectsMalformedArtifacts(t *testing.T) {
 	good := func() *ServeResult {
 		return &ServeResult{
-			Identical:           true,
-			ResponseFingerprint: map[string]string{"1": "a", "2": "a"},
+			ResponseFingerprint: "a",
 			Cells: []ServeCell{{
-				Shards: 1, Mode: "closed", Workers: 2,
+				Mode: "closed", Workers: 2,
 				Latency: LatencyStats{Count: 10, P50Micros: 1, P99Micros: 2, P999Micros: 3, MaxMicros: 4},
 			}},
 			Reload: &ReloadStats{
@@ -91,12 +91,10 @@ func TestValidateServeRejectsMalformedArtifacts(t *testing.T) {
 		mutate func(*ServeResult)
 		want   string
 	}{
-		{"diverged", func(r *ServeResult) { r.Identical = false }, "diverge"},
-		{"one shard count", func(r *ServeResult) { delete(r.ResponseFingerprint, "2") }, "at least 2"},
+		{"no fingerprint", func(r *ServeResult) { r.ResponseFingerprint = "" }, "no response fingerprint"},
 		{"no cells", func(r *ServeResult) { r.Cells = nil }, "no load cells"},
 		{"no queries", func(r *ServeResult) { r.Cells[0].Latency.Count = 0 }, "no completed queries"},
 		{"bad mode", func(r *ServeResult) { r.Cells[0].Mode = "sideways" }, "unknown mode"},
-		{"bad shards", func(r *ServeResult) { r.Cells[0].Shards = 0 }, "invalid shard count"},
 		{"unordered percentiles", func(r *ServeResult) { r.Cells[0].Latency.P99Micros = 9999 }, "out of order"},
 		{"errors", func(r *ServeResult) { r.Cells[0].Latency.Errors = 3 }, "failed"},
 		{"no reload block", func(r *ServeResult) { r.Reload = nil }, "no reload comparison"},

@@ -525,7 +525,7 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []st
 //     tuple (O, Count(O, e), FirstIter(O, e) ≤ 1): f2 and f6 compare
 //     Count(O, e) with fixed thresholds, and Rules 1 and 2 ask whether e
 //     is evidenced correct for O, which is core membership plus a count;
-//   - the KPCA solver settings, as in taskSignature.
+//   - the KPCA solver, as in taskSignature.
 //
 // Instances are combined by a sum of mixed terms, so the key does not
 // depend on map order; an instance held by no exclusive concept adds
@@ -565,24 +565,19 @@ func taskInputKey(k *kb.KB, a *Analysis, concept string, kcfg kpca.Config) uint6
 			}
 		})
 	}
-	solver := uint64(kcfg.Solver) << 1
-	if kcfg.Kernel32 {
-		solver |= 1
-	}
-	return memo.Mix(memo.Mix(k.ConceptDigest(concept)+solver)) + sum
+	return memo.Mix(memo.Mix(k.ConceptDigest(concept)+uint64(kcfg.Solver))) + sum
 }
 
 // taskSignature hashes the exact inputs a concept's learning task is a
 // function of: the sorted instance names, each name's seed label (or
 // its absence), the raw feature matrix bit for bit, and the KPCA solver
-// configuration. The solver bytes matter for the Session delta-reuse
-// path: a cached task embeds the eigensolver's (and kernel precision's)
-// numerical fingerprint, so a config that switches solvers mid-flight —
-// e.g. the Jacobi escape hatch — must miss rather than replay top-k
-// projections. Names are sorted and the matrix rows follow name order,
-// so the signature is deterministic; equal signatures mean the
-// previously built task is byte-identical to what a rebuild would
-// produce.
+// configuration. The solver byte matters for the Session delta-reuse
+// path: a cached task embeds the eigensolver's numerical fingerprint,
+// so a config that switches solvers mid-flight — e.g. the Jacobi escape
+// hatch — must miss rather than replay top-k projections. Names are
+// sorted and the matrix rows follow name order, so the signature is
+// deterministic; equal signatures mean the previously built task is
+// byte-identical to what a rebuild would produce.
 func taskSignature(concept string, names []string, seeds map[string]dp.Label, raw [][]float64, kcfg kpca.Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -592,11 +587,7 @@ func taskSignature(concept string, names []string, seeds map[string]dp.Label, ra
 	}
 	_, _ = h.Write([]byte(concept))
 	_, _ = h.Write([]byte{0})
-	kernel32 := byte(0)
-	if kcfg.Kernel32 {
-		kernel32 = 1
-	}
-	_, _ = h.Write([]byte{byte(kcfg.Solver), kernel32})
+	_, _ = h.Write([]byte{byte(kcfg.Solver)})
 	u64(uint64(len(names)))
 	for i, e := range names {
 		_, _ = h.Write([]byte(e))

@@ -212,7 +212,6 @@ func FuzzDecode(f *testing.F) {
 			}
 			v.DriftDepth(c)
 		}
-		v.ScanActiveExtractions(func(string) {})
 		for i := 0; i < v.NumExtractions(); i++ {
 			v.ExtractionAt(i)
 		}

@@ -85,16 +85,6 @@ func (v *View) ExtractionAt(id int) kb.Extraction {
 	}
 }
 
-// ScanActiveExtractions calls yield with the concept of every active
-// extraction, in extraction-ID order.
-func (v *View) ScanActiveExtractions(yield func(concept string)) {
-	for id, a := range v.secs[secExtActive] {
-		if a == 1 {
-			yield(v.strs[v.u32(secExtConcept, id)])
-		}
-	}
-}
-
 // ConceptsOfInstance returns all concepts currently holding the
 // instance with positive count, sorted — a direct read of the on-disk
 // reverse index, nil when the instance is unknown (matching the KB's

@@ -120,9 +120,6 @@ func answers(k *kb.KB) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%+v\n%q\n%v\nnumPairs=%d\n%v\n%s\n",
 		k.Stats(), k.Concepts(), k.Pairs(), k.NumPairs(), k.Digests(), bench.Fingerprint(k))
-	var active []string
-	k.ScanActiveExtractions(func(c string) { active = append(active, c) })
-	fmt.Fprintf(&b, "active: %q\n", active)
 	seen := map[string]bool{}
 	var instances []string
 	for id := 0; id < k.NumExtractions(); id++ {

@@ -36,23 +36,8 @@ type View interface {
 	// DriftDepth returns, per active instance of the concept, the
 	// length of its provenance chain back to the core.
 	DriftDepth(concept string) map[string]int
-	// ScanActiveExtractions calls yield with the concept of every
-	// active extraction, in extraction-ID order. The snapshot
-	// partitioner attributes extractions to shards through this without
-	// materializing full records.
-	ScanActiveExtractions(yield func(concept string))
 }
 
 // The mutable KB is itself a View (when read without concurrent
 // mutation).
 var _ View = (*KB)(nil)
-
-// ScanActiveExtractions calls yield with the concept of every active
-// extraction, in extraction-ID order.
-func (kb *KB) ScanActiveExtractions(yield func(concept string)) {
-	for i := range kb.exts {
-		if x := &kb.exts[i]; x.active {
-			yield(kb.syms.Name(x.concept))
-		}
-	}
-}

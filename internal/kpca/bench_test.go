@@ -19,9 +19,8 @@ func benchPoints(n, d int) [][]float64 {
 	return x
 }
 
-// BenchmarkFit compares the solver and kernel-precision knobs on the
-// same point cloud: topk (default), the Jacobi oracle, and the blocked
-// float32 kernel build feeding the top-k solver.
+// BenchmarkFit compares the two eigensolvers on the same point cloud:
+// topk (default) and the Jacobi oracle.
 func BenchmarkFit(b *testing.B) {
 	x := benchPoints(80, 6)
 	variants := []struct {
@@ -30,7 +29,6 @@ func BenchmarkFit(b *testing.B) {
 	}{
 		{"topk", DefaultConfig},
 		{"jacobi", func() Config { c := DefaultConfig(); c.Solver = SolverJacobi; return c }},
-		{"topk-kernel32", func() Config { c := DefaultConfig(); c.Kernel32 = true; return c }},
 	}
 	for _, v := range variants {
 		cfg := v.cfg()

@@ -64,15 +64,6 @@ type Config struct {
 	// Solver picks the eigensolver backend; the zero value is the top-k
 	// path. SolverJacobi is the full-spectrum escape hatch.
 	Solver Solver
-	// Kernel32 computes the training kernel matrix from float32
-	// coordinates in cache-blocked tiles. At million-sentence scales the
-	// O(n²·d) kernel build reads the training block n times over; the
-	// float32 copy halves that traffic and the tiling keeps both operands
-	// resident. The kernel entries still go through a float64 exp, so the
-	// error is bounded by float32 rounding of the squared distances
-	// (~1e-7 relative) — inside the golden-file epsilon, but off by
-	// default so the default path stays bit-identical.
-	Kernel32 bool
 }
 
 // DefaultConfig caps the representation at 12 components — enough
@@ -124,17 +115,13 @@ func Fit(x [][]float64, cfg Config) (*Transform, error) {
 
 	// Uncentered kernel matrix, filled through the flat backing array.
 	k := linalg.NewMatrix(n, n)
-	if cfg.Kernel32 {
-		fillKernel32(k, t.train, t.gamma)
-	} else {
-		kd := k.Data
-		for i := 0; i < n; i++ {
-			kd[i*n+i] = 1
-			for j := i + 1; j < n; j++ {
-				v := t.kernel(t.train[i], t.train[j])
-				kd[i*n+j] = v
-				kd[j*n+i] = v
-			}
+	kd := k.Data
+	for i := 0; i < n; i++ {
+		kd[i*n+i] = 1
+		for j := i + 1; j < n; j++ {
+			v := t.kernel(t.train[i], t.train[j])
+			kd[i*n+j] = v
+			kd[j*n+i] = v
 		}
 	}
 	// Save means for centering test points, then center: K' = HKH.
@@ -175,61 +162,6 @@ func Fit(x [][]float64, cfg Config) (*Transform, error) {
 		}
 	}
 	return t, nil
-}
-
-// fillKernel32 fills the uncentered RBF kernel matrix from a float32
-// copy of the standardized training points, tiled so both operand blocks
-// stay cache-resident. Squared distances accumulate in float32 — the
-// precision knob — while the exponential and the stored entry remain
-// float64.
-func fillKernel32(k *linalg.Matrix, train [][]float64, gamma float64) {
-	n := len(train)
-	d := 0
-	if n > 0 {
-		d = len(train[0])
-	}
-	flat := make([]float32, n*d)
-	for i, row := range train {
-		dst := flat[i*d : (i+1)*d : (i+1)*d]
-		for j, v := range row {
-			dst[j] = float32(v)
-		}
-	}
-	const tile = 64
-	kd := k.Data
-	for ib := 0; ib < n; ib += tile {
-		iend := ib + tile
-		if iend > n {
-			iend = n
-		}
-		for jb := ib; jb < n; jb += tile {
-			jend := jb + tile
-			if jend > n {
-				jend = n
-			}
-			for i := ib; i < iend; i++ {
-				xi := flat[i*d : (i+1)*d : (i+1)*d]
-				jstart := jb
-				if jstart <= i {
-					jstart = i + 1
-				}
-				for j := jstart; j < jend; j++ {
-					xj := flat[j*d : (j+1)*d : (j+1)*d]
-					var d2 float32
-					for c, v := range xi {
-						diff := v - xj[c]
-						d2 += diff * diff
-					}
-					v := math.Exp(-gamma * float64(d2))
-					kd[i*n+j] = v
-					kd[j*n+i] = v
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		kd[i*n+i] = 1
-	}
 }
 
 // Components returns the output dimensionality r.

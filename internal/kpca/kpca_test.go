@@ -225,34 +225,3 @@ func TestSolverEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestKernel32WithinTolerance: the blocked float32 kernel build changes
-// entries by at most float32 rounding of the squared distances, so the
-// fitted projections must track the float64 build within a loose bound.
-func TestKernel32WithinTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	x, _ := twoBlobs(rng, 60)
-	f64, err := Fit(x, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg32 := DefaultConfig()
-	cfg32.Kernel32 = true
-	f32, err := Fit(x, cfg32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f64.Components() != f32.Components() {
-		t.Fatalf("component count differs: float64 %d vs kernel32 %d", f64.Components(), f32.Components())
-	}
-	p64 := f64.ProjectAll(x)
-	p32 := f32.ProjectAll(x)
-	alignSignsTo(p64, p32)
-	for i := range p64 {
-		for p := range p64[i] {
-			if math.Abs(p64[i][p]-p32[i][p]) > 1e-3 {
-				t.Fatalf("projection[%d][%d]: float64 %v vs kernel32 %v", i, p, p64[i][p], p32[i][p])
-			}
-		}
-	}
-}

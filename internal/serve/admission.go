@@ -9,15 +9,15 @@ import (
 // ErrOverloaded is returned when a query is shed by admission control:
 // the service already has MaxInflight queries executing and QueueDepth
 // more waiting. HTTP layers map it onto 429 Too Many Requests so
-// clients back off instead of piling onto a saturated shard.
+// clients back off instead of piling onto a saturated service.
 var ErrOverloaded = errors.New("serve: overloaded, request shed")
 
 // admission is a per-service bounded execution queue: at most
 // maxInflight queries execute concurrently, at most queueDepth more
 // wait for a slot, and everything beyond that is shed immediately with
-// ErrOverloaded. Shedding at the front door keeps one slow shard's
-// queue from growing without bound and converting overload into
-// unbounded tail latency — the fleet degrades to fast 429s instead.
+// ErrOverloaded. Shedding at the front door keeps the queue from
+// growing without bound and converting overload into unbounded tail
+// latency — the service degrades to fast 429s instead.
 //
 // A nil *admission is the no-op used when Options leaves MaxInflight
 // zero (unlimited).

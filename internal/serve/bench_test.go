@@ -37,7 +37,7 @@ func BenchmarkDriftIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkServeColdDrifted measures the uncached fleet-wide query once
+// BenchmarkServeColdDrifted measures the uncached KB-wide query once
 // the generation's drift index exists: caching disabled, every Drifted
 // call takes a prefix of the snapshot's ranking.
 func BenchmarkServeColdDrifted(b *testing.B) {

@@ -49,40 +49,12 @@ func TestFormatsServeIdenticalResponses(t *testing.T) {
 			New(gobSnap, Options{}),
 			New(binSnap, Options{}))
 	})
-
-	t.Run("sharded router", func(t *testing.T) {
-		const shards = 3
-		mk := func(path string) *Router {
-			snap, _, err := kbio.FreezeFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ring := NewRing(shards, 0)
-			parts := snap.Partition(shards, ring.Owner)
-			svcs := make([]*Service, shards)
-			for i := range svcs {
-				svcs[i] = New(parts[i], Options{})
-			}
-			return NewRouter(svcs, ring, RouterOptions{})
-		}
-		assertServicesAgree(t, k, mk(gobPath), mk(binPath))
-	})
-}
-
-// querySurface is the part of the /v1/* surface shared by Service and
-// Router that the differential test drives.
-type querySurface interface {
-	Stats(ctx context.Context) (StatsResult, error)
-	Concepts(ctx context.Context) ([]ConceptInfo, error)
-	Instances(ctx context.Context, concept string) ([]InstanceInfo, error)
-	Explain(ctx context.Context, concept, instance string, maxSupports int) (kb.Explanation, error)
-	Drifted(ctx context.Context, concept string, n int) ([]DriftedInstance, error)
 }
 
 // assertServicesAgree compares the full query surface of two services
 // backed by different snapshot formats of the same KB, response by
 // response, at the JSON byte level.
-func assertServicesAgree(t *testing.T, k *kb.KB, gobSvc, binSvc querySurface) {
+func assertServicesAgree(t *testing.T, k *kb.KB, gobSvc, binSvc *Service) {
 	t.Helper()
 	ctx := context.Background()
 
@@ -96,7 +68,7 @@ func assertServicesAgree(t *testing.T, k *kb.KB, gobSvc, binSvc querySurface) {
 	wantStats.Generation, gotStats.Generation = 0, 0
 	assertSameJSON(t, "stats", wantStats, gotStats)
 
-	compare := func(what string, f func(querySurface) (any, error)) {
+	compare := func(what string, f func(*Service) (any, error)) {
 		t.Helper()
 		want, err1 := f(gobSvc)
 		got, err2 := f(binSvc)
@@ -113,20 +85,20 @@ func assertServicesAgree(t *testing.T, k *kb.KB, gobSvc, binSvc querySurface) {
 		assertSameJSON(t, what, want, got)
 	}
 
-	compare("concepts", func(s querySurface) (any, error) { return s.Concepts(ctx) })
-	compare("drifted all", func(s querySurface) (any, error) { return s.Drifted(ctx, "", 50) })
-	compare("instances of missing", func(s querySurface) (any, error) { return s.Instances(ctx, "no-such") })
-	compare("explain of missing", func(s querySurface) (any, error) { return s.Explain(ctx, "no-such", "none", 0) })
+	compare("concepts", func(s *Service) (any, error) { return s.Concepts(ctx) })
+	compare("drifted all", func(s *Service) (any, error) { return s.Drifted(ctx, "", 50) })
+	compare("instances of missing", func(s *Service) (any, error) { return s.Instances(ctx, "no-such") })
+	compare("explain of missing", func(s *Service) (any, error) { return s.Explain(ctx, "no-such", "none", 0) })
 
 	for _, c := range k.Concepts() {
 		c := c
-		compare("instances "+c, func(s querySurface) (any, error) { return s.Instances(ctx, c) })
-		compare("drifted "+c, func(s querySurface) (any, error) { return s.Drifted(ctx, c, 10) })
+		compare("instances "+c, func(s *Service) (any, error) { return s.Instances(ctx, c) })
+		compare("drifted "+c, func(s *Service) (any, error) { return s.Drifted(ctx, c, 10) })
 		for _, e := range k.Instances(c) {
 			e := e
 			for _, maxS := range []int{0, 2} {
 				maxS := maxS
-				compare(fmt.Sprintf("explain %s/%s/%d", c, e, maxS), func(s querySurface) (any, error) {
+				compare(fmt.Sprintf("explain %s/%s/%d", c, e, maxS), func(s *Service) (any, error) {
 					return s.Explain(ctx, c, e, maxS)
 				})
 			}

@@ -95,42 +95,6 @@ type Metrics struct {
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 }
 
-// merge folds another service's metrics into the receiver, summing
-// counters; the generation reported is the largest seen. Routers use
-// this to export one fleet-wide view alongside the per-shard ones.
-func (m *Metrics) merge(o Metrics) {
-	if o.Generation > m.Generation {
-		m.Generation = o.Generation
-	}
-	m.Swaps += o.Swaps
-	m.CacheSize += o.CacheSize
-	m.Shed += o.Shed
-	if m.Endpoints == nil {
-		m.Endpoints = make(map[string]EndpointStats, len(o.Endpoints))
-	}
-	for name, es := range o.Endpoints {
-		cur := m.Endpoints[name]
-		// AvgMicros re-weights by request count so the merged average is
-		// the true fleet average, not an average of averages.
-		totalReq := cur.Requests + es.Requests
-		if totalReq > 0 {
-			cur.AvgMicros = (cur.AvgMicros*cur.Requests + es.AvgMicros*es.Requests) / totalReq
-		}
-		cur.Requests = totalReq
-		cur.Errors += es.Errors
-		cur.CacheHits += es.CacheHits
-		cur.CacheMisses += es.CacheMisses
-		cur.Coalesced += es.Coalesced
-		if cur.Latency == nil {
-			cur.Latency = make(map[string]int64, len(bucketLabels))
-		}
-		for _, label := range bucketLabels {
-			cur.Latency[label] += es.Latency[label]
-		}
-		m.Endpoints[name] = cur
-	}
-}
-
 // ExpvarHandler returns an http.Handler that serves the service metrics
 // as a JSON document in the expvar style ("/debug/vars"): a flat map of
 // exported variables. It avoids the global expvar registry so multiple
@@ -138,16 +102,10 @@ func (m *Metrics) merge(o Metrics) {
 func (s *Service) ExpvarHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		writeExpvar(w, map[string]any{"driftserve": s.Metrics()})
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(map[string]any{"driftserve": s.Metrics()}); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
-}
-
-// writeExpvar encodes one expvar-style document, shared by the Service
-// and Router handlers.
-func writeExpvar(w http.ResponseWriter, doc map[string]any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }

@@ -159,7 +159,7 @@ type InstanceInfo struct {
 }
 
 // DriftedInstance is one row of a drift ranking. Concept is set only in
-// fleet-wide rankings (Drifted with an empty concept), where rows from
+// KB-wide rankings (Drifted with an empty concept), where rows from
 // different concepts mix; concept-scoped rankings omit it, keeping
 // their wire format unchanged.
 type DriftedInstance = snapshot.DriftRow
@@ -246,8 +246,7 @@ func (s *Service) Explain(ctx context.Context, concept, instance string, maxSupp
 // first. With a concept, the ranking is scoped to it and unknown
 // concepts yield ErrNotFound. With an empty concept, the ranking spans
 // every concept the service holds (rows carry their concept), ordered
-// by depth descending, then concept, then instance — the deterministic
-// order a sharded router's gather-merge reproduces exactly.
+// by depth descending, then concept, then instance.
 //
 // Every answer is a prefix of the snapshot's drift index, shared by all
 // callers and cached results of the generation: it must not be

@@ -166,18 +166,25 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// asJSON canonicalizes a response for byte comparison.
+func asJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	return string(b)
+}
+
 // TestDriftedAnswersAreAppendSafe: drift answers share the snapshot's
-// index (and a router's answer is built from shard answers), so each is
-// clipped to cap == len — also when n reaches past the ranking — and
-// appending to one response never changes the next.
+// index, so each is clipped to cap == len — also when n reaches past
+// the ranking — and appending to one response never changes the next.
 func TestDriftedAnswersAreAppendSafe(t *testing.T) {
 	snap := snapshot.Freeze(chainKB(10))
-	router, _ := buildFleet(t, snap, 2, nil, RouterOptions{})
 	ctx := context.Background()
-	for name, q := range map[string]Querier{
+	for name, q := range map[string]*Service{
 		"cached":   New(snap, Options{}),
 		"uncached": New(snap, Options{CacheSize: -1}),
-		"router":   router,
 	} {
 		for _, concept := range []string{"", "c"} {
 			for _, n := range []int{1, 3, 12, 1000} {

@@ -9,7 +9,7 @@ import (
 
 // DriftRow is one row of a drift ranking: an instance and the length of
 // its provenance chain back to the core. Concept is set only in
-// fleet-wide rankings, where rows from different concepts mix;
+// rankings across every concept, where rows from different concepts mix;
 // concept-scoped rankings leave it empty, which keeps their wire format
 // free of it.
 type DriftRow struct {
@@ -18,13 +18,11 @@ type DriftRow struct {
 	Depth   int    `json:"depth"`
 }
 
-// SortDrifted orders drift rows canonically: depth descending, then
+// sortDrifted orders drift rows canonically: depth descending, then
 // concept, then instance name. Concept-scoped rows share an empty
-// concept, so the same order ranks them by depth, then name. Every
-// ranking — per concept, fleet-wide, and a router's merge of shard
-// rankings — uses this one order, which is what makes scatter-gather
-// responses byte-identical across shard counts.
-func SortDrifted(rows []DriftRow) {
+// concept, so the same order ranks them by depth, then name. Both
+// rankings, per concept and across every concept, use this one order.
+func sortDrifted(rows []DriftRow) {
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		if a.Depth != b.Depth {
@@ -43,8 +41,8 @@ func SortDrifted(rows []DriftRow) {
 type driftIndex struct {
 	once      sync.Once
 	builds    int                   // times the build ran; the once keeps it at most 1
-	byConcept map[string][]DriftRow // each owned concept's ranking, Concept left empty
-	all       []DriftRow            // every owned concept's rows, Concept set; never nil once built
+	byConcept map[string][]DriftRow // each concept's ranking, Concept left empty
+	all       []DriftRow            // every concept's rows, Concept set; never nil once built
 }
 
 // driftIndex returns the snapshot's drift index, building it on first
@@ -74,7 +72,7 @@ func buildDriftIndex(k kb.View, concepts []string) (map[string][]DriftRow, []Dri
 		for i, e := range names {
 			rows[i] = DriftRow{Name: e, Depth: depth[e]}
 		}
-		SortDrifted(rows)
+		sortDrifted(rows)
 		byConcept[c] = rows
 		total += len(rows)
 	}
@@ -85,27 +83,24 @@ func buildDriftIndex(k kb.View, concepts []string) (map[string][]DriftRow, []Dri
 			all = append(all, r)
 		}
 	}
-	SortDrifted(all)
+	sortDrifted(all)
 	return byConcept, all
 }
 
 // DriftRanking returns up to n of the concept's instances, deepest
 // provenance chain first (ties by name), with Concept left empty. It is
-// nil when the view does not hold the concept.
+// nil when the snapshot does not hold the concept.
 //
 // Like FleetDriftRanking, the rows are a prefix of the snapshot's
 // shared index: callers must not modify them. The slice's capacity
 // equals its length, so an append copies instead of writing into the
 // index. A non-positive n yields no rows.
 func (s *Snapshot) DriftRanking(concept string, n int) []DriftRow {
-	if !s.owns(concept) {
-		return nil
-	}
 	return prefix(s.driftIndex().byConcept[concept], n)
 }
 
 // FleetDriftRanking returns up to n rows spanning every concept of the
-// view, Concept set, in SortDrifted order. The result is never nil.
+// snapshot, Concept set, in sortDrifted order. The result is never nil.
 func (s *Snapshot) FleetDriftRanking(n int) []DriftRow {
 	return prefix(s.driftIndex().all, n)
 }

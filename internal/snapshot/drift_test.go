@@ -2,18 +2,41 @@ package snapshot
 
 import (
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
+
+	"driftclean/internal/kb"
 )
+
+// gridKB builds a KB with nc concepts of ni instances each, a trigger
+// chain per concept, plus one rolled-back extraction so inactive state
+// is exercised.
+func gridKB(nc, ni int) *kb.KB {
+	k := kb.New()
+	sid := 0
+	for c := 0; c < nc; c++ {
+		concept := "concept" + strconv.Itoa(c)
+		k.AddExtraction(sid, concept, []string{concept}, []string{"e0"}, nil, 1)
+		sid++
+		for i := 1; i < ni; i++ {
+			k.AddExtraction(sid, concept, []string{concept},
+				[]string{"e" + strconv.Itoa(i)}, []string{"e" + strconv.Itoa(i-1)}, i+1)
+			sid++
+		}
+	}
+	id := k.AddExtraction(sid, "concept0", nil, []string{"ghost"}, []string{"e0"}, 2)
+	k.RollbackExtractions([]int{id})
+	return k
+}
 
 // TestDriftIndexConcurrentBuildOnce: many goroutines racing the first
 // drift queries of a fresh snapshot build its index exactly once and all
 // read the same rows.
 func TestDriftIndexConcurrentBuildOnce(t *testing.T) {
 	s := Freeze(gridKB(9, 6))
-	parts := s.Partition(3, modOwner(3))
 	const readers = 16
-	type answer struct{ fleet, concept, shard []DriftRow }
+	type answer struct{ all, concept []DriftRow }
 	answers := make([]answer, readers)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -23,9 +46,8 @@ func TestDriftIndexConcurrentBuildOnce(t *testing.T) {
 			defer wg.Done()
 			<-start
 			answers[g] = answer{
-				fleet:   s.FleetDriftRanking(1 << 30),
+				all:     s.FleetDriftRanking(1 << 30),
 				concept: s.DriftRanking("concept3", 4),
-				shard:   parts[g%len(parts)].FleetDriftRanking(5),
 			}
 		}(g)
 	}
@@ -33,25 +55,17 @@ func TestDriftIndexConcurrentBuildOnce(t *testing.T) {
 	wg.Wait()
 
 	if s.drift.builds != 1 {
-		t.Fatalf("full view built its drift index %d times, want 1", s.drift.builds)
-	}
-	for i, p := range parts {
-		if p.drift.builds != 1 {
-			t.Fatalf("shard %d built its drift index %d times, want 1", i, p.drift.builds)
-		}
+		t.Fatalf("snapshot built its drift index %d times, want 1", s.drift.builds)
 	}
 	for g, a := range answers {
-		if !reflect.DeepEqual(a.fleet, answers[0].fleet) || !reflect.DeepEqual(a.concept, answers[0].concept) {
+		if !reflect.DeepEqual(a.all, answers[0].all) || !reflect.DeepEqual(a.concept, answers[0].concept) {
 			t.Fatalf("reader %d saw a different ranking", g)
 		}
-		if &a.fleet[0] != &answers[0].fleet[0] {
-			t.Fatalf("reader %d got a private copy of the fleet ranking, want the shared index", g)
-		}
-		if want := parts[g%len(parts)].FleetDriftRanking(5); !reflect.DeepEqual(a.shard, want) {
-			t.Fatalf("reader %d shard ranking %v, want %v", g, a.shard, want)
+		if &a.all[0] != &answers[0].all[0] {
+			t.Fatalf("reader %d got a private copy of the KB-wide ranking, want the shared index", g)
 		}
 	}
-	if got := len(answers[0].fleet); got != s.NumPairs() {
-		t.Fatalf("fleet ranking has %d rows, want one per pair (%d)", got, s.NumPairs())
+	if got := len(answers[0].all); got != s.NumPairs() {
+		t.Fatalf("KB-wide ranking has %d rows, want one per pair (%d)", got, s.NumPairs())
 	}
 }

@@ -33,12 +33,6 @@ var generation atomic.Uint64
 
 // Snapshot is an immutable view of a KB frozen at a point in time. All
 // methods are safe for concurrent use by any number of goroutines.
-//
-// A snapshot is either a full view (produced by Freeze or FreezeOwned)
-// or a concept-partitioned shard view (produced by Partition): a shard
-// view shares the parent's underlying KB view but answers only for the
-// concepts it owns, so N shard views of one freeze cost N index slices,
-// not N KB copies.
 type Snapshot struct {
 	gen uint64
 	// k is the backing read-only view: a sealed heap KB, or an
@@ -49,15 +43,6 @@ type Snapshot struct {
 	// Precomputed at freeze: aggregates every query path touches.
 	stats    kb.Stats
 	concepts []string
-	// byInstance is a shard view's reverse index instance → owned
-	// concepts. nil for a full view, whose backing view answers
-	// ConceptsOfInstance natively (the heap KB walks the instance's
-	// pair records, the binary snapshot stores the index on disk).
-	byInstance map[string][]string
-	// owned, when non-nil, restricts the view to the concepts a
-	// Partition call assigned to this shard; reads about any other
-	// concept answer "not here". nil means the full, unpartitioned view.
-	owned map[string]struct{}
 
 	// drift is built lazily on the first drift query, so freezing and
 	// publishing pay nothing for it.
@@ -93,92 +78,54 @@ func FreezeOwned(v kb.View) *Snapshot {
 }
 
 // Generation returns the snapshot's process-wide monotonic generation
-// number. Later freezes always have strictly larger generations; shard
-// views share their parent freeze's generation.
+// number. Later freezes always have strictly larger generations.
 func (s *Snapshot) Generation() uint64 { return s.gen }
 
-// Stats returns the aggregate KB statistics, precomputed at freeze. For
-// a shard view the statistics are scoped to the owned concepts; summing
-// every shard of a partition reproduces the parent's statistics exactly.
+// Stats returns the aggregate KB statistics, precomputed at freeze.
 func (s *Snapshot) Stats() kb.Stats { return s.stats }
 
-// Concepts returns all concepts with at least one active instance (of
-// this shard, for a shard view), sorted. The returned slice is shared
-// and must not be modified.
+// Concepts returns all concepts with at least one active instance,
+// sorted. The returned slice is shared and must not be modified.
 func (s *Snapshot) Concepts() []string { return s.concepts }
 
-// owns reports whether this view answers for the concept.
-func (s *Snapshot) owns(concept string) bool {
-	if s.owned == nil {
-		return true
-	}
-	_, ok := s.owned[concept]
-	return ok
-}
-
 // HasConcept reports whether the concept has at least one active
-// instance in the snapshot (and, for a shard view, is owned by it).
+// instance in the snapshot.
 func (s *Snapshot) HasConcept(concept string) bool {
-	return s.owns(concept) && len(s.k.Instances(concept)) > 0
+	return len(s.k.Instances(concept)) > 0
 }
 
 // Instances returns the instances under a concept, sorted.
-func (s *Snapshot) Instances(concept string) []string {
-	if !s.owns(concept) {
-		return nil
-	}
-	return s.k.Instances(concept)
-}
+func (s *Snapshot) Instances(concept string) []string { return s.k.Instances(concept) }
 
 // Has reports whether the pair is in the snapshot with positive count.
-func (s *Snapshot) Has(concept, instance string) bool {
-	return s.owns(concept) && s.k.Has(concept, instance)
-}
+func (s *Snapshot) Has(concept, instance string) bool { return s.k.Has(concept, instance) }
 
 // Count returns the active support count of a pair (0 if absent).
-func (s *Snapshot) Count(concept, instance string) int {
-	if !s.owns(concept) {
-		return 0
-	}
-	return s.k.Count(concept, instance)
-}
+func (s *Snapshot) Count(concept, instance string) int { return s.k.Count(concept, instance) }
 
 // Explain traces the provenance of a pair; ok=false when the pair is not
 // in the snapshot. At most maxSupports supporting extractions are traced
 // (0 means all).
 func (s *Snapshot) Explain(concept, instance string, maxSupports int) (kb.Explanation, bool) {
-	if !s.owns(concept) {
-		return kb.Explanation{}, false
-	}
 	return s.k.Explain(concept, instance, maxSupports)
 }
 
 // SubInstances returns sub(e): instances whose extraction was triggered
 // by the given instance, sorted.
 func (s *Snapshot) SubInstances(concept, instance string) []string {
-	if !s.owns(concept) {
-		return nil
-	}
 	return s.k.SubInstances(concept, instance)
 }
 
-// ConceptsOfInstance returns all concepts holding the instance, sorted.
-// This is a single lookup — against a shard view's owner-scoped reverse
-// index, or directly against the backing view's own index. The returned
+// ConceptsOfInstance returns all concepts holding the instance, sorted:
+// one lookup in the backing view's own reverse index. The returned
 // slice is shared and must not be modified.
 func (s *Snapshot) ConceptsOfInstance(instance string) []string {
-	if s.byInstance != nil {
-		return s.byInstance[instance]
-	}
 	return s.k.ConceptsOfInstance(instance)
 }
 
 // DriftDepth returns, for every active pair of a concept, the length of
 // its provenance chain back to the core (1 for core pairs).
 func (s *Snapshot) DriftDepth(concept string) map[string]int {
-	if !s.owns(concept) {
-		return nil
-	}
 	return s.k.DriftDepth(concept)
 }
 
@@ -186,9 +133,6 @@ func (s *Snapshot) DriftDepth(concept string) map[string]int {
 // provenance chains, deepest first (ties by name). It answers from the
 // snapshot's drift index.
 func (s *Snapshot) TopDrifted(concept string, n int) []string {
-	if !s.owns(concept) {
-		return nil
-	}
 	rows := prefix(s.driftIndex().byConcept[concept], n)
 	names := make([]string, len(rows))
 	for i, r := range rows {
@@ -199,53 +143,3 @@ func (s *Snapshot) TopDrifted(concept string, n int) []string {
 
 // NumPairs returns the number of distinct active pairs.
 func (s *Snapshot) NumPairs() int { return s.stats.DistinctPairs }
-
-// Partition splits the snapshot into n shard views by concept
-// ownership: owner maps each concept name onto a shard index in
-// [0, n). Every view shares the receiver's underlying KB view — the
-// split costs index slices and scoped statistics, not KB copies — and
-// inherits its generation, so a router merging the shards' answers
-// reproduces the unpartitioned responses byte for byte.
-//
-// Each shard view answers only for its owned concepts: reads about any
-// other concept behave exactly as if the concept were absent. The
-// scoped statistics of the n views sum field-wise to the receiver's
-// (pairs and extractions both partition cleanly by concept).
-//
-// Partitioning an already-partitioned view is not supported; partition
-// the full freeze instead.
-func (s *Snapshot) Partition(n int, owner func(concept string) int) []*Snapshot {
-	if s.owned != nil {
-		panic("snapshot: Partition of an already-partitioned view")
-	}
-	if n < 1 {
-		panic("snapshot: Partition into zero shards")
-	}
-	parts := make([]*Snapshot, n)
-	for i := range parts {
-		parts[i] = &Snapshot{
-			gen:        s.gen,
-			k:          s.k,
-			byInstance: make(map[string][]string),
-			owned:      make(map[string]struct{}),
-		}
-	}
-	for _, c := range s.concepts {
-		p := parts[owner(c)]
-		p.concepts = append(p.concepts, c)
-		p.owned[c] = struct{}{}
-		p.stats.Concepts++
-		for _, e := range s.k.Instances(c) {
-			p.stats.DistinctPairs++
-			p.stats.TotalCount += s.k.Count(c, e)
-			p.byInstance[e] = append(p.byInstance[e], c)
-		}
-	}
-	// Active extractions are concept-local, so each one belongs to
-	// exactly the shard owning its concept — including extractions whose
-	// concept no longer has active pairs (owner is still total).
-	s.k.ScanActiveExtractions(func(concept string) {
-		parts[owner(concept)].stats.ActiveExtractions++
-	})
-	return parts
-}

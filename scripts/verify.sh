@@ -49,9 +49,9 @@ echo "==> go test -race (serving: snapshot swap under concurrent readers, drift 
 go test -race -run 'TestSwapUnderConcurrentReaders|TestConcurrentReads|TestCoalescing|TestDriftIndex|TestDrifted' \
   ./internal/snapshot ./internal/serve
 
-echo "==> go test -race (sharded serving: router scatter-gather, admission, partitioning)"
-go test -race -run 'TestRouter|TestAdmission|TestRing|TestPartition|TestSharded|TestBatchesDoesNotBlock' \
-  ./internal/snapshot ./internal/serve ./cmd/driftserve
+echo "==> go test -race (admission control: bounded queue, shed as 429 over HTTP, non-blocking ingest counter)"
+go test -race -run 'TestAdmission|TestBatchesDoesNotBlock|TestOverloadSurfacesAs429' \
+  ./internal/serve ./cmd/driftserve
 
 echo "==> go test -race (parallel pipeline determinism, workers >= 4)"
 go test -race -run 'TestPipelineParallelMatchesSerial' .
@@ -121,7 +121,7 @@ go run ./cmd/driftbench -smoke -check BENCH_pipeline.json -out BENCH_pipeline.sm
 echo "==> driftbench ingest smoke (incremental vs from-scratch fingerprint identity)"
 go run ./cmd/driftbench -scales ingest-smoke -check BENCH_pipeline.json -out BENCH_ingest.smoke.json
 
-echo "==> driftload smoke (scatter-gather byte-identity across shard counts + latency sweep + snapshot reload comparison)"
+echo "==> driftload smoke (response fingerprint + latency sweep + snapshot reload comparison)"
 go run ./cmd/driftload -smoke -out BENCH_serve.smoke.json
 go run ./cmd/driftload -validate BENCH_serve.smoke.json
 

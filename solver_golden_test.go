@@ -1,6 +1,8 @@
 package driftclean
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"driftclean/internal/bench"
@@ -24,8 +26,8 @@ func smokeFingerprint(t *testing.T, solver kpca.Solver) string {
 	cfg.Corpus.NumSentences = smokeSentences
 	cfg.Clean.MaxRounds = 1
 	cfg.KPCA.Solver = solver
-	rep, err := Clean(cfg)
-	if err != nil {
+	rep, err := CleanContext(context.Background(), WithConfig(cfg))
+	if err != nil && !errors.Is(err, ErrNoDPsDetected) {
 		t.Fatalf("smoke pipeline (%v solver) failed: %v", solver, err)
 	}
 	return bench.Fingerprint(rep.System.KB)
