@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	driftclean [-sentences N] [-domains N] [-seed N] [-method NAME] [-rounds N] [-v]
+//	driftclean [-sentences N] [-domains N] [-seed N] [-method NAME] [-rounds N] [-v] [-savekb FILE]
 //
 // Methods: multitask (default), semisup, supervised, ridge, adhoc1..adhoc4.
 package main
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"driftclean"
+	"driftclean/internal/kb/binsnap"
 )
 
 func main() {
@@ -30,7 +31,7 @@ func main() {
 		method    = flag.String("method", "multitask", "detection method: multitask|semisup|supervised|ridge|adhoc1..adhoc4")
 		rounds    = flag.Int("rounds", 5, "maximum detect-and-clean rounds")
 		verbose   = flag.Bool("v", false, "print per-iteration extraction stats")
-		saveKB    = flag.String("savekb", "", "write the cleaned knowledge base (gob) to this file")
+		saveKB    = flag.String("savekb", "", "write the cleaned knowledge base as a binary snapshot to this file")
 	)
 	flag.Parse()
 
@@ -92,7 +93,7 @@ func main() {
 		rep.PError, rep.RError, rep.PCorr, rep.RCorr, rep.Rounds)
 	fmt.Printf("elapsed:    %v\n", elapsed.Round(time.Millisecond))
 	if *saveKB != "" {
-		if err := sys.KB.SaveFile(*saveKB); err != nil {
+		if err := binsnap.WriteFile(*saveKB, sys.KB); err != nil {
 			fmt.Fprintf(os.Stderr, "driftclean: %v\n", err)
 			os.Exit(1)
 		}

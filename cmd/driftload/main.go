@@ -14,17 +14,16 @@
 //	driftload -duration 2s           # wall time per load cell
 //	driftload -seed 7                # query-mix seed
 //	driftload -inflight N -queue N   # admission control
-//	driftload -minreload 5           # require binary reload ≥5x faster than gob
+//	driftload -maxreload 4ms         # require snapshot reload p50 ≤ 4ms
 //	driftload -validate serve.json   # validate an existing artifact and exit
 //
-// Alongside the load sweep, the harness saves the KB in both snapshot
-// formats (gob and the zero-copy binary columnar format) and measures
-// hot-reload latency plus per-replica heap for each; the comparison
-// lands in the artifact's "reload" block.
+// Alongside the load sweep, the harness saves the KB as a binary
+// snapshot and measures hot-reload latency plus per-replica heap; the
+// numbers land in the artifact's "reload" block.
 //
 // The exit status is nonzero if any load cell completes no queries or
-// reports incoherent percentiles, if the binary-format reload speedup
-// falls below -minreload, or if -validate finds a malformed artifact.
+// reports incoherent percentiles, if the reload p50 exceeds -maxreload,
+// or if -validate finds a malformed artifact.
 package main
 
 import (
@@ -32,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"driftclean/internal/bench"
 )
@@ -44,16 +44,16 @@ func main() {
 	seed := flag.Int64("seed", 0, "query-mix seed (0 keeps the sweep default)")
 	inflight := flag.Int("inflight", 0, "admission: max concurrently executing queries (0 = unlimited)")
 	queue := flag.Int("queue", 0, "admission: queued queries beyond -inflight before shedding")
-	minReload := flag.Float64("minreload", 0, "fail unless the binary snapshot reloads at least this many times faster than gob (0 = only require not-slower)")
+	maxReload := flag.Duration("maxreload", 0, "fail if the snapshot reload p50 exceeds this (0 = no ceiling)")
 	validate := flag.String("validate", "", "validate an existing artifact at this path and exit")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: driftload [-smoke] [-out FILE] [-sentences N] [-duration 2s] [-seed N] [-validate FILE]")
+		fmt.Fprintln(os.Stderr, "usage: driftload [-smoke] [-out FILE] [-sentences N] [-duration 2s] [-seed N] [-inflight N] [-queue N] [-maxreload 4ms] [-validate FILE]")
 		os.Exit(2)
 	}
 
 	if *validate != "" {
-		if err := validateArtifact(*validate, *minReload); err != nil {
+		if err := validateArtifact(*validate, *maxReload); err != nil {
 			fmt.Fprintf(os.Stderr, "driftload: %v\n", err)
 			os.Exit(1)
 		}
@@ -87,26 +87,18 @@ func main() {
 	fmt.Printf("\nresponse fingerprint %s  cells=%d  artifact=%s\n",
 		res.ResponseFingerprint, len(res.Cells), *out)
 	if rl := res.Reload; rl != nil {
-		fmt.Printf("reload p50: gob %dus -> binary %dus (%.1fx faster), heap/replica: gob %d KB -> binary %d KB\n",
-			rl.Gob.ReloadP50Micros, rl.Binary.ReloadP50Micros, rl.SpeedupX,
-			rl.Gob.HeapBytesPerReplica/1024, rl.Binary.HeapBytesPerReplica/1024)
+		fmt.Printf("reload p50 %dus, heap/replica %d KB\n", rl.ReloadP50Micros, rl.HeapBytesPerReplica/1024)
 	}
-	if err := bench.ValidateServe(res); err != nil {
-		fmt.Fprintf(os.Stderr, "driftload: malformed run: %v\n", err)
-		os.Exit(1)
-	}
-	if *minReload > 0 && res.Reload.SpeedupX < *minReload {
-		fmt.Fprintf(os.Stderr, "driftload: binary reload speedup %.1fx is below the -minreload %.1fx floor\n",
-			res.Reload.SpeedupX, *minReload)
+	if err := bench.ValidateServe(res, *maxReload); err != nil {
+		fmt.Fprintf(os.Stderr, "driftload: run fails validation: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 // validateArtifact loads an artifact from disk and runs the schema and
 // coherence checks over it — the CI gate against malformed output. A
-// positive minReload additionally enforces the binary-format reload
-// speedup floor on the artifact's recorded numbers.
-func validateArtifact(path string, minReload float64) error {
+// positive maxReload additionally caps the recorded reload p50.
+func validateArtifact(path string, maxReload time.Duration) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading artifact: %w", err)
@@ -115,12 +107,8 @@ func validateArtifact(path string, minReload float64) error {
 	if err := json.Unmarshal(data, &res); err != nil {
 		return fmt.Errorf("parsing artifact %s: %w", path, err)
 	}
-	if err := bench.ValidateServe(&res); err != nil {
+	if err := bench.ValidateServe(&res, maxReload); err != nil {
 		return fmt.Errorf("artifact %s: %w", path, err)
-	}
-	if minReload > 0 && res.Reload.SpeedupX < minReload {
-		return fmt.Errorf("artifact %s: binary reload speedup %.1fx is below the -minreload %.1fx floor",
-			path, res.Reload.SpeedupX, minReload)
 	}
 	return nil
 }

@@ -4,23 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"driftclean"
-	"driftclean/internal/corpus"
+	"driftclean/internal/fault"
 	"driftclean/internal/serve"
-	"driftclean/internal/snapshot"
 )
 
-// newSessionServer wires the real session-mode pieces — Session,
-// Service, Ingester, corpus cursor — exactly as runSession does, minus
-// the listener, over a small corpus. It returns the test server and the
-// session for direct inspection.
-func newSessionServer(t *testing.T, failFirst bool) (*httptest.Server, *driftclean.Session) {
+// newSessionServer opens a session over a small corpus and serves it
+// through the production session-mode wiring (sessionHandler), minus
+// the listener. It returns the test server and the session for direct
+// inspection.
+func newSessionServer(t *testing.T, opts serve.Options) (*httptest.Server, *driftclean.Session) {
 	t.Helper()
 	cfg := driftclean.DefaultConfig()
 	cfg.World.NumDomains = 2
@@ -34,46 +33,7 @@ func newSessionServer(t *testing.T, failFirst bool) (*httptest.Server, *driftcle
 	}
 	t.Cleanup(func() { sess.Close() })
 
-	svc := serve.New(nil, serve.Options{})
-	fails := failFirst
-	ingester := serve.NewIngester(svc, func(ctx context.Context, batch []corpus.Sentence) (*snapshot.Snapshot, error) {
-		if fails {
-			fails = false
-			return nil, errors.New("synthetic checkpoint failure")
-		}
-		if _, err := sess.Ingest(ctx, batch); err != nil && !errors.Is(err, driftclean.ErrNoDPsDetected) {
-			return nil, err
-		}
-		return sess.Publish()
-	}, nil)
-
-	corpusLen := len(sess.Sentences())
-	var mu sync.Mutex
-	cursor := 0
-	ingest := func(ctx context.Context, req ingestRequest) (ingestResponse, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		batch := req.Sentences
-		remaining := -1
-		if req.Count > 0 {
-			end := cursor + req.Count
-			if end > corpusLen {
-				end = corpusLen
-			}
-			batch = sess.Sentences()[cursor:end]
-		}
-		gen, err := ingester.Ingest(ctx, batch)
-		if err != nil {
-			return ingestResponse{}, err
-		}
-		if req.Count > 0 {
-			cursor += len(batch)
-			remaining = corpusLen - cursor
-		}
-		return ingestResponse{Generation: gen, Ingested: len(batch), Remaining: remaining}, nil
-	}
-
-	ts := httptest.NewServer(newHandler(handlerConfig{svc: svc, ingest: ingest}))
+	ts := httptest.NewServer(sessionHandler(sess, opts, 0, log.New(io.Discard, "", 0)))
 	t.Cleanup(ts.Close)
 	return ts, sess
 }
@@ -113,7 +73,7 @@ func generation(t *testing.T, url string) generationResponse {
 // client would: 503 before any snapshot, count-form ingests advancing
 // the generation and the corpus cursor, queries answering afterwards.
 func TestIngestEndpointLifecycle(t *testing.T) {
-	ts, sess := newSessionServer(t, false)
+	ts, sess := newSessionServer(t, serve.Options{})
 
 	if code, body := get(t, ts.URL+"/v1/stats"); code != http.StatusServiceUnavailable {
 		t.Fatalf("pre-ingest stats = %d (%s), want 503", code, body)
@@ -152,7 +112,7 @@ func TestIngestEndpointLifecycle(t *testing.T) {
 // TestIngestEndpointValidation rejects malformed bodies and ambiguous
 // or empty requests with 400 before touching the pipeline.
 func TestIngestEndpointValidation(t *testing.T) {
-	ts, _ := newSessionServer(t, false)
+	ts, _ := newSessionServer(t, serve.Options{})
 	for _, body := range []string{
 		"not json",
 		`{}`,
@@ -169,7 +129,8 @@ func TestIngestEndpointValidation(t *testing.T) {
 // leaves the serving generation untouched but stale, keeps the cursor
 // put, and the retried batch succeeds and clears the flag.
 func TestIngestEndpointFailureStaleThenRecover(t *testing.T) {
-	ts, sess := newSessionServer(t, true)
+	failFirst := fault.New(1, map[string]fault.Rule{"serve.ingest": {FailFirst: 1}})
+	ts, sess := newSessionServer(t, serve.Options{Fault: failFirst})
 
 	// The very first checkpoint fails, exercising recovery from the
 	// "no snapshot yet" state as well as from a stale one.

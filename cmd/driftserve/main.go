@@ -1,11 +1,10 @@
 // Command driftserve serves read queries over a knowledge base as
 // HTTP/JSON, in one of two modes.
 //
-// With -kb FILE, a KB saved with driftclean -savekb is frozen into an
-// immutable snapshot at startup; POST /v1/reload (or SIGHUP) re-reads
-// the file and atomically swaps in a fresh snapshot without dropping
-// in-flight requests. -inflight and -queue bound the queries executing
-// and waiting at once; a query beyond both is shed with HTTP 429.
+// With -kb FILE, a binary KB snapshot saved with driftclean -savekb is
+// mmap-opened and frozen into an immutable snapshot at startup; POST
+// /v1/reload (or SIGHUP) re-opens the file and atomically swaps in a
+// fresh snapshot without dropping in-flight requests.
 //
 // With -session, the server owns a live incremental pipeline
 // (driftclean.Session): POST /v1/ingest appends a sentence batch, runs
@@ -15,12 +14,14 @@
 // return 503 until the first successful ingest.
 //
 // In both modes, queries run lock-free against the current snapshot
-// through an LRU-cached, request-coalescing service.
+// through an LRU-cached, request-coalescing service. -inflight and
+// -queue bound the queries executing and waiting at once; a query
+// beyond both is shed with HTTP 429.
 //
 // Usage:
 //
 //	driftserve -kb FILE   [-inflight N] [-queue N] [-addr :8080] [-timeout 5s] [-cache 4096]
-//	driftserve -session   [-sentences N] [-addr :8080] [-timeout 5s] [-cache 4096]
+//	driftserve -session   [-sentences N] [-inflight N] [-queue N] [-addr :8080] [-timeout 5s] [-cache 4096]
 //
 // Endpoints:
 //
@@ -61,29 +62,30 @@ import (
 
 func main() {
 	var (
-		kbPath    = flag.String("kb", "", "path to a KB snapshot written with -savekb")
+		kbPath    = flag.String("kb", "", "path to a binary KB snapshot written with -savekb")
 		session   = flag.Bool("session", false, "serve a live incremental pipeline instead of a KB file")
 		sentences = flag.Int("sentences", 0, "with -session: corpus size (0 uses the default config)")
-		inflight  = flag.Int("inflight", 0, "with -kb: max concurrently executing queries (0 = unlimited)")
-		queue     = flag.Int("queue", 0, "with -kb: queries queued beyond -inflight before shedding with 429")
+		inflight  = flag.Int("inflight", 0, "max concurrently executing queries (0 = unlimited)")
+		queue     = flag.Int("queue", 0, "queries queued beyond -inflight before shedding with 429")
 		addr      = flag.String("addr", ":8080", "listen address")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request timeout (0 disables; ingest exempt)")
 		cache     = flag.Int("cache", serve.DefaultCacheSize, "result cache entries (negative disables)")
 	)
 	flag.Parse()
 	usage := func() {
-		fmt.Fprintln(os.Stderr, "usage: driftserve -kb FILE [-inflight N] [-queue N] | -session [-sentences N]  [-addr :8080] [-timeout 5s] [-cache 4096]")
+		fmt.Fprintln(os.Stderr, "usage: driftserve -kb FILE | -session [-sentences N]  [-inflight N] [-queue N] [-addr :8080] [-timeout 5s] [-cache 4096]")
 		os.Exit(2)
 	}
 	if (*kbPath == "") == !*session || flag.NArg() > 0 {
 		usage()
 	}
 	logger := log.New(os.Stderr, "driftserve: ", log.LstdFlags)
+	opts := serve.Options{CacheSize: *cache, MaxInflight: *inflight, QueueDepth: *queue}
 	var err error
 	if *session {
-		err = runSession(*sentences, *addr, *timeout, *cache, logger)
+		err = runSession(*sentences, *addr, *timeout, opts, logger)
 	} else {
-		err = run(*kbPath, *addr, *timeout, serve.Options{CacheSize: *cache, MaxInflight: *inflight, QueueDepth: *queue}, logger)
+		err = run(*kbPath, *addr, *timeout, opts, logger)
 	}
 	if err != nil {
 		logger.Print(err)
@@ -93,13 +95,13 @@ func main() {
 
 // run loads the KB, builds the service and serves until SIGTERM/SIGINT.
 func run(kbPath, addr string, timeout time.Duration, opts serve.Options, logger *log.Logger) error {
-	snap, format, err := kbio.FreezeFile(kbPath)
+	snap, hdr, err := kbio.FreezeFile(kbPath)
 	if err != nil {
 		return err
 	}
 	svc := serve.New(snap, opts)
-	logger.Printf("loaded %s (%s format): generation %d, %d concepts, %d pairs",
-		kbPath, format, snap.Generation(), snap.Stats().Concepts, snap.Stats().DistinctPairs)
+	logger.Printf("loaded %s (checksum %08x, %d bytes): generation %d, %d concepts, %d pairs",
+		kbPath, hdr.Checksum, hdr.FileBytes, snap.Generation(), snap.Stats().Concepts, snap.Stats().DistinctPairs)
 
 	// Reloads go through a Reloader: transient load failures are retried
 	// with capped exponential backoff, persistent failure opens a circuit
@@ -144,7 +146,7 @@ func run(kbPath, addr string, timeout time.Duration, opts serve.Options, logger 
 // runSession opens a live incremental pipeline and serves it: each POST
 // /v1/ingest runs one checkpoint and publishes its snapshot. Queries
 // 503 until the first successful ingest.
-func runSession(sentences int, addr string, timeout time.Duration, cacheSize int, logger *log.Logger) error {
+func runSession(sentences int, addr string, timeout time.Duration, opts serve.Options, logger *log.Logger) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
@@ -158,10 +160,22 @@ func runSession(sentences int, addr string, timeout time.Duration, cacheSize int
 		return err
 	}
 	defer sess.Close()
-	corpusLen := len(sess.Sentences())
-	logger.Printf("session open: %d corpus sentences, no snapshot until first ingest", corpusLen)
+	logger.Printf("session open: %d corpus sentences, no snapshot until first ingest", len(sess.Sentences()))
 
-	svc := serve.New(nil, serve.Options{CacheSize: cacheSize})
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           sessionHandler(sess, opts, timeout, logger),
+		ReadHeaderTimeout: 5 * time.Second,
+	}
+	return serveUntilShutdown(ctx, srv, logger)
+}
+
+// sessionHandler wires the session-mode pieces around an open session:
+// a Service configured by opts, an Ingester publishing each checkpoint
+// into it, and the corpus cursor behind Count-form requests. opts.Fault
+// (nil in production) also reaches the ingester's "serve.ingest" site.
+func sessionHandler(sess *driftclean.Session, opts serve.Options, timeout time.Duration, logger *log.Logger) http.Handler {
+	svc := serve.New(nil, opts)
 	ingester := serve.NewIngester(svc, func(ctx context.Context, batch []corpus.Sentence) (*snapshot.Snapshot, error) {
 		// A checkpoint in which the detector finds nothing is still a
 		// committed, publishable checkpoint.
@@ -169,11 +183,12 @@ func runSession(sentences int, addr string, timeout time.Duration, cacheSize int
 			return nil, err
 		}
 		return sess.Publish()
-	}, nil)
+	}, opts.Fault)
 
 	// cursor tracks how much of the session corpus Count-form requests
 	// have consumed; it only advances on success, so a failed batch is
 	// re-pulled by the next request.
+	corpusLen := len(sess.Sentences())
 	var mu sync.Mutex
 	cursor := 0
 	ingest := func(ctx context.Context, req ingestRequest) (ingestResponse, error) {
@@ -199,13 +214,7 @@ func runSession(sentences int, addr string, timeout time.Duration, cacheSize int
 		logger.Printf("ingested %d sentences: generation %d", len(batch), gen)
 		return ingestResponse{Generation: gen, Ingested: len(batch), Remaining: remaining}, nil
 	}
-
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           newHandler(handlerConfig{svc: svc, ingest: ingest, timeout: timeout}),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	return serveUntilShutdown(ctx, srv, logger)
+	return newHandler(handlerConfig{svc: svc, ingest: ingest, timeout: timeout})
 }
 
 // serveUntilShutdown listens until the context is canceled, then shuts
@@ -234,9 +243,8 @@ func serveUntilShutdown(ctx context.Context, srv *http.Server, logger *log.Logge
 	return nil
 }
 
-// freezeFile loads a KB file — gob or binary columnar, auto-detected —
-// and freezes it into a snapshot. Binary snapshots open zero-copy via
-// mmap, so reload cost does not grow with KB size.
+// freezeFile opens a binary KB snapshot zero-copy via mmap and freezes
+// it, so reload cost does not grow with KB size.
 func freezeFile(path string) (*snapshot.Snapshot, error) {
 	snap, _, err := kbio.FreezeFile(path)
 	return snap, err

@@ -15,6 +15,7 @@ import (
 
 	"driftclean/internal/fault"
 	"driftclean/internal/kb"
+	"driftclean/internal/kb/binsnap"
 	"driftclean/internal/serve"
 )
 
@@ -30,8 +31,8 @@ func writeTestKB(t *testing.T, dir string, extraPairs int) string {
 	for i := 0; i < extraPairs; i++ {
 		k.AddExtraction(10+i, "tool", []string{"tool"}, []string{"t" + strconv.Itoa(i)}, nil, 1)
 	}
-	path := filepath.Join(dir, "kb.gob")
-	if err := k.SaveFile(path); err != nil {
+	path := filepath.Join(dir, "kb.bin")
+	if err := binsnap.WriteFile(path, k); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -268,7 +269,7 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 func TestFreezeFileErrors(t *testing.T) {
-	if _, err := freezeFile(filepath.Join(t.TempDir(), "absent.gob")); err == nil {
+	if _, err := freezeFile(filepath.Join(t.TempDir(), "absent.bin")); err == nil {
 		t.Error("freezeFile on a missing file did not error")
 	}
 }
@@ -300,19 +301,36 @@ func TestRespondStatusMapping(t *testing.T) {
 }
 
 // TestOverloadSurfacesAs429: a shed query reaches the client as 429
-// through the full HTTP stack. The fault injector stalls the one
-// execution slot; with no queue, a concurrent query sheds.
+// through the full HTTP stack, in both serving modes. The fault
+// injector stalls the one execution slot; with no queue, a concurrent
+// query sheds.
 func TestOverloadSurfacesAs429(t *testing.T) {
-	snap, err := freezeFile(writeTestKB(t, t.TempDir(), 0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Every drifted query holds the one slot for 20ms, so concurrent
 	// arrivals are certain to find it taken.
-	stall := fault.New(1, map[string]fault.Rule{"serve.drifted": {Latency: 20 * time.Millisecond}})
-	svc := serve.New(snap, serve.Options{MaxInflight: 1, QueueDepth: 0, Fault: stall})
-	ts := newTestServer(t, handlerConfig{svc: svc}, "")
+	opts := func() serve.Options {
+		stall := fault.New(1, map[string]fault.Rule{"serve.drifted": {Latency: 20 * time.Millisecond}})
+		return serve.Options{MaxInflight: 1, QueueDepth: 0, Fault: stall}
+	}
+	t.Run("kb", func(t *testing.T) {
+		snap, err := freezeFile(writeTestKB(t, t.TempDir(), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSheds(t, newTestServer(t, handlerConfig{svc: serve.New(snap, opts())}, ""))
+	})
+	t.Run("session", func(t *testing.T) {
+		ts, _ := newSessionServer(t, opts())
+		if code, _, body := postIngest(t, ts.URL, `{"count":1500}`); code != http.StatusOK {
+			t.Fatalf("ingest = %d: %s", code, body)
+		}
+		assertSheds(t, ts)
+	})
+}
 
+// assertSheds fires 64 concurrent drifted queries at a server whose one
+// execution slot is stalled and requires at least one 429 among them.
+func assertSheds(t *testing.T, ts *httptest.Server) {
+	t.Helper()
 	// Distinct n values defeat the result cache and singleflight
 	// coalescing, so every query needs the slot. The goroutines report
 	// transport errors as status 0: only the test goroutine may Fatal.

@@ -1,7 +1,7 @@
-// Command kbquery explores a saved knowledge base (see driftclean
-// -savekb): list concepts, list a concept's instances, trace the
-// provenance of a pair back to its core evidence, and rank the most
-// drift-suspicious instances by provenance depth. It queries through
+// Command kbquery explores a saved knowledge base (a binary snapshot
+// written by driftclean -savekb): list concepts, list a concept's
+// instances, trace the provenance of a pair back to its core evidence,
+// and rank the most drift-suspicious instances by provenance depth. It queries through
 // the same immutable snapshot layer (internal/snapshot) the driftserve
 // HTTP server uses, so CLI and server answers always agree.
 //
@@ -44,7 +44,7 @@ func main() {
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("kbquery", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	kbPath := fs.String("kb", "", "path to a KB snapshot written with -savekb")
+	kbPath := fs.String("kb", "", "path to a binary KB snapshot written with -savekb")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -66,8 +66,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return usage(stderr)
 	}
 
-	// The KB may be a gob stream or a binary columnar snapshot; kbio
-	// sniffs the format, so both open transparently.
 	snap, _, err := kbio.FreezeFile(*kbPath)
 	if err != nil {
 		return fail(stderr, "loading %s: %v", *kbPath, err)

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/gob"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"driftclean/internal/kb"
+	"driftclean/internal/kb/binsnap"
 )
 
 // saveFixtureKB writes a small KB with a drift chain under "animal" and
@@ -18,8 +21,8 @@ func saveFixtureKB(t *testing.T) string {
 	k.AddExtraction(1, "animal", []string{"animal"}, []string{"wolf"}, []string{"dog"}, 2)
 	k.AddExtraction(2, "animal", []string{"animal"}, []string{"dingo"}, []string{"wolf"}, 3)
 	k.AddExtraction(3, "car", []string{"car"}, []string{"jaguar"}, nil, 1)
-	path := filepath.Join(t.TempDir(), "kb.gob")
-	if err := k.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "kb.bin")
+	if err := binsnap.WriteFile(path, k); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -125,8 +128,26 @@ func TestOperationalErrors(t *testing.T) {
 	if code != 1 || !strings.Contains(stderr, "not in the KB") {
 		t.Errorf("missing pair: code=%d stderr=%q", code, stderr)
 	}
-	code, _, stderr = exec(t, "-kb", filepath.Join(t.TempDir(), "absent.gob"), "stats")
+	code, _, stderr = exec(t, "-kb", filepath.Join(t.TempDir(), "absent.bin"), "stats")
 	if code != 1 || !strings.Contains(stderr, "loading") {
 		t.Errorf("missing file: code=%d stderr=%q", code, stderr)
+	}
+}
+
+// TestRejectsNonBinsnap: a gob stream, the KB format of earlier
+// versions, fails with exit 1 and a corrupt-snapshot error naming the
+// bad magic.
+func TestRejectsNonBinsnap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.gob")
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct{ Version int }{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := exec(t, "-kb", path, "stats")
+	if code != 1 || !strings.Contains(stderr, "bad magic") || !strings.Contains(stderr, binsnap.ErrCorrupt.Error()) {
+		t.Errorf("gob file: code=%d stderr=%q; want 1 and a corrupt-snapshot error naming the bad magic", code, stderr)
 	}
 }

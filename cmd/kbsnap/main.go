@@ -1,17 +1,19 @@
-// Command kbsnap is the ops tool for saved knowledge-base snapshots:
-// convert between the gob stream and the zero-copy binary columnar
-// format, inspect a snapshot's header and statistics, and verify
-// integrity (checksum plus full structural validation) without loading
-// the KB into a server.
+// Command kbsnap is the ops tool for saved knowledge-base snapshots,
+// the binary columnar files of internal/kb/binsnap that driftclean
+// -savekb writes: re-encode a snapshot, inspect its header and
+// statistics, and verify integrity (checksum plus full structural
+// validation) without loading the KB into a server.
 //
 // Usage:
 //
-//	kbsnap convert IN OUT [gob|binary]   re-encode IN as OUT (default: the other format)
-//	kbsnap info FILE                     format, sizes, stats, checksum
-//	kbsnap verify FILE                   validate; exit 0 iff the snapshot is sound
+//	kbsnap convert IN OUT [binary]   re-encode IN as OUT
+//	kbsnap info FILE                 sizes, stats, checksum
+//	kbsnap verify FILE               validate; exit 0 iff the snapshot is sound
 //
-// Input formats are auto-detected, so convert also rewrites a snapshot
-// in its own format (normalizing it). Output files are published
+// convert rebuilds the KB from IN and encodes it again, so OUT is the
+// canonical encoding of IN's state; "binary", the only output format,
+// may be named explicitly. A file that is not a binary snapshot fails
+// every command with exit status 1. Output files are published
 // atomically, like every snapshot write in this repo.
 package main
 
@@ -20,9 +22,7 @@ import (
 	"io"
 	"os"
 
-	"driftclean/internal/kb"
 	"driftclean/internal/kb/binsnap"
-	"driftclean/internal/kb/kbio"
 )
 
 func main() {
@@ -38,17 +38,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	cmd, rest := argv[0], argv[1:]
 	switch cmd {
 	case "convert":
-		if len(rest) < 2 || len(rest) > 3 {
+		if len(rest) < 2 || len(rest) > 3 || (len(rest) == 3 && rest[2] != "binary") {
 			return usage(stderr)
 		}
-		target := ""
-		if len(rest) == 3 {
-			target = rest[2]
-			if target != "gob" && target != "binary" {
-				return usage(stderr)
-			}
-		}
-		return convert(rest[0], rest[1], target, stdout, stderr)
+		return convert(rest[0], rest[1], stdout, stderr)
 	case "info":
 		if len(rest) != 1 {
 			return usage(stderr)
@@ -63,103 +56,59 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return usage(stderr)
 }
 
-// convert re-encodes src as dst. With no explicit target format, the
-// output gets the opposite format of the input — the common migration
-// direction either way.
-func convert(src, dst, target string, stdout, stderr io.Writer) int {
-	k, format, err := kbio.LoadKB(src)
+// convert re-encodes src as dst: open, rebuild the heap KB, write.
+func convert(src, dst string, stdout, stderr io.Writer) int {
+	v, err := binsnap.Open(src)
 	if err != nil {
 		return fail(stderr, "loading %s: %v", src, err)
 	}
-	if target == "" {
-		if format == kbio.FormatGob {
-			target = "binary"
-		} else {
-			target = "gob"
-		}
-	}
-	if target == "binary" {
-		err = binsnap.WriteFile(dst, k)
-	} else {
-		err = k.SaveFile(dst)
-	}
+	defer v.Close()
+	k, err := v.ToKB()
 	if err != nil {
+		return fail(stderr, "loading %s: %v", src, err)
+	}
+	if err := binsnap.WriteFile(dst, k); err != nil {
 		return fail(stderr, "writing %s: %v", dst, err)
 	}
 	st, err := os.Stat(dst)
 	if err != nil {
 		return fail(stderr, "%v", err)
 	}
-	fmt.Fprintf(stdout, "converted %s (%s) -> %s (%s), %d bytes, %d pairs\n",
-		src, format, dst, target, st.Size(), k.NumPairs())
+	fmt.Fprintf(stdout, "converted %s -> %s, %d bytes, %d pairs\n", src, dst, st.Size(), k.NumPairs())
 	return 0
 }
 
-// info prints the snapshot's format, sizes and statistics; for binary
-// snapshots also the header's version, element counts and checksum.
+// info prints the snapshot header's version, size, checksum, element
+// counts and statistics.
 func info(path string, stdout, stderr io.Writer) int {
-	format, err := kbio.Detect(path)
+	v, err := binsnap.Open(path)
 	if err != nil {
-		return fail(stderr, "%v", err)
+		return fail(stderr, "opening %s: %v", path, err)
 	}
-	fmt.Fprintf(stdout, "format:   %s\n", format)
-	var stats kb.Stats
-	switch format {
-	case kbio.FormatBinary:
-		v, err := binsnap.Open(path)
-		if err != nil {
-			return fail(stderr, "opening %s: %v", path, err)
-		}
-		defer v.Close()
-		h := v.Header()
-		fmt.Fprintf(stdout, "version:  %d\nbytes:    %d\nchecksum: %08x\n", h.Version, h.FileBytes, h.Checksum)
-		fmt.Fprintf(stdout, "strings:  %d\nextractions: %d (total, incl. rolled back)\npair records: %d (incl. zero-count)\n",
-			h.Strings, h.Extractions, h.Pairs)
-		stats = h.Stats
-	default:
-		k, _, err := kbio.LoadKB(path)
-		if err != nil {
-			return fail(stderr, "loading %s: %v", path, err)
-		}
-		st, err := os.Stat(path)
-		if err != nil {
-			return fail(stderr, "%v", err)
-		}
-		fmt.Fprintf(stdout, "bytes:    %d\nextractions: %d (total, incl. rolled back)\n", st.Size(), k.NumExtractions())
-		stats = k.Stats()
-	}
+	defer v.Close()
+	h := v.Header()
+	fmt.Fprintf(stdout, "version:  %d\nbytes:    %d\nchecksum: %08x\n", h.Version, h.FileBytes, h.Checksum)
+	fmt.Fprintf(stdout, "strings:  %d\nextractions: %d (total, incl. rolled back)\npair records: %d (incl. zero-count)\n",
+		h.Strings, h.Extractions, h.Pairs)
 	fmt.Fprintf(stdout, "concepts: %d\npairs:    %d\ncounts:   %d\nactive extractions: %d\n",
-		stats.Concepts, stats.DistinctPairs, stats.TotalCount, stats.ActiveExtractions)
+		h.Stats.Concepts, h.Stats.DistinctPairs, h.Stats.TotalCount, h.Stats.ActiveExtractions)
 	return 0
 }
 
-// verify fully validates the snapshot — for binary files checksum and
-// structure via Open, for gob files decode-time validation via LoadKB —
-// and reports OK or the precise corruption.
+// verify fully validates the snapshot — checksum and structure, via
+// Open — and reports OK or the precise corruption.
 func verify(path string, stdout, stderr io.Writer) int {
-	format, err := kbio.Detect(path)
+	v, err := binsnap.Open(path)
 	if err != nil {
 		return fail(stderr, "%v", err)
 	}
-	if format == kbio.FormatBinary {
-		v, err := binsnap.Open(path)
-		if err != nil {
-			return fail(stderr, "%v", err)
-		}
-		defer v.Close()
-		fmt.Fprintf(stdout, "%s: OK (binary, checksum %08x, %d pairs)\n", path, v.Header().Checksum, v.NumPairs())
-		return 0
-	}
-	k, _, err := kbio.LoadKB(path)
-	if err != nil {
-		return fail(stderr, "%v", err)
-	}
-	fmt.Fprintf(stdout, "%s: OK (gob, %d pairs)\n", path, k.NumPairs())
+	defer v.Close()
+	fmt.Fprintf(stdout, "%s: OK (checksum %08x, %d pairs)\n", path, v.Header().Checksum, v.NumPairs())
 	return 0
 }
 
 func usage(stderr io.Writer) int {
-	fmt.Fprintln(stderr, "usage: kbsnap convert IN OUT [gob|binary] | info FILE | verify FILE")
+	fmt.Fprintln(stderr, "usage: kbsnap convert IN OUT [binary] | info FILE | verify FILE")
 	return 2
 }
 

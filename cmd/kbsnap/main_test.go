@@ -2,14 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"driftclean/internal/bench"
 	"driftclean/internal/kb"
-	"driftclean/internal/kb/kbio"
+	"driftclean/internal/kb/binsnap"
 )
 
 func testKB() *kb.KB {
@@ -27,105 +29,101 @@ func exec(t *testing.T, argv ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-func TestConvertRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "kb.gob")
-	binPath := filepath.Join(dir, "kb.bin")
-	backPath := filepath.Join(dir, "back.gob")
-	orig := testKB()
-	if err := orig.SaveFile(gobPath); err != nil {
+// writeKB saves testKB as a binary snapshot at dir/name.
+func writeKB(t *testing.T, dir, name string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := binsnap.WriteFile(path, testKB()); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
-	if code, out, errOut := exec(t, "convert", gobPath, binPath); code != 0 {
-		t.Fatalf("convert to binary: code %d, %s%s", code, out, errOut)
-	}
-	if f, err := kbio.Detect(binPath); err != nil || f != kbio.FormatBinary {
-		t.Fatalf("output not binary: %v, %v", f, err)
-	}
-	if code, out, errOut := exec(t, "convert", binPath, backPath); code != 0 {
-		t.Fatalf("convert back to gob: code %d, %s%s", code, out, errOut)
-	}
-	if f, err := kbio.Detect(backPath); err != nil || f != kbio.FormatGob {
-		t.Fatalf("round-trip output not gob: %v, %v", f, err)
-	}
-	back, _, err := kbio.LoadKB(backPath)
+// loadKB opens a snapshot file and rebuilds the heap KB from it.
+func loadKB(t *testing.T, path string) *kb.KB {
+	t.Helper()
+	v, err := binsnap.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer v.Close()
+	k, err := v.ToKB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestConvertRoundTrip: re-encoding a snapshot reproduces its bytes
+// exactly (the encoding is canonical) and its KB state.
+func TestConvertRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	in := writeKB(t, dir, "kb.bin")
+	out := filepath.Join(dir, "again.bin")
+	if code, stdout, errOut := exec(t, "convert", in, out); code != 0 {
+		t.Fatalf("convert: code %d, %s%s", code, stdout, errOut)
+	}
+	a, err := os.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("re-encoding a snapshot changed its bytes")
+	}
+	orig, back := testKB(), loadKB(t, out)
 	if !reflect.DeepEqual(back.Pairs(), orig.Pairs()) || back.Stats() != orig.Stats() {
-		t.Fatal("gob→binary→gob round trip changed the KB")
+		t.Fatal("convert changed the KB")
 	}
 }
 
+// TestConvertExplicitTarget pins the benchmark's set-up sequence: a
+// binary snapshot that driftclean -savekb wrote under the name kb.gob
+// goes through "convert kb.gob kb.bin binary", and the output holds the
+// same KB by fingerprint.
 func TestConvertExplicitTarget(t *testing.T) {
 	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "kb.gob")
-	if err := testKB().SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
-	// Explicit same-format target: a normalizing rewrite.
-	out := filepath.Join(dir, "norm.gob")
-	if code, _, errOut := exec(t, "convert", gobPath, out, "gob"); code != 0 {
+	in := writeKB(t, dir, "kb.gob")
+	out := filepath.Join(dir, "kb.bin")
+	if code, _, errOut := exec(t, "convert", in, out, "binary"); code != 0 {
 		t.Fatalf("code %d: %s", code, errOut)
 	}
-	if f, _ := kbio.Detect(out); f != kbio.FormatGob {
-		t.Fatal("explicit gob target produced non-gob output")
+	if got, want := bench.Fingerprint(loadKB(t, out)), bench.Fingerprint(testKB()); got != want {
+		t.Fatalf("converted KB fingerprint %s, want %s", got, want)
 	}
 }
 
 func TestInfoAndVerify(t *testing.T) {
-	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "kb.gob")
-	binPath := filepath.Join(dir, "kb.bin")
-	if err := testKB().SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, errOut := exec(t, "convert", gobPath, binPath); code != 0 {
-		t.Fatal(errOut)
-	}
+	path := writeKB(t, t.TempDir(), "kb.bin")
 
-	code, out, _ := exec(t, "info", binPath)
+	code, out, _ := exec(t, "info", path)
 	if code != 0 {
 		t.Fatalf("info failed: %s", out)
 	}
-	for _, want := range []string{"format:   binary", "checksum:", "pairs:    3"} {
+	for _, want := range []string{"version:  1", "checksum:", "pairs:    3"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("info output missing %q:\n%s", want, out)
 		}
 	}
-	code, out, _ = exec(t, "info", gobPath)
-	if code != 0 || !strings.Contains(out, "format:   gob") {
-		t.Fatalf("gob info: code %d\n%s", code, out)
-	}
-
-	if code, out, _ = exec(t, "verify", binPath); code != 0 || !strings.Contains(out, "OK") {
-		t.Fatalf("verify binary: code %d, %s", code, out)
-	}
-	if code, out, _ = exec(t, "verify", gobPath); code != 0 || !strings.Contains(out, "OK") {
-		t.Fatalf("verify gob: code %d, %s", code, out)
+	if code, out, _ = exec(t, "verify", path); code != 0 || !strings.Contains(out, "OK") {
+		t.Fatalf("verify: code %d, %s", code, out)
 	}
 }
 
 func TestVerifyRejectsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "kb.gob")
-	binPath := filepath.Join(dir, "kb.bin")
-	if err := testKB().SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, errOut := exec(t, "convert", gobPath, binPath); code != 0 {
-		t.Fatal(errOut)
-	}
-	data, err := os.ReadFile(binPath)
+	path := writeKB(t, t.TempDir(), "kb.bin")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(binPath, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, _, errOut := exec(t, "verify", binPath)
+	code, _, errOut := exec(t, "verify", path)
 	if code != 1 {
 		t.Fatalf("verify of corrupt file: code %d, want 1", code)
 	}
@@ -134,10 +132,34 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestRejectsNonBinsnap: a gob stream, the KB format of earlier
+// versions, fails every command with exit 1 and an error naming the bad
+// magic.
+func TestRejectsNonBinsnap(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "kb.gob")
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct{ Version int }{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, argv := range [][]string{
+		{"verify", path}, {"info", path}, {"convert", path, filepath.Join(dir, "out.bin")},
+	} {
+		code, _, errOut := exec(t, argv...)
+		if code != 1 || !strings.Contains(errOut, "bad magic") || !strings.Contains(errOut, binsnap.ErrCorrupt.Error()) {
+			t.Fatalf("argv %v: code %d, stderr %q; want 1 and a corrupt-snapshot error naming the bad magic", argv, code, errOut)
+		}
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	for _, argv := range [][]string{
 		{}, {"bogus"}, {"convert", "one"}, {"convert", "a", "b", "c", "d"},
-		{"convert", "a", "b", "xml"}, {"info"}, {"verify"}, {"info", "a", "b"},
+		{"convert", "a", "b", "xml"}, {"convert", "a", "b", "gob"},
+		{"info"}, {"verify"}, {"info", "a", "b"},
 	} {
 		if code, _, _ := exec(t, argv...); code != 2 {
 			t.Fatalf("argv %v: code %d, want 2", argv, code)

@@ -5,7 +5,6 @@ package driftclean
 // mid-pipeline, and behavior at degenerate scales (failure injection).
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
@@ -15,7 +14,7 @@ import (
 	"driftclean/internal/corpus"
 	"driftclean/internal/extract"
 	"driftclean/internal/hearst"
-	"driftclean/internal/kb"
+	"driftclean/internal/kb/binsnap"
 	"driftclean/internal/world"
 )
 
@@ -74,11 +73,15 @@ func TestCleaningConverges(t *testing.T) {
 // reload — the outcome must equal cleaning the original.
 func TestPersistenceMidPipeline(t *testing.T) {
 	sysA := Build(tinyConfig())
-	var buf bytes.Buffer
-	if _, err := sysA.KB.WriteTo(&buf); err != nil {
+	data, err := binsnap.Encode(sysA.KB)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := kb.Read(&buf)
+	v, err := binsnap.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := v.ToKB()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,18 +196,25 @@ func TestWorldCorpusContract(t *testing.T) {
 	}
 }
 
-// TestSaveLoadThroughAPI exercises the save/load path the CLI uses.
+// TestSaveLoadThroughAPI exercises the save/load path the CLI uses:
+// driftclean -savekb writes, kbsnap reopens and rebuilds.
 func TestSaveLoadThroughAPI(t *testing.T) {
 	sys := Build(tinyConfig())
-	path := filepath.Join(t.TempDir(), "kb.gob")
-	if err := sys.KB.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "kb.bin")
+	if err := binsnap.WriteFile(path, sys.KB); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := kb.LoadFile(path)
+	v, err := binsnap.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumPairs() != sys.KB.NumPairs() {
-		t.Errorf("pairs %d after reload, want %d", loaded.NumPairs(), sys.KB.NumPairs())
+	defer v.Close()
+	loaded, err := v.ToKB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.NumPairs() != sys.KB.NumPairs() || loaded.Stats() != sys.KB.Stats() {
+		t.Errorf("pairs %d stats %+v after reload, want %d %+v",
+			loaded.NumPairs(), loaded.Stats(), sys.KB.NumPairs(), sys.KB.Stats())
 	}
 }

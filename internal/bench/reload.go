@@ -1,11 +1,9 @@
-// Reload benchmark: the snapshot-format comparison inside the serving
-// artifact. The serving layer hot-reloads by re-opening the KB file and
-// swapping the frozen snapshot in; how long that takes — and how much
-// heap each co-located replica pays to hold its own copy — is a
-// property of the on-disk format. This module measures both formats
-// (the gob stream and the zero-copy binary columnar snapshot) over the
-// same KB through the same auto-detecting open path the server uses,
-// and lands the numbers in BENCH_serve.json next to the latency sweep.
+// Reload benchmark: the serving layer hot-reloads by re-opening the KB
+// snapshot file and swapping the frozen snapshot in. This module
+// measures how long that takes, and how much heap each co-located
+// replica pays to hold the snapshot open, through the same open path the
+// server uses, and lands the numbers in BENCH_serve.json next to the
+// latency sweep.
 package bench
 
 import (
@@ -22,42 +20,33 @@ import (
 	"driftclean/internal/snapshot"
 )
 
-// reloadIters is how many timed reloads each format gets; the artifact
-// reports exact order statistics of the sample, so a handful suffices
-// to shed scheduler noise.
+// reloadIters is how many timed reloads the benchmark runs; the
+// artifact reports exact order statistics of the sample, so a handful
+// suffices to shed scheduler noise.
 const reloadIters = 7
 
-// ReloadFormatStats are one snapshot format's reload measurements.
-type ReloadFormatStats struct {
-	// FileBytes is the on-disk snapshot size.
-	FileBytes int64 `json:"file_bytes"`
-	// ReloadP50Micros and ReloadMaxMicros summarize the time of a full
-	// reload — open the file, decode/validate, freeze a serving
-	// snapshot — over the timed iterations.
-	ReloadP50Micros int64 `json:"reload_p50_us"`
-	ReloadMaxMicros int64 `json:"reload_max_us"`
-	// HeapBytesPerReplica is the steady-state heap cost of one extra
-	// co-resident replica holding this format's snapshot open.
-	HeapBytesPerReplica int64 `json:"heap_bytes_per_replica"`
-}
-
-// ReloadStats is the gob-versus-binary reload comparison in the serving
+// ReloadStats are the snapshot reload measurements in the serving
 // artifact.
 type ReloadStats struct {
 	// Replicas is how many snapshots were held live for the per-replica
 	// heap measurement.
 	Replicas int `json:"replicas"`
-	// Iterations is the timed-reload sample size per format.
-	Iterations int               `json:"iterations"`
-	Gob        ReloadFormatStats `json:"gob"`
-	Binary     ReloadFormatStats `json:"binary"`
-	// SpeedupX is gob reload p50 over binary reload p50: how many times
-	// faster the binary snapshot makes a hot reload.
-	SpeedupX float64 `json:"speedup_x"`
+	// Iterations is the timed-reload sample size.
+	Iterations int `json:"iterations"`
+	// FileBytes is the on-disk snapshot size.
+	FileBytes int64 `json:"file_bytes"`
+	// ReloadP50Micros and ReloadMaxMicros summarize the time of a full
+	// reload — open the file, validate, freeze a serving snapshot — over
+	// the timed iterations.
+	ReloadP50Micros int64 `json:"reload_p50_us"`
+	ReloadMaxMicros int64 `json:"reload_max_us"`
+	// HeapBytesPerReplica is the steady-state heap cost of one extra
+	// co-resident replica holding the snapshot open.
+	HeapBytesPerReplica int64 `json:"heap_bytes_per_replica"`
 }
 
-// measureReload saves k in both formats and measures reload latency and
-// per-replica heap for each through kbio.FreezeFile — the exact code
+// measureReload writes k as a binary snapshot and measures reload
+// latency and per-replica heap through kbio.FreezeFile — the exact code
 // path driftserve's reloader runs.
 func measureReload(k *kb.KB, replicas int, progress func(string)) (*ReloadStats, error) {
 	dir, err := os.MkdirTemp("", "driftclean-reload-*")
@@ -65,48 +54,21 @@ func measureReload(k *kb.KB, replicas int, progress func(string)) (*ReloadStats,
 		return nil, fmt.Errorf("bench: reload scratch dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	gobPath := filepath.Join(dir, "kb.gob")
-	binPath := filepath.Join(dir, "kb.bin")
-	if err := k.SaveFile(gobPath); err != nil {
-		return nil, fmt.Errorf("bench: saving gob snapshot: %w", err)
+	path := filepath.Join(dir, "kb.bin")
+	if err := binsnap.WriteFile(path, k); err != nil {
+		return nil, fmt.Errorf("bench: saving snapshot: %w", err)
 	}
-	if err := binsnap.WriteFile(binPath, k); err != nil {
-		return nil, fmt.Errorf("bench: saving binary snapshot: %w", err)
-	}
-
-	rs := &ReloadStats{Replicas: replicas, Iterations: reloadIters}
-	gobNanos, err := measureReloadFormat(gobPath, replicas, &rs.Gob)
-	if err != nil {
-		return nil, err
-	}
-	binNanos, err := measureReloadFormat(binPath, replicas, &rs.Binary)
-	if err != nil {
-		return nil, err
-	}
-	rs.SpeedupX = float64(gobNanos) / float64(binNanos)
-	if progress != nil {
-		progress(fmt.Sprintf("reload: gob %dus (%d KB, %d KB heap/replica)  binary %dus (%d KB, %d KB heap/replica)  speedup %.1fx",
-			rs.Gob.ReloadP50Micros, rs.Gob.FileBytes/1024, rs.Gob.HeapBytesPerReplica/1024,
-			rs.Binary.ReloadP50Micros, rs.Binary.FileBytes/1024, rs.Binary.HeapBytesPerReplica/1024,
-			rs.SpeedupX))
-	}
-	return rs, nil
-}
-
-// measureReloadFormat fills out one format's stats and returns its p50
-// reload nanos (unrounded, for the speedup ratio).
-func measureReloadFormat(path string, replicas int, out *ReloadFormatStats) (int64, error) {
 	st, err := os.Stat(path)
 	if err != nil {
-		return 0, fmt.Errorf("bench: %w", err)
+		return nil, fmt.Errorf("bench: %w", err)
 	}
-	out.FileBytes = st.Size()
+	rs := &ReloadStats{Replicas: replicas, Iterations: reloadIters, FileBytes: st.Size()}
 
-	// One warm-up load primes the page cache so both formats are timed
-	// over warm files — the regime of a server reloading a snapshot it
-	// just wrote.
+	// One warm-up load primes the page cache, so reloads are timed over
+	// a warm file — the regime of a server reloading a snapshot it just
+	// wrote.
 	if _, _, err := kbio.FreezeFile(path); err != nil {
-		return 0, fmt.Errorf("bench: reload warm-up of %s: %w", path, err)
+		return nil, fmt.Errorf("bench: reload warm-up: %w", err)
 	}
 	nanos := make([]int64, 0, reloadIters)
 	for i := 0; i < reloadIters; i++ {
@@ -114,36 +76,36 @@ func measureReloadFormat(path string, replicas int, out *ReloadFormatStats) (int
 		snap, _, err := kbio.FreezeFile(path)
 		d := time.Since(t0)
 		if err != nil {
-			return 0, fmt.Errorf("bench: timed reload of %s: %w", path, err)
+			return nil, fmt.Errorf("bench: timed reload: %w", err)
 		}
 		runtime.KeepAlive(snap)
 		nanos = append(nanos, int64(d))
 	}
 	sort.Slice(nanos, func(i, j int) bool { return nanos[i] < nanos[j] })
 	// Sub-microsecond reloads round up to 1µs so the artifact never
-	// claims a zero-cost reload (and ratios stay finite).
-	p50 := percentile(nanos, 0.50)
+	// claims a zero-cost reload.
 	us := int64(time.Microsecond)
-	out.ReloadP50Micros = max(p50/us, 1)
-	out.ReloadMaxMicros = max(nanos[len(nanos)-1]/us, 1)
+	rs.ReloadP50Micros = max(percentile(nanos, 0.50)/us, 1)
+	rs.ReloadMaxMicros = max(nanos[len(nanos)-1]/us, 1)
 
-	heap, err := heapPerReplica(path, replicas)
-	if err != nil {
-		return 0, err
+	if rs.HeapBytesPerReplica, err = heapPerReplica(path, replicas); err != nil {
+		return nil, err
 	}
-	out.HeapBytesPerReplica = heap
-	return max(p50, 1), nil
+	if progress != nil {
+		progress(fmt.Sprintf("reload: p50 %dus, max %dus (%d KB file, %d KB heap/replica)",
+			rs.ReloadP50Micros, rs.ReloadMaxMicros, rs.FileBytes/1024, rs.HeapBytesPerReplica/1024))
+	}
+	return rs, nil
 }
 
 // heapPerReplica opens `replicas` independent snapshots of the file and
-// reports the settled heap growth per replica. For the gob format each
-// replica decodes a private KB graph; for the binary format each holds
+// reports the settled heap growth per replica. Each replica holds
 // little beyond the string table, the bulk staying in the shared file
 // mapping — which is the number this measurement exists to show.
 func heapPerReplica(path string, replicas int) (int64, error) {
 	settle := func() uint64 {
 		// Two GC rounds: the first queues finalizers (which unmap dropped
-		// binary views), the second collects what they released.
+		// views), the second collects what they released.
 		runtime.GC()
 		runtime.GC()
 		var m runtime.MemStats
@@ -155,7 +117,7 @@ func heapPerReplica(path string, replicas int) (int64, error) {
 	for i := 0; i < replicas; i++ {
 		snap, _, err := kbio.FreezeFile(path)
 		if err != nil {
-			return 0, fmt.Errorf("bench: replica load of %s: %w", path, err)
+			return 0, fmt.Errorf("bench: replica load: %w", err)
 		}
 		snaps = append(snaps, snap)
 	}

@@ -46,15 +46,15 @@ func TestRunServeProducesCoherentArtifact(t *testing.T) {
 		}
 	}
 	if res.Reload == nil {
-		t.Fatal("run produced no reload comparison")
+		t.Fatal("run produced no reload block")
 	}
 	if res.Reload.Replicas != 2 || res.Reload.Iterations < 1 {
-		t.Fatalf("reload comparison shape: %+v", res.Reload)
+		t.Fatalf("reload block shape: %+v", res.Reload)
 	}
-	if res.Reload.Binary.FileBytes <= 0 || res.Reload.Gob.FileBytes <= 0 {
-		t.Fatalf("reload snapshot sizes: %+v", res.Reload)
+	if res.Reload.FileBytes <= 0 {
+		t.Fatalf("reload snapshot size: %+v", res.Reload)
 	}
-	if err := ValidateServe(res); err != nil {
+	if err := ValidateServe(res, 0); err != nil {
 		t.Fatalf("ValidateServe on a fresh run: %v", err)
 	}
 
@@ -76,13 +76,12 @@ func TestValidateServeRejectsMalformedArtifacts(t *testing.T) {
 			}},
 			Reload: &ReloadStats{
 				Replicas: 2, Iterations: 7,
-				Gob:      ReloadFormatStats{FileBytes: 1000, ReloadP50Micros: 50, ReloadMaxMicros: 60, HeapBytesPerReplica: 4096},
-				Binary:   ReloadFormatStats{FileBytes: 500, ReloadP50Micros: 5, ReloadMaxMicros: 6, HeapBytesPerReplica: 1024},
-				SpeedupX: 10,
+				FileBytes: 500, ReloadP50Micros: 5, ReloadMaxMicros: 6, HeapBytesPerReplica: 1024,
 			},
 		}
 	}
-	if err := ValidateServe(good()); err != nil {
+	const ceiling = 4 * time.Millisecond
+	if err := ValidateServe(good(), ceiling); err != nil {
 		t.Fatalf("valid artifact rejected: %v", err)
 	}
 
@@ -97,18 +96,17 @@ func TestValidateServeRejectsMalformedArtifacts(t *testing.T) {
 		{"bad mode", func(r *ServeResult) { r.Cells[0].Mode = "sideways" }, "unknown mode"},
 		{"unordered percentiles", func(r *ServeResult) { r.Cells[0].Latency.P99Micros = 9999 }, "out of order"},
 		{"errors", func(r *ServeResult) { r.Cells[0].Latency.Errors = 3 }, "failed"},
-		{"no reload block", func(r *ServeResult) { r.Reload = nil }, "no reload comparison"},
+		{"no reload block", func(r *ServeResult) { r.Reload = nil }, "no reload block"},
 		{"no reload replicas", func(r *ServeResult) { r.Reload.Replicas = 0 }, "replicas"},
-		{"empty binary snapshot", func(r *ServeResult) { r.Reload.Binary.FileBytes = 0 }, "binary snapshot file is empty"},
-		{"zero gob p50", func(r *ServeResult) { r.Reload.Gob.ReloadP50Micros = 0 }, "latencies incoherent"},
-		{"reload max below p50", func(r *ServeResult) { r.Reload.Binary.ReloadMaxMicros = 1 }, "latencies incoherent"},
-		{"negative reload heap", func(r *ServeResult) { r.Reload.Gob.HeapBytesPerReplica = -1 }, "heap per replica negative"},
-		{"binary slower than gob", func(r *ServeResult) { r.Reload.SpeedupX = 0.5 }, "must not be slower"},
+		{"empty snapshot", func(r *ServeResult) { r.Reload.FileBytes = 0 }, "snapshot file is empty"},
+		{"reload max below p50", func(r *ServeResult) { r.Reload.ReloadMaxMicros = 1 }, "latencies incoherent"},
+		{"negative reload heap", func(r *ServeResult) { r.Reload.HeapBytesPerReplica = -1 }, "heap per replica negative"},
+		{"reload above ceiling", func(r *ServeResult) { r.Reload.ReloadP50Micros, r.Reload.ReloadMaxMicros = 4001, 4500 }, "above the 4ms ceiling"},
 	}
 	for _, tc := range cases {
 		r := good()
 		tc.mutate(r)
-		err := ValidateServe(r)
+		err := ValidateServe(r, ceiling)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}

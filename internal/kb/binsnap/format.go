@@ -1,17 +1,15 @@
 // Package binsnap implements the compact columnar on-disk KB snapshot
 // format and its zero-copy mmap reader.
 //
-// The gob format in internal/kb rebuilds the whole graph on load: every
-// reload re-decodes every record, re-allocates every slice and
-// re-populates every index map, so reload latency and per-replica heap
-// both scale with KB size. This package stores the KB the way PR 5's
-// hot path stores it in memory — a deduplicated, lexicographically
-// sorted string table plus CSR adjacency arrays (concepts → pairs →
-// supporting extractions → trigger edges) and precomputed aggregate
-// statistics — so opening a snapshot is mmap + header parse + one
-// linear validation sweep. No per-record decode, no per-record
-// allocation, and co-located replicas mapping the same file share its
-// pages through the OS page cache instead of keeping N private heaps.
+// It is the one on-disk KB format. Opening never rebuilds the graph:
+// the file stores the KB the way the hot path stores it in memory — a
+// deduplicated, lexicographically sorted string table plus CSR
+// adjacency arrays (concepts → pairs → supporting extractions → trigger
+// edges) and precomputed aggregate statistics — so opening a snapshot
+// is mmap + header parse + one linear validation sweep. No per-record
+// decode, no per-record allocation, and co-located replicas mapping the
+// same file share its pages through the OS page cache instead of
+// keeping N private heaps.
 //
 // Layout (all integers little-endian):
 //
@@ -43,8 +41,9 @@ import (
 	"hash/crc32"
 )
 
-// Magic is the 8-byte signature opening every binary KB snapshot;
-// format auto-detection (internal/kb/kbio) sniffs it.
+// Magic is the 8-byte signature opening every binary KB snapshot. Open
+// checks it first, so a file of any other format fails with an error
+// naming its bad magic.
 const Magic = "DCKBSNP1"
 
 // FormatVersion is the on-disk format version this package reads and

@@ -256,9 +256,8 @@ func (v *View) DriftDepth(concept string) map[string]int {
 }
 
 // ToKB materializes a fully mutable heap KB from the view, validating
-// through kb.Build exactly as a gob load does. This is the escape hatch
-// for tools that need to mutate (cmd/kbsnap converting binary → gob);
-// serving paths never call it.
+// through kb.Build. This is the escape hatch for tools that need a heap
+// KB (cmd/kbsnap re-encoding a snapshot); serving paths never call it.
 func (v *View) ToKB() (*kb.KB, error) {
 	exts := make([]kb.Extraction, v.hdr.Extractions)
 	for i := range exts {

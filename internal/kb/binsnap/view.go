@@ -131,11 +131,13 @@ func newView(data []byte, munmap func([]byte) error) (*View, error) {
 // parseHeader checks magic, version and section-table sanity.
 func (v *View) parseHeader() error {
 	data := v.data
+	// The magic is checked first, so a file of another format (even a
+	// short one) is named as such rather than as a truncated snapshot.
+	if head := data[offMagic:min(len(data), offMagic+len(Magic))]; string(head) != Magic {
+		return corruptf("bad magic %q, want %q", head, Magic)
+	}
 	if len(data) < headerSize {
 		return corruptf("file is %d bytes, smaller than the %d-byte header", len(data), headerSize)
-	}
-	if string(data[offMagic:offMagic+8]) != Magic {
-		return corruptf("bad magic %q", data[offMagic:offMagic+8])
 	}
 	le := binary.LittleEndian
 	v.hdr.Version = le.Uint32(data[offVersion:])

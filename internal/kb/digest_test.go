@@ -1,7 +1,6 @@
 package kb_test
 
 import (
-	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -170,20 +169,9 @@ func sameAnswers(t *testing.T, step string, k, ks *kb.KB) bool {
 }
 
 // reloads returns k copied through every path that rebuilds a KB: a
-// Clone, a gob round trip (Read → Build) and a binary snapshot
-// materialized back into a KB (View.ToKB → Build). It returns nil after
-// logging the error if a path fails.
+// Clone and a binary snapshot materialized back into a KB (View.ToKB →
+// Build). It returns nil after logging the error if a path fails.
 func reloads(t *testing.T, k *kb.KB) map[string]*kb.KB {
-	var buf bytes.Buffer
-	if _, err := k.WriteTo(&buf); err != nil {
-		t.Log(err)
-		return nil
-	}
-	gob, err := kb.Read(&buf)
-	if err != nil {
-		t.Log(err)
-		return nil
-	}
 	data, err := binsnap.Encode(k)
 	if err != nil {
 		t.Log(err)
@@ -199,7 +187,7 @@ func reloads(t *testing.T, k *kb.KB) map[string]*kb.KB {
 		t.Log(err)
 		return nil
 	}
-	return map[string]*kb.KB{"Clone": k.Clone(), "gob Build": gob, "binsnap ToKB": bin}
+	return map[string]*kb.KB{"Clone": k.Clone(), "binsnap ToKB": bin}
 }
 
 // TestQuickDigestMatchesRecompute: after every step of a random

@@ -291,6 +291,6 @@ func TestTriggerWithoutPairRecord(t *testing.T) {
 	re := roundTripQuick(k)
 	if !reflect.DeepEqual(re.Pairs(), k.Pairs()) || !reflect.DeepEqual(re.TriggeredExtractions("animal", "ghost"), []int{ex}) ||
 		!reflect.DeepEqual(re.Digests(), k.Digests()) {
-		t.Fatal("a gob round trip changed the pairs, trigger lists or digests")
+		t.Fatal("an Export → Build round trip changed the pairs, trigger lists or digests")
 	}
 }

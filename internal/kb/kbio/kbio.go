@@ -1,112 +1,24 @@
-// Package kbio opens saved knowledge bases regardless of their on-disk
-// format. The repo persists KBs two ways — the gob stream written by
-// (*kb.KB).SaveFile and the columnar binary snapshot written by
-// internal/kb/binsnap — and every consumer (driftserve, kbquery, the
-// bench harness, ops tooling) should accept either without the operator
-// saying which. Detection sniffs the binary format's 8-byte magic; gob
-// is the fallback, exactly as before the binary format existed, so no
-// previously loadable file changes behavior.
+// Package kbio opens a saved knowledge base for serving. The one
+// on-disk KB format is the binary columnar snapshot of
+// internal/kb/binsnap, written by driftclean -savekb; every consumer
+// (driftserve, kbquery, the bench harness) opens it through FreezeFile.
+// A file that is not a binary snapshot fails with an error wrapping
+// binsnap.ErrCorrupt that names its bad magic.
 package kbio
 
 import (
-	"errors"
-	"fmt"
-	"io"
-	"os"
-
-	"driftclean/internal/kb"
 	"driftclean/internal/kb/binsnap"
 	"driftclean/internal/snapshot"
 )
 
-// Format identifies an on-disk KB snapshot encoding.
-type Format int
-
-// The known snapshot encodings.
-const (
-	// FormatGob is the gob stream written by (*kb.KB).SaveFile.
-	FormatGob Format = iota
-	// FormatBinary is the columnar zero-copy format written by
-	// internal/kb/binsnap.
-	FormatBinary
-)
-
-// String names the format for logs and tool output.
-func (f Format) String() string {
-	if f == FormatBinary {
-		return "binary"
-	}
-	return "gob"
-}
-
-// Detect sniffs the file's leading bytes and reports its format. Files
-// shorter than the binary magic — including empty ones — detect as gob,
-// whose decoder then reports the real problem.
-func Detect(path string) (Format, error) {
-	f, err := os.Open(path)
+// FreezeFile mmap-opens the snapshot file zero-copy and freezes it into
+// an immutable serving snapshot, so freeze cost is O(1) in KB size. The
+// returned header (checksum, size, counts) is for logs and bench
+// records.
+func FreezeFile(path string) (*snapshot.Snapshot, binsnap.Header, error) {
+	v, err := binsnap.Open(path)
 	if err != nil {
-		return FormatGob, fmt.Errorf("kbio: %w", err)
+		return nil, binsnap.Header{}, err
 	}
-	defer f.Close()
-	var head [len(binsnap.Magic)]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return FormatGob, nil
-		}
-		return FormatGob, fmt.Errorf("kbio: %w", err)
-	}
-	if string(head[:]) == binsnap.Magic {
-		return FormatBinary, nil
-	}
-	return FormatGob, nil
-}
-
-// FreezeFile opens the KB file in whichever format it is and freezes it
-// into an immutable serving snapshot. A gob file decodes into a fresh
-// heap KB, owned outright, so no defensive clone is taken; a binary
-// file is mmap-opened zero-copy, so freeze cost is O(1) in KB size.
-// The returned format tells callers (logs, bench records) which path
-// ran.
-func FreezeFile(path string) (*snapshot.Snapshot, Format, error) {
-	format, err := Detect(path)
-	if err != nil {
-		return nil, format, err
-	}
-	switch format {
-	case FormatBinary:
-		v, err := binsnap.Open(path)
-		if err != nil {
-			return nil, format, err
-		}
-		return snapshot.FreezeOwned(v), format, nil
-	default:
-		k, err := kb.LoadFile(path)
-		if err != nil {
-			return nil, format, err
-		}
-		return snapshot.FreezeOwned(k), format, nil
-	}
-}
-
-// LoadKB opens the KB file in whichever format it is and materializes a
-// fully mutable heap KB — the tool-side counterpart of FreezeFile for
-// callers that need to convert or mutate rather than serve.
-func LoadKB(path string) (*kb.KB, Format, error) {
-	format, err := Detect(path)
-	if err != nil {
-		return nil, format, err
-	}
-	switch format {
-	case FormatBinary:
-		v, err := binsnap.Open(path)
-		if err != nil {
-			return nil, format, err
-		}
-		defer v.Close()
-		k, err := v.ToKB()
-		return k, format, err
-	default:
-		k, err := kb.LoadFile(path)
-		return k, format, err
-	}
+	return snapshot.FreezeOwned(v), v.Header(), nil
 }

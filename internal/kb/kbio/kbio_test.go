@@ -1,13 +1,17 @@
 package kbio
 
 import (
+	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"driftclean/internal/kb"
 	"driftclean/internal/kb/binsnap"
+	"driftclean/internal/snapshot"
 )
 
 func testKB() *kb.KB {
@@ -19,91 +23,40 @@ func testKB() *kb.KB {
 	return k
 }
 
-// saveBoth writes the same KB in both formats and returns their paths.
-func saveBoth(t *testing.T, k *kb.KB) (gobPath, binPath string) {
-	t.Helper()
-	dir := t.TempDir()
-	gobPath = filepath.Join(dir, "kb.gob")
-	binPath = filepath.Join(dir, "kb.bin")
-	if err := k.SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := binsnap.WriteFile(binPath, k); err != nil {
-		t.Fatal(err)
-	}
-	return gobPath, binPath
-}
-
-func TestDetect(t *testing.T) {
-	gobPath, binPath := saveBoth(t, testKB())
-	if f, err := Detect(gobPath); err != nil || f != FormatGob {
-		t.Fatalf("Detect(gob) = %v, %v", f, err)
-	}
-	if f, err := Detect(binPath); err != nil || f != FormatBinary {
-		t.Fatalf("Detect(binary) = %v, %v", f, err)
-	}
-	short := filepath.Join(t.TempDir(), "short")
-	if err := os.WriteFile(short, []byte("ab"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := Detect(short); err != nil || f != FormatGob {
-		t.Fatalf("Detect(short) = %v, %v", f, err)
-	}
-	if _, err := Detect(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("Detect of a missing file should fail")
-	}
-}
-
+// TestFreezeFileBothFormatsAgree: the heap KB frozen in memory and the
+// same KB mmap-opened from its snapshot file answer alike, and the
+// returned header describes the file.
 func TestFreezeFileBothFormatsAgree(t *testing.T) {
 	k := testKB()
-	gobPath, binPath := saveBoth(t, k)
-	gs, gf, err := FreezeFile(gobPath)
+	path := filepath.Join(t.TempDir(), "kb.bin")
+	if err := binsnap.WriteFile(path, k); err != nil {
+		t.Fatal(err)
+	}
+	hs := snapshot.Freeze(k)
+	bs, hdr, err := FreezeFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, bf, err := FreezeFile(binPath)
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gf != FormatGob || bf != FormatBinary {
-		t.Fatalf("formats %v, %v", gf, bf)
+	if hdr.FileBytes != st.Size() || hdr.Checksum == 0 || hdr.Stats != k.Stats() {
+		t.Fatalf("header %+v does not describe the %d-byte file of %+v", hdr, st.Size(), k.Stats())
 	}
-	if gs.Stats() != bs.Stats() {
-		t.Fatalf("stats differ: %+v vs %+v", gs.Stats(), bs.Stats())
+	if hs.Stats() != bs.Stats() {
+		t.Fatalf("stats differ: %+v vs %+v", hs.Stats(), bs.Stats())
 	}
-	if !reflect.DeepEqual(gs.Concepts(), bs.Concepts()) {
-		t.Fatal("concepts differ between formats")
+	if !reflect.DeepEqual(hs.Concepts(), bs.Concepts()) {
+		t.Fatal("concepts differ between representations")
 	}
-	for _, c := range gs.Concepts() {
-		if !reflect.DeepEqual(gs.Instances(c), bs.Instances(c)) {
+	for _, c := range hs.Concepts() {
+		if !reflect.DeepEqual(hs.Instances(c), bs.Instances(c)) {
 			t.Fatalf("instances of %q differ", c)
 		}
 	}
-	if bs.Generation() <= gs.Generation() {
+	if bs.Generation() <= hs.Generation() {
 		t.Fatal("freeze generations not monotonic")
-	}
-}
-
-func TestLoadKBBothFormats(t *testing.T) {
-	k := testKB()
-	gobPath, binPath := saveBoth(t, k)
-	for _, tc := range []struct {
-		path string
-		want Format
-	}{{gobPath, FormatGob}, {binPath, FormatBinary}} {
-		got, format, err := LoadKB(tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if format != tc.want {
-			t.Fatalf("format = %v, want %v", format, tc.want)
-		}
-		if !reflect.DeepEqual(got.Pairs(), k.Pairs()) {
-			t.Fatalf("%v: pairs differ after load", tc.want)
-		}
-		if got.Stats() != k.Stats() {
-			t.Fatalf("%v: stats differ after load", tc.want)
-		}
 	}
 }
 
@@ -120,8 +73,23 @@ func TestFreezeFileErrors(t *testing.T) {
 	}
 }
 
-func TestFormatString(t *testing.T) {
-	if FormatGob.String() != "gob" || FormatBinary.String() != "binary" {
-		t.Fatal("format names changed")
+// TestFreezeFileRejectsNonBinsnap: a file in another format — here a
+// gob stream, the KB format of earlier versions — fails as corrupt, and
+// the error names the bad magic.
+func TestFreezeFileRejectsNonBinsnap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.gob")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(struct{ Version int }{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = FreezeFile(path)
+	if !errors.Is(err, binsnap.ErrCorrupt) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("FreezeFile(gob file) = %v, want ErrCorrupt naming the bad magic", err)
 	}
 }

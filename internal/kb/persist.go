@@ -3,7 +3,6 @@ package kb
 import (
 	"bufio"
 	"cmp"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -12,27 +11,10 @@ import (
 	"sort"
 )
 
-// snapshot is the gob wire format of a KB. Extraction records plus pair
-// states fully determine the KB; the trigger and concept indexes are
-// rebuilt on load.
-type snapshot struct {
-	Version     int
-	Extractions []Extraction
-	Pairs       []pairState
-}
-
-type pairState struct {
-	Concept, Instance string
-	Count, FirstIter  int
-	Extractions       []int
-}
-
-const snapshotVersion = 1
-
 // PairState is the exported serializable form of one pair: identity,
 // active support count, first supporting iteration and the IDs of every
-// supporting extraction (including rolled-back ones). Alternative
-// snapshot encoders (internal/kb/binsnap) move KB state through
+// supporting extraction (including rolled-back ones). The on-disk
+// snapshot format (internal/kb/binsnap) moves KB state through
 // Export/Build as slices of these.
 type PairState struct {
 	Concept, Instance string
@@ -43,8 +25,8 @@ type PairState struct {
 // Export returns the KB's full serializable state, by name: every
 // extraction in ID order and every pair — including rolled-back,
 // zero-count ones — sorted by concept then instance. The result is a
-// fresh copy; it is the single source every snapshot encoder serializes
-// from, so two formats written from one KB describe identical state.
+// fresh copy; the snapshot encoder serializes from it, and Build
+// reverses it.
 func (kb *KB) Export() ([]Extraction, []PairState) {
 	exts := make([]Extraction, len(kb.exts))
 	buf := make([]string, 0, len(kb.arena))
@@ -83,45 +65,12 @@ func (kb *KB) Export() ([]Extraction, []PairState) {
 	return exts, pairs
 }
 
-// WriteTo serializes the KB (including rolled-back extractions and their
-// provenance) to w.
-func (kb *KB) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	exts, pairs := kb.Export()
-	snap := snapshot{Version: snapshotVersion, Extractions: exts}
-	for _, ps := range pairs {
-		snap.Pairs = append(snap.Pairs, pairState(ps))
-	}
-	if err := gob.NewEncoder(cw).Encode(snap); err != nil {
-		return cw.n, fmt.Errorf("kb: encoding snapshot: %w", err)
-	}
-	return cw.n, nil
-}
-
-// Read deserializes a KB previously written with WriteTo. The wire
-// state is validated before it becomes a live KB: a truncated or
-// corrupted snapshot must fail here, with a descriptive error, rather
-// than load "successfully" and panic at query time when an
-// out-of-range extraction index is finally dereferenced.
-func Read(r io.Reader) (*KB, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("kb: decoding snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("kb: snapshot version %d, want %d", snap.Version, snapshotVersion)
-	}
-	pairs := make([]PairState, len(snap.Pairs))
-	for i, ps := range snap.Pairs {
-		pairs[i] = PairState(ps)
-	}
-	return Build(snap.Extractions, pairs)
-}
-
-// Build reconstructs a KB from exported state (see Export), validating
-// it the same way Read validates a gob snapshot: extraction IDs must be
-// dense and in order, pair extraction references in range, counts
-// nonnegative, pairs unique. The names are interned in a table of the
+// Build reconstructs a KB from exported state (see Export). The state
+// may come from an untrusted file, so it is validated before it becomes
+// a live KB, and bad state fails here with a descriptive error rather
+// than panicking at query time: extraction IDs must be dense and in
+// order, pair extraction references in range, counts nonnegative, pairs
+// unique. The names are interned in a table of the
 // KB's own. The trigger lists are rebuilt from the extraction records,
 // and the active-pair count and per-concept aggregates from the pair
 // records, exactly as the live KB maintains them.
@@ -188,23 +137,11 @@ func Build(extractions []Extraction, pairs []PairState) (*KB, error) {
 	return kb, nil
 }
 
-// SaveFile writes the KB snapshot to a file, atomically: the bytes go
-// to a temporary file in the target's directory, are fsynced, and only
-// then renamed over the target. A crash or full disk mid-write can
-// never leave a torn snapshot where a good one used to be — the old
-// file survives intact until the new one is durably complete.
-func (kb *KB) SaveFile(path string) error {
-	return AtomicWriteFile(path, func(w io.Writer) error {
-		_, err := kb.WriteTo(w)
-		return err
-	})
-}
-
 // AtomicWriteFile streams write's output into path via a same-directory
 // temp file, fsync and rename. On any failure the temp file is removed
-// and the previous contents of path are untouched. Every snapshot
-// format the repo persists (gob here, the binary columnar format in
-// internal/kb/binsnap) publishes through this one discipline.
+// and the previous contents of path are untouched, so a crash or full
+// disk mid-write never leaves a torn snapshot where a good one used to
+// be. Snapshot files (internal/kb/binsnap) publish through it.
 func AtomicWriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -239,27 +176,6 @@ func AtomicWriteFile(path string, write func(io.Writer) error) error {
 		return fmt.Errorf("kb: publishing snapshot: %w", err)
 	}
 	return nil
-}
-
-// LoadFile reads a KB snapshot from a file.
-func LoadFile(path string) (*KB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("kb: %w", err)
-	}
-	defer f.Close()
-	return Read(bufio.NewReader(f))
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 func sortPairs(ps []Pair) {

@@ -1,12 +1,6 @@
 package kb
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
-	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,13 +18,11 @@ func populated() *KB {
 	return k
 }
 
+// roundTrip rebuilds k from its exported state, the path every
+// snapshot load takes (binsnap's View.ToKB ends in Build).
 func roundTrip(t *testing.T, k *KB) *KB {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := k.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := Build(k.Export())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,33 +83,6 @@ func TestPersistRollbackBehaviorEquivalent(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "kb.gob")
-	orig := populated()
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumPairs() != orig.NumPairs() {
-		t.Fatalf("pairs %d, want %d", got.NumPairs(), orig.NumPairs())
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Error("loading a missing file should fail")
-	}
-}
-
-func TestReadGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewBufferString("not a gob stream")); err == nil {
-		t.Error("garbage input should fail to decode")
-	}
-}
-
 func TestPersistEmptyKB(t *testing.T) {
 	got := roundTrip(t, New())
 	if got.NumPairs() != 0 || got.NumExtractions() != 0 {
@@ -125,181 +90,71 @@ func TestPersistEmptyKB(t *testing.T) {
 	}
 }
 
-// TestSaveFileFailedWriteLeavesTargetIntact is the torn-snapshot
-// regression test: when the write fails partway through (ENOSPC, crash,
-// encoder error), the previous snapshot at the target path must survive
-// byte-for-byte and no temp litter may remain. Under the old
-// write-directly-to-target SaveFile, os.Create had already truncated
-// the good snapshot before the first byte was written, so this test
-// fails there.
-func TestSaveFileFailedWriteLeavesTargetIntact(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "kb.gob")
-	if err := populated().SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	boom := errors.New("disk full")
-	err = AtomicWriteFile(path, func(w io.Writer) error {
-		// A partial write followed by failure — the torn-snapshot shape.
-		if _, err := w.Write([]byte("torn")); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("atomicWriteFile error = %v, want %v", err, boom)
-	}
-
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("failed save corrupted the existing snapshot")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp-") {
-			t.Fatalf("temp file %s left behind after failed save", e.Name())
-		}
-	}
-	// The intact target must still load.
-	if _, err := LoadFile(path); err != nil {
-		t.Fatalf("existing snapshot no longer loads: %v", err)
-	}
-}
-
-// TestSaveFileReplacesExisting: a successful save atomically replaces
-// the previous snapshot, leaving no temp files behind.
-func TestSaveFileReplacesExisting(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "kb.gob")
-	if err := New().SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	orig := populated()
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumPairs() != orig.NumPairs() {
-		t.Fatalf("pairs = %d, want %d", got.NumPairs(), orig.NumPairs())
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory holds %d entries after save, want just the snapshot", len(entries))
-	}
-}
-
-// encodeSnapshot gob-encodes a raw wire snapshot, bypassing WriteTo, so
-// tests can construct corrupted states a well-behaved writer never
-// produces.
-func encodeSnapshot(t *testing.T, snap snapshot) *bytes.Buffer {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	return &buf
-}
-
-// TestReadRejectsCorruptSnapshots: wire states with out-of-range
+// TestReadRejectsCorruptSnapshots: exported states with out-of-range
 // extraction indices, duplicate pairs or negative counts must be
-// rejected at load with a descriptive error — never loaded "successfully"
-// to panic later at query time. Under the old Read, every corrupt case
-// here loaded without error.
+// rejected by Build with a descriptive error — never loaded
+// "successfully" to panic later at query time.
 func TestReadRejectsCorruptSnapshots(t *testing.T) {
 	ex := func(id int, concept string, instances []string) Extraction {
 		return Extraction{ID: id, Concept: concept, Instances: instances, Iteration: 1, Active: true}
 	}
 	cases := []struct {
 		name    string
-		snap    snapshot
+		exts    []Extraction
+		pairs   []PairState
 		wantErr string
 	}{
 		{
 			name: "extraction index beyond extraction count",
-			snap: snapshot{
-				Version:     snapshotVersion,
-				Extractions: []Extraction{ex(0, "animal", []string{"dog"})},
-				Pairs: []pairState{
-					{Concept: "animal", Instance: "dog", Count: 1, FirstIter: 1, Extractions: []int{0, 7}},
-				},
+			exts: []Extraction{ex(0, "animal", []string{"dog"})},
+			pairs: []PairState{
+				{Concept: "animal", Instance: "dog", Count: 1, FirstIter: 1, Extractions: []int{0, 7}},
 			},
 			wantErr: "references extraction 7",
 		},
 		{
 			name: "negative extraction index",
-			snap: snapshot{
-				Version:     snapshotVersion,
-				Extractions: []Extraction{ex(0, "animal", []string{"dog"})},
-				Pairs: []pairState{
-					{Concept: "animal", Instance: "dog", Count: 1, FirstIter: 1, Extractions: []int{-1}},
-				},
+			exts: []Extraction{ex(0, "animal", []string{"dog"})},
+			pairs: []PairState{
+				{Concept: "animal", Instance: "dog", Count: 1, FirstIter: 1, Extractions: []int{-1}},
 			},
 			wantErr: "references extraction -1",
 		},
 		{
 			name: "pair with no extractions referencing one",
-			snap: snapshot{
-				Version: snapshotVersion,
-				Pairs: []pairState{
-					{Concept: "animal", Instance: "dog", Count: 1, FirstIter: 1, Extractions: []int{0}},
-				},
+			pairs: []PairState{
+				{Concept: "animal", Instance: "dog", Count: 1, FirstIter: 1, Extractions: []int{0}},
 			},
 			wantErr: "holds 0 extractions",
 		},
 		{
 			name: "duplicate pair",
-			snap: snapshot{
-				Version:     snapshotVersion,
-				Extractions: []Extraction{ex(0, "animal", []string{"dog"})},
-				Pairs: []pairState{
-					{Concept: "animal", Instance: "dog", Count: 1, FirstIter: 1, Extractions: []int{0}},
-					{Concept: "animal", Instance: "dog", Count: 2, FirstIter: 1, Extractions: []int{0}},
-				},
+			exts: []Extraction{ex(0, "animal", []string{"dog"})},
+			pairs: []PairState{
+				{Concept: "animal", Instance: "dog", Count: 1, FirstIter: 1, Extractions: []int{0}},
+				{Concept: "animal", Instance: "dog", Count: 2, FirstIter: 1, Extractions: []int{0}},
 			},
 			wantErr: "twice",
 		},
 		{
 			name: "negative count",
-			snap: snapshot{
-				Version:     snapshotVersion,
-				Extractions: []Extraction{ex(0, "animal", []string{"dog"})},
-				Pairs: []pairState{
-					{Concept: "animal", Instance: "dog", Count: -3, FirstIter: 1, Extractions: []int{0}},
-				},
+			exts: []Extraction{ex(0, "animal", []string{"dog"})},
+			pairs: []PairState{
+				{Concept: "animal", Instance: "dog", Count: -3, FirstIter: 1, Extractions: []int{0}},
 			},
 			wantErr: "negative count",
 		},
 		{
-			name: "extraction ID mismatch",
-			snap: snapshot{
-				Version:     snapshotVersion,
-				Extractions: []Extraction{ex(4, "animal", []string{"dog"})},
-			},
+			name:    "extraction ID mismatch",
+			exts:    []Extraction{ex(4, "animal", []string{"dog"})},
 			wantErr: "has ID 4",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Read(encodeSnapshot(t, tc.snap))
+			_, err := Build(tc.exts, tc.pairs)
 			if err == nil {
-				t.Fatal("corrupt snapshot loaded without error")
+				t.Fatal("corrupt state loaded without error")
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
@@ -310,7 +165,7 @@ func TestReadRejectsCorruptSnapshots(t *testing.T) {
 
 // TestReadAcceptsValidEdgeCases: the validation must not over-reject —
 // inactive extractions and zero-count (rolled back) pairs are legal
-// wire states that WriteTo produces.
+// states that Export produces.
 func TestReadAcceptsValidEdgeCases(t *testing.T) {
 	k := populated()
 	k.RemovePairs([]Pair{{"animal", "milk"}})

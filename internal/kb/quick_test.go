@@ -1,7 +1,6 @@
 package kb
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -228,12 +227,10 @@ func TestQuickPersistCommutesWithRemoval(t *testing.T) {
 	}
 }
 
+// roundTripQuick rebuilds k from its exported state (Export → Build),
+// the path every snapshot load ends in.
 func roundTripQuick(k *KB) *KB {
-	var buf bytes.Buffer
-	if _, err := k.WriteTo(&buf); err != nil {
-		panic(err)
-	}
-	got, err := Read(&buf)
+	got, err := Build(k.Export())
 	if err != nil {
 		panic(err)
 	}

@@ -4,9 +4,9 @@ package kb
 // alternative on-disk representations of the same knowledge — notably
 // the mmap-backed columnar binary snapshot view in internal/kb/binsnap.
 // internal/snapshot answers every serving query through this interface,
-// so a gob-decoded heap KB and a zero-copy binary snapshot flow through
-// one code path and must agree byte for byte (the differential suite in
-// binsnap enforces that).
+// so a live heap KB and a zero-copy binary snapshot flow through one
+// code path and must agree byte for byte (the differential suites in
+// binsnap and internal/serve enforce that).
 //
 // Implementations must be safe for any number of concurrent readers
 // once construction finishes. *KB satisfies that only while no

@@ -12,55 +12,43 @@ import (
 	"driftclean/internal/kb"
 	"driftclean/internal/kb/binsnap"
 	"driftclean/internal/kb/kbio"
+	"driftclean/internal/snapshot"
 )
 
 // TestFormatsServeIdenticalResponses is the differential gate for the
-// binary snapshot format: the same KB saved as gob and as binary,
-// loaded back through the auto-detecting opener (gob → heap decode,
-// binary → zero-copy mmap), must produce byte-identical JSON for every
-// /v1/* response the service can emit — the serving layer is not
-// allowed to know or care which representation backs a snapshot.
+// binary snapshot format: the heap KB frozen in memory and the same KB
+// saved as a binary snapshot and mmap-opened through kbio.FreezeFile
+// must produce byte-identical JSON for every /v1/* response the service
+// can emit — the serving layer is not allowed to know or care which
+// representation backs a snapshot.
 func TestFormatsServeIdenticalResponses(t *testing.T) {
 	k := differentialKB(t)
-	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "kb.gob")
-	binPath := filepath.Join(dir, "kb.bin")
-	if err := k.SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
+	binPath := filepath.Join(t.TempDir(), "kb.bin")
 	if err := binsnap.WriteFile(binPath, k); err != nil {
 		t.Fatal(err)
 	}
-
-	gobSnap, gf, err := kbio.FreezeFile(gobPath)
+	binSnap, _, err := kbio.FreezeFile(binPath)
 	if err != nil {
 		t.Fatal(err)
-	}
-	binSnap, bf, err := kbio.FreezeFile(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gf != kbio.FormatGob || bf != kbio.FormatBinary {
-		t.Fatalf("formats %v, %v", gf, bf)
 	}
 
 	t.Run("single service", func(t *testing.T) {
 		assertServicesAgree(t, k,
-			New(gobSnap, Options{}),
+			New(snapshot.Freeze(k), Options{}),
 			New(binSnap, Options{}))
 	})
 }
 
 // assertServicesAgree compares the full query surface of two services
-// backed by different snapshot formats of the same KB, response by
+// backed by different representations of the same KB, response by
 // response, at the JSON byte level.
-func assertServicesAgree(t *testing.T, k *kb.KB, gobSvc, binSvc *Service) {
+func assertServicesAgree(t *testing.T, k *kb.KB, heapSvc, binSvc *Service) {
 	t.Helper()
 	ctx := context.Background()
 
 	// Generation is process-global freeze state, not response content;
 	// it necessarily differs between the two freezes.
-	wantStats, err1 := gobSvc.Stats(ctx)
+	wantStats, err1 := heapSvc.Stats(ctx)
 	gotStats, err2 := binSvc.Stats(ctx)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
@@ -70,15 +58,15 @@ func assertServicesAgree(t *testing.T, k *kb.KB, gobSvc, binSvc *Service) {
 
 	compare := func(what string, f func(*Service) (any, error)) {
 		t.Helper()
-		want, err1 := f(gobSvc)
+		want, err1 := f(heapSvc)
 		got, err2 := f(binSvc)
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s: errors diverge: gob=%v binary=%v", what, err1, err2)
+			t.Fatalf("%s: errors diverge: heap=%v binary=%v", what, err1, err2)
 		}
 		if err1 != nil {
 			// Failures must agree on classification and message too.
 			if errors.Is(err1, ErrNotFound) != errors.Is(err2, ErrNotFound) || err1.Error() != err2.Error() {
-				t.Fatalf("%s: errors diverge: gob=%v binary=%v", what, err1, err2)
+				t.Fatalf("%s: errors diverge: heap=%v binary=%v", what, err1, err2)
 			}
 			return
 		}
@@ -119,7 +107,7 @@ func assertSameJSON(t *testing.T, what string, want, got any) {
 		t.Fatal(err)
 	}
 	if string(w) != string(g) {
-		t.Fatalf("%s: responses differ\n gob:    %s\n binary: %s", what, w, g)
+		t.Fatalf("%s: responses differ\n heap:   %s\n binary: %s", what, w, g)
 	}
 }
 

@@ -24,12 +24,10 @@ type ReloadConfig struct {
 	MaxAttempts int
 	// BaseDelay is the first retry's backoff (default 50ms); each
 	// further retry doubles it, capped at MaxDelay (default 2s). The
-	// actual sleep is jittered deterministically into [delay/2, delay).
+	// actual sleep is jittered deterministically into [delay/2, delay),
+	// so every Reloader sleeps the same schedule.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// JitterSeed seeds the deterministic backoff jitter; two Reloaders
-	// with the same seed sleep identical schedules.
-	JitterSeed int64
 	// BreakerThreshold is the number of consecutive failed Reload calls
 	// (each already MaxAttempts deep) that opens the breaker (default 3).
 	BreakerThreshold int
@@ -148,22 +146,22 @@ func (r *Reloader) BreakerOpen() bool {
 
 // backoff computes the jittered delay before the given retry attempt
 // (attempt >= 1): base·2^(attempt-1) capped at MaxDelay, then scaled
-// deterministically into [1/2, 1) of itself so synchronized reloaders
-// de-correlate without losing reproducibility.
+// into [1/2, 1) of itself by a fixed-seed draw, so the schedule is
+// reproducible.
 func (r *Reloader) backoff(attempt int) time.Duration {
 	d := r.cfg.BaseDelay << (attempt - 1)
 	if d > r.cfg.MaxDelay || d <= 0 { // <= 0 guards shift overflow
 		d = r.cfg.MaxDelay
 	}
 	r.draws++
-	u := jitterUnit(uint64(r.cfg.JitterSeed), r.draws)
+	u := jitterUnit(r.draws)
 	return d/2 + time.Duration(u*float64(d/2))
 }
 
-// jitterUnit maps (seed, draw index) onto [0, 1) with a splitmix64 mix —
+// jitterUnit maps a draw index onto [0, 1) with a splitmix64 mix —
 // deterministic, dependency-free, and independent per draw.
-func jitterUnit(seed, k uint64) float64 {
-	z := seed + k*0x9e3779b97f4a7c15
+func jitterUnit(k uint64) float64 {
+	z := k * 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31

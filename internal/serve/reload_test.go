@@ -70,21 +70,21 @@ func TestReloadRetriesTransientFailure(t *testing.T) {
 }
 
 // TestReloadBackoffGrowsAndIsDeterministic: the backoff schedule doubles
-// (within the jitter band) up to the cap, and two reloaders with the
-// same JitterSeed sleep the exact same schedule.
+// (within the jitter band) up to the cap, and two reloaders sleep the
+// exact same schedule.
 func TestReloadBackoffGrowsAndIsDeterministic(t *testing.T) {
-	run := func(seed int64) []time.Duration {
+	run := func() []time.Duration {
 		inj := fault.New(1, map[string]fault.Rule{"serve.reload": {FailFirst: 1000}})
 		f := newReloadFixture(t, ReloadConfig{
 			MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond,
-			JitterSeed: seed, Fault: inj,
+			Fault: inj,
 		})
 		if err := f.rl.Reload(); err == nil {
 			t.Fatal("Reload succeeded with all attempts faulted")
 		}
 		return f.slept
 	}
-	a := run(7)
+	a := run()
 	if len(a) != 4 {
 		t.Fatalf("slept %d times, want 4", len(a))
 	}
@@ -96,10 +96,10 @@ func TestReloadBackoffGrowsAndIsDeterministic(t *testing.T) {
 			t.Errorf("sleep %d = %v, want in [%v, %v)", i, d, max/2, max)
 		}
 	}
-	b := run(7)
+	b := run()
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("same seed slept %v then %v", a, b)
+			t.Fatalf("two reloaders slept %v then %v", a, b)
 		}
 	}
 }

@@ -88,9 +88,9 @@ func TestDriftIndexMatchesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	freezeBin := func() *snapshot.Snapshot {
-		s, format, err := kbio.FreezeFile(binPath)
-		if err != nil || format != kbio.FormatBinary {
-			t.Fatalf("FreezeFile: %v, %v", format, err)
+		s, _, err := kbio.FreezeFile(binPath)
+		if err != nil {
+			t.Fatalf("FreezeFile: %v", err)
 		}
 		return s
 	}

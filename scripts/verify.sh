@@ -96,7 +96,7 @@ go test -run 'FuzzCFG' ./internal/lint
 go test -run 'FuzzEigenSymTopK' ./internal/linalg
 go test -run 'FuzzDecode' ./internal/kb/binsnap
 
-echo "==> snapshot format differential (gob vs binary mmap, byte-identical /v1/* responses)"
+echo "==> snapshot representation differential (heap KB vs binary mmap, byte-identical /v1/* responses)"
 go test -race -run 'TestFormatsServeIdenticalResponses' ./internal/serve
 
 echo "==> go test -race ./..."
@@ -121,14 +121,13 @@ go run ./cmd/driftbench -smoke -check BENCH_pipeline.json -out BENCH_pipeline.sm
 echo "==> driftbench ingest smoke (incremental vs from-scratch fingerprint identity)"
 go run ./cmd/driftbench -scales ingest-smoke -check BENCH_pipeline.json -out BENCH_ingest.smoke.json
 
-echo "==> driftload smoke (response fingerprint + latency sweep + snapshot reload comparison)"
+echo "==> driftload smoke (response fingerprint + latency sweep + snapshot reload)"
 go run ./cmd/driftload -smoke -out BENCH_serve.smoke.json
 go run ./cmd/driftload -validate BENCH_serve.smoke.json
 
 # The committed full-sweep artifact carries the headline reload claim:
-# at scale, reloading the binary snapshot must be >= 10x faster than
-# decoding the gob stream.
-echo "==> committed serving artifact (schema + 10x binary reload floor)"
-go run ./cmd/driftload -validate BENCH_serve.json -minreload 10
+# at scale, reloading the binary snapshot takes at most 4ms at p50.
+echo "==> committed serving artifact (schema + 4ms reload p50 ceiling)"
+go run ./cmd/driftload -validate BENCH_serve.json -maxreload 4ms
 
 echo "verify: all gates passed"
