@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -60,11 +59,12 @@ type Config struct {
 	// Parallelism is the single worker-count knob for every parallel
 	// stage of the pipeline: corpus sharding, the extraction parse and
 	// disambiguation scans, the per-concept analysis fan-out, the
-	// per-task manifold builds of multi-task detection, and the
-	// cleaning score prewarm. The default (0, or any value below 1) uses
-	// every CPU; 1 forces the serial path everywhere, which is the A/B
-	// lever behind the determinism guarantee — output is identical at any
-	// setting. Subsystem configs that set their own Parallelism keep it.
+	// per-task manifold builds, solves and calibrations of multi-task
+	// detection, and the cleaning score prewarm. The default (0, or any
+	// value below 1) uses every CPU; 1 forces the serial path
+	// everywhere, which is the A/B lever behind the determinism
+	// guarantee — output is identical at any setting. Subsystem configs
+	// that set their own Parallelism keep it.
 	Parallelism int
 
 	// Fault, when non-nil, is the chaos-testing injector shared by every
@@ -89,6 +89,9 @@ func (c Config) propagate() Config {
 	}
 	if c.Clean.Parallelism == 0 {
 		c.Clean.Parallelism = c.Parallelism
+	}
+	if c.MultiTask.Parallelism == 0 {
+		c.MultiTask.Parallelism = c.Parallelism
 	}
 	if c.Corpus.Fault == nil {
 		c.Corpus.Fault = c.Fault
@@ -164,11 +167,18 @@ type System struct {
 		version  uint64
 		analysis *Analysis
 	}
-	// lists and subIndexes hold each concept's instance and core lists
-	// and its kb.SubIndex, keyed on (concept, digest). Entries are shared
-	// by every pass that hits them, so they are read-only.
-	lists      memo.Memo[conceptKey, conceptLists]
+	// lists holds each concept's instance list, core and core term,
+	// keyed on (symbol table, concept, digest): the core is held by ID.
+	// subIndexes holds each concept's kb.SubIndex, keyed on (concept,
+	// digest). Entries are shared by every pass that hits them, so they
+	// are read-only.
+	lists      memo.Memo[listKey, conceptLists]
 	subIndexes memo.Memo[conceptKey, map[string][]string]
+	// mutexes memoizes mutual-exclusion discovery keyed on its complete
+	// input (mutexKey): the symbol table, the config, and every active
+	// concept with its core. Most one-sentence checkpoints leave every
+	// core as it was, so their passes skip the discovery.
+	mutexes memo.Memo[mutexKey, *mutex.Analysis]
 	// taskIndex maps a concept's upstream task key (taskInputKey) to the
 	// task memo key its inputs produced, so a hit skips seed labelling,
 	// the feature matrix and taskSignature.
@@ -195,9 +205,40 @@ type conceptKey struct {
 	key     uint64
 }
 
-// conceptLists is a concept's kb.Instances list and its core E(C, 1).
+// listKey keys a concept's lists: IDs are only meaningful on the table
+// that assigned them.
+type listKey struct {
+	syms *kb.Symbols
+	conceptKey
+}
+
+// conceptLists is a concept's kb.Instances list, its core E(C, 1) by ID
+// (kb.CoreSyms) and the core's term of the mutex memo key (coreTerm).
 type conceptLists struct {
-	instances, core []string
+	instances []string
+	core      []kb.Sym
+	term      uint64
+}
+
+// mutexKey names a mutual-exclusion analysis by its complete input: the
+// symbol table its IDs belong to, the discovery thresholds, and the
+// ordered fold of every active concept's coreTerm.
+type mutexKey struct {
+	syms *kb.Symbols
+	cfg  mutex.Config
+	key  uint64
+}
+
+// coreTerm is one concept's term of the mutex memo key: its name and the
+// set of its core instances, each read by its stored name hash, so the
+// term does not depend on the order of the core or on the table's IDs.
+// A concept with an empty core still has a term of its own.
+func coreTerm(syms *kb.Symbols, concept kb.Sym, core []kb.Sym) uint64 {
+	var set uint64
+	for _, e := range core {
+		set += memo.Mix(syms.Hash(e))
+	}
+	return memo.Mix(memo.Mix(syms.Hash(concept)+uint64(len(core))) + set)
 }
 
 // taskRef is a task index entry: the task memo key of the concept's
@@ -236,6 +277,7 @@ func (s *System) TaskCacheStats() (hits, misses int) { return s.tasks.Stats() }
 func (s *System) rotateMemos() {
 	s.lists.Rotate()
 	s.subIndexes.Rotate()
+	s.mutexes.Rotate()
 	s.taskIndex.Rotate()
 	s.tasks.Rotate()
 	s.manifolds.Rotate()
@@ -247,17 +289,43 @@ func (s *System) rotateMemos() {
 	}
 }
 
-// listsOf returns the concept's instance list and core from the list
-// memo, listing them on a digest miss. The lists are shared.
+// listsOf returns the concept's instance list, core and core term from
+// the list memo, listing them on a digest miss. The lists are shared.
 func (s *System) listsOf(k *kb.KB, concept string) conceptLists {
-	key := conceptKey{concept, k.ConceptDigest(concept)}
+	key := listKey{k.Symbols(), conceptKey{concept, k.ConceptDigest(concept)}}
 	if l, ok := s.lists.Get(key); ok {
 		return l
 	}
-	instances := k.Instances(concept)
-	l := conceptLists{instances, k.CoreOf(concept, instances)}
+	c, _ := k.Sym(concept)
+	core := k.CoreSyms(c)
+	l := conceptLists{k.Instances(concept), core, coreTerm(k.Symbols(), c, core)}
 	s.lists.Put(key, l)
 	return l
+}
+
+// mutexOf returns the mutual-exclusion analysis of the given concepts
+// (k.Concepts()) and their lists from the mutex memo, running the
+// discovery on a miss. Equal keys mean an equal analysis: discovery is
+// a function of the table (its IDs), the thresholds, the sorted concept
+// list and each concept's core set, and the key folds the table, the
+// thresholds and every concept's coreTerm in list order, closed by the
+// list's length. The analysis is shared.
+func (s *System) mutexOf(k *kb.KB, concepts []string, lists []conceptLists) *mutex.Analysis {
+	acc := uint64(0)
+	for _, l := range lists {
+		acc = memo.Mix(acc + l.term)
+	}
+	key := mutexKey{k.Symbols(), s.Cfg.Mutex, memo.Mix(acc + uint64(len(lists)))}
+	if a, ok := s.mutexes.Get(key); ok {
+		return a
+	}
+	cores := make([][]kb.Sym, len(lists))
+	for i, l := range lists {
+		cores[i] = l.core
+	}
+	a := mutex.Build(k.Symbols(), concepts, cores, s.Cfg.Mutex)
+	s.mutexes.Put(key, a)
+	return a
 }
 
 // subIndexOf returns the concept's kb.SubIndex from the sub(e) memo,
@@ -317,9 +385,10 @@ type Analysis struct {
 //
 // Each concept's instance list and core E(C, 1) come from the list memo
 // keyed on the concept's digest, and are listed (kb.Instances,
-// kb.CoreOf) only on a miss. The lists drive mutual-exclusion discovery
-// and seed labeling, decide task eligibility, build the feature
-// extractor's class distributions, and feed each concept's buildTask.
+// kb.CoreSyms) only on a miss. The cores key and feed mutual-exclusion
+// discovery, itself memoized on them (mutexOf); the instance lists
+// decide task eligibility, build the feature extractor's class
+// distributions, and feed each concept's buildTask.
 // Walks and class distributions are computed lazily, only for the
 // concepts whose task build misses its index.
 //
@@ -339,19 +408,15 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 		lists[i] = s.listsOf(k, concepts[i])
 	})
 	instances := make(map[string][]string, len(concepts))
-	cores := make(map[string][]string, len(concepts))
 	var eligible []string
 	for i, concept := range concepts {
 		instances[concept] = lists[i].instances
-		cores[concept] = lists[i].core
 		if len(lists[i].instances) >= s.Cfg.MinTaskInstances {
 			eligible = append(eligible, concept)
 		}
 	}
-	a := &Analysis{
-		Mutex: mutex.AnalyzeCores(concepts, cores, s.Cfg.Mutex),
-	}
-	a.Labeler = seedlabel.NewFromCores(k, a.Mutex, concepts, cores, s.Cfg.Seed)
+	a := &Analysis{Mutex: s.mutexOf(k, concepts, lists)}
+	a.Labeler = seedlabel.New(k, a.Mutex, s.Cfg.Seed)
 	a.Features = feature.NewExtractorWithCache(k, a.Mutex, s.ScoreCache(), instances)
 
 	// One concept per claim: a task build costs from nothing (a cache
@@ -531,24 +596,15 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []st
 // depend on map order; an instance held by no exclusive concept adds
 // nothing, which is unambiguous since its tuple list is empty.
 func taskInputKey(k *kb.KB, a *Analysis, concept string, kcfg kpca.Config) uint64 {
-	// Exclusive(concept, o) implies o is in concept's exclusive set, so
-	// tuples over that set cover every exclusive holder. The fold reads
-	// the KB by ID and each name's stored hash, never a string.
-	exclusive := a.Mutex.ExclusiveConcepts(concept)
+	// The fold reads the KB and the exclusion relation by ID and each
+	// name's stored hash, never a string.
 	c, known := k.Sym(concept)
 	var sum uint64
-	if len(exclusive) > 0 && known {
-		ids := make([]kb.Sym, 0, len(exclusive))
-		for _, o := range exclusive {
-			if s, ok := k.Sym(o); ok {
-				ids = append(ids, s)
-			}
-		}
-		slices.Sort(ids)
+	if known && a.Mutex.HasExclusive(c) {
 		syms := k.Symbols()
 		var tuples uint64
 		fold := func(r kb.Record) {
-			if _, ok := slices.BinarySearch(ids, r.Concept); !ok {
+			if !a.Mutex.ExclusiveSym(c, r.Concept) {
 				return
 			}
 			core := uint64(0)

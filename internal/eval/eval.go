@@ -114,7 +114,8 @@ func (o *Oracle) ConceptStats(k *kb.KB, concept string) ConceptStats {
 // KBPrecision returns the fraction of active pairs (over the given
 // concepts, or all concepts when nil) that are correct. It only counts,
 // so it visits each concept's pair records in whatever order the KB
-// holds them rather than listing sorted instances.
+// holds them rather than listing sorted instances, and resolves each
+// concept in the KB and the world once.
 func (o *Oracle) KBPrecision(k *kb.KB, concepts []string) float64 {
 	if concepts == nil {
 		concepts = k.Concepts()
@@ -125,12 +126,13 @@ func (o *Oracle) KBPrecision(k *kb.KB, concepts []string) float64 {
 		if !ok {
 			continue
 		}
+		truth := o.W.Concept(c)
 		k.EachRecord(cs, func(r kb.Record) {
 			if r.Count <= 0 {
 				return
 			}
 			total++
-			if o.PairCorrect(c, k.Name(r.Instance)) {
+			if truth != nil && truth.Has(k.Name(r.Instance)) {
 				correct++
 			}
 		})
@@ -152,16 +154,20 @@ type CleaningMetrics struct {
 }
 
 // Cleaning compares a concept's instance set before and after cleaning.
+// The concept is resolved in the world and in the KB once.
 func (o *Oracle) Cleaning(concept string, before []string, after *kb.KB) CleaningMetrics {
 	var m CleaningMetrics
+	truth := o.W.Concept(concept)
+	c, known := after.Sym(concept)
 	for _, e := range before {
-		correct := o.PairCorrect(concept, e)
+		correct := truth != nil && truth.Has(e)
 		if correct {
 			m.Correct++
 		} else {
 			m.Errors++
 		}
-		if after.Has(concept, e) {
+		s, ok := after.Sym(e)
+		if known && ok && after.HasSyms(c, s) {
 			m.Remaining++
 			if correct {
 				m.RemainingCorrect++

@@ -91,8 +91,10 @@ func NewExtractor(k *kb.KB, mx *mutex.Analysis) *Extractor {
 // copying them, and reads each instance's concepts from the KB's own
 // per-instance records (kb.EachHolder), so it builds no per-pass index
 // at all.
-// Like the lists, an extractor describes k as it was at construction:
-// read it only while k is not mutated.
+// mx must have been discovered on k's symbol table (mutex.Analyze of k,
+// or of a KB sharing its table): f2 and f6 ask it by ID. Like the
+// lists, an extractor describes k as it was at construction: read it
+// only while k is not mutated.
 func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache, instances map[string][]string) *Extractor {
 	return &Extractor{
 		kb:        k,
@@ -175,9 +177,10 @@ func (x *Extractor) F1(concept string, subs []string) float64 {
 // of the polysemous few (paper Fig 3b expects most non-DPs at 0).
 func (x *Extractor) F2(concept, instance string) float64 {
 	n := 0
-	if e, ok := x.kb.Sym(instance); ok {
+	c, okc := x.kb.Sym(concept)
+	if e, ok := x.kb.Sym(instance); ok && okc {
 		x.kb.EachHolder(e, func(r kb.Record) {
-			if r.Count > crossEvidenceMin && x.mx.Exclusive(concept, x.kb.Name(r.Concept)) {
+			if r.Count > crossEvidenceMin && x.mx.ExclusiveSym(c, r.Concept) {
 				n++
 			}
 		})
@@ -240,7 +243,7 @@ func (x *Extractor) F6(concept string, subs []string) float64 {
 	// boundary from its real home.
 	check := func(r kb.Record) {
 		if !dragged && r.Count > crossEvidenceMin && r.Count >= 2*here &&
-			x.mx.Exclusive(concept, x.kb.Name(r.Concept)) {
+			known && x.mx.ExclusiveSym(c, r.Concept) {
 			dragged = true
 		}
 	}

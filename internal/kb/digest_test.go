@@ -291,7 +291,7 @@ func digestConfig() core.Config {
 // one, every KB state a cleaning round starts from (and every final
 // state) is recorded per concept, and whenever a concept's digest
 // repeats — in a later round or a later checkpoint's fresh KB — its
-// Instances, CoreOf, SubIndex and trigger-graph Signature must repeat
+// Instances, core (CoreSyms, by name), SubIndex and trigger-graph Signature must repeat
 // too.
 func TestDigestKeysArtifactsAcrossCheckpoints(t *testing.T) {
 	type key struct {
@@ -306,7 +306,13 @@ func TestDigestKeysArtifactsAcrossCheckpoints(t *testing.T) {
 		states++
 		for _, c := range k.Concepts() {
 			instances := k.Instances(c)
-			art := fmt.Sprintf("%q|%q|%v|%x", instances, k.CoreOf(c, instances), k.SubIndex(c),
+			s, _ := k.Sym(c)
+			var core []string
+			for _, e := range k.CoreSyms(s) {
+				core = append(core, k.Name(e))
+			}
+			slices.Sort(core)
+			art := fmt.Sprintf("%q|%q|%v|%x", instances, core, k.SubIndex(c),
 				rank.BuildGraph(k, c).Signature())
 			id := key{c, k.ConceptDigest(c)}
 			if prev, ok := seen[id]; ok {

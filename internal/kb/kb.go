@@ -653,20 +653,18 @@ func (kb *KB) instancesWhere(concept string, keep func(*pairRec) bool) []string 
 	return out
 }
 
-// CoreOf returns E(C, 1), the concept's core, filtered from instances,
-// which must be the concept's Instances list: the result is sorted and
-// equal to InstancesAtIteration(concept, 1) without a second sort. An
-// analysis pass that already holds the instance list reads the core
-// from it.
-func (kb *KB) CoreOf(concept string, instances []string) []string {
-	out := make([]string, 0, len(instances))
-	c, _ := kb.syms.Lookup(concept)
-	for _, e := range instances {
-		s, _ := kb.syms.Lookup(e)
-		if i, _ := kb.pairIndex(c, s); kb.recs[i].firstIter <= 1 {
-			out = append(out, e)
+// CoreSyms returns E(C, 1), the concept's core, by ID: the instances of
+// its pair records with positive count first supported in iteration 1,
+// sorted by ID. As a set of names it equals
+// InstancesAtIteration(concept, 1); an unknown ID has an empty core.
+func (kb *KB) CoreSyms(concept Sym) []Sym {
+	var out []Sym
+	for i := kb.stateOf(concept).cHead; i != 0; i = kb.recs[i-1].nextC {
+		if r := &kb.recs[i-1]; r.count > 0 && r.firstIter <= 1 {
+			out = append(out, r.instance)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

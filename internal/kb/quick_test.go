@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,30 @@ func TestQuickInvariantsUnderRemoval(t *testing.T) {
 	}
 }
 
+// TestCoreSymsOfAbsentConcept: a concept with no pair records — never
+// seen, or seen only as an instance — has an empty core, on an empty KB
+// too.
+func TestCoreSymsOfAbsentConcept(t *testing.T) {
+	if got := New().CoreSyms(0); len(got) != 0 {
+		t.Fatalf("empty KB: CoreSyms = %v, want empty", got)
+	}
+	k := New()
+	k.AddExtraction(0, "animal", nil, []string{"dog"}, nil, 1)
+	for _, name := range []string{"animal", "dog"} {
+		s, _ := k.Sym(name)
+		want := 0
+		if name == "animal" {
+			want = 1
+		}
+		if got := k.CoreSyms(s); len(got) != want {
+			t.Fatalf("CoreSyms(%s) = %v, want %d instances", name, coreNames(k, got), want)
+		}
+	}
+	if got := k.CoreSyms(Sym(k.Symbols().Len() + 5)); len(got) != 0 {
+		t.Fatalf("CoreSyms of an ID past the table = %v, want empty", got)
+	}
+}
+
 // Property: SubIndex agrees with SubInstances on random KBs after every
 // step of a random mutation sequence mixing cascading removals, direct
 // rollbacks, no-cascade removals and re-support of zeroed pairs.
@@ -237,15 +262,31 @@ func roundTripQuick(k *KB) *KB {
 	return got
 }
 
-// Property: CoreOf over a concept's Instances list equals
-// InstancesAtIteration(concept, 1), before and after a cascading
-// removal and a direct rollback.
-func TestQuickCoreOfMatchesInstancesAtIteration(t *testing.T) {
+// coreNames returns the names of ids, sorted by name.
+func coreNames(k *KB, ids []Sym) []string {
+	out := make([]string, 0, len(ids))
+	for _, s := range ids {
+		out = append(out, k.Name(s))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Property: CoreSyms, named and sorted by name, equals
+// InstancesAtIteration(concept, 1), and its IDs are sorted, before and
+// after a cascading removal and a direct rollback.
+func TestQuickCoreSymsMatchesInstancesAtIteration(t *testing.T) {
 	check := func(k *KB) bool {
 		for _, c := range k.Concepts() {
-			got, want := k.CoreOf(c, k.Instances(c)), k.InstancesAtIteration(c, 1)
+			s, _ := k.Sym(c)
+			ids := k.CoreSyms(s)
+			if !slices.IsSorted(ids) {
+				t.Logf("%s: CoreSyms not sorted by ID: %v", c, ids)
+				return false
+			}
+			got, want := coreNames(k, ids), k.InstancesAtIteration(c, 1)
 			if !reflect.DeepEqual(got, want) {
-				t.Logf("%s: CoreOf = %v, InstancesAtIteration = %v", c, got, want)
+				t.Logf("%s: CoreSyms = %v, InstancesAtIteration = %v", c, got, want)
 				return false
 			}
 		}

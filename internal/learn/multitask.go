@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"driftclean/internal/linalg"
+	"driftclean/internal/par"
 )
 
 // MultiTaskConfig controls Concept Adaptive Drift Detection (Algorithm 1).
@@ -26,8 +27,14 @@ type MultiTaskConfig struct {
 	// effective (default-filled) ManifoldConfig. The matrix is a pure
 	// function of (task, config), so callers that keep tasks alive across
 	// training runs can memoize it — TrainMultiTask only reads A. A
-	// provider must return exactly ManifoldMatrix(t, cfg).
+	// provider must return exactly ManifoldMatrix(t, cfg), and be safe
+	// to call from several goroutines at once.
 	ManifoldOf func(t *Task, cfg ManifoldConfig) *linalg.Matrix
+	// Parallelism is the worker count over which each iteration spreads
+	// its per-task solves and objective terms (par.Workers: 0 or less
+	// uses every CPU, 1 runs serially). The result is bit-identical at
+	// any setting.
+	Parallelism int
 }
 
 // DefaultMultiTaskConfig returns the settings used in experiments
@@ -62,6 +69,14 @@ type IterationHook func(iter int, detectors map[string]*LinearDetector)
 // TrainMultiTask runs Algorithm 1 over the given tasks jointly. All tasks
 // must share the transformed dimensionality (use Task.PadTo); tasks
 // without labeled instances are skipped.
+//
+// The tasks couple only through D, which each iteration computes
+// serially from every task's W. Given D, each task's Wc update (Eq 20)
+// and its terms of the Eq 18 objective read nothing of other tasks, so
+// they run one task per claim over cfg.Parallelism workers into
+// per-task slots; the terms are then summed serially in task order, and
+// the hook is called on the calling goroutine, so every result is
+// bit-identical to a serial run.
 func TrainMultiTask(tasks []*Task, cfg MultiTaskConfig, hook IterationHook) (*MultiTaskResult, error) {
 	def := DefaultMultiTaskConfig()
 	if cfg.Lambda <= 0 {
@@ -104,24 +119,39 @@ func TrainMultiTask(tasks []*Task, cfg MultiTaskConfig, hook IterationHook) (*Mu
 		}
 	}
 
-	// Precompute per-task constants: Xl, Y, Xl·Xlᵀ, Xl·Y, A.
+	// Precompute per-task constants — Xl, Xlᵀ, Y, Xl·Y, A and the
+	// iteration-invariant part of Eq 20's left-hand side, Xl·Xlᵀ + λA —
+	// one task per claim; W is initialized serially, in task order, from
+	// one seeded stream.
+	workers := par.Workers(cfg.Parallelism)
 	states := make([]*taskState, len(active))
-	rng := newRng(cfg.Seed)
-	for i, t := range active {
-		xl, y, _ := labeledMatrices(t)
+	par.ForChunked(len(active), workers, 1, func(i int) {
+		t := active[i]
+		xl, y, m := labeledMatrices(t)
+		xlT := xl.T()
 		st := &taskState{
-			task: t,
-			xl:   xl,
-			y:    y,
-			xxT:  linalg.Mul(xl, xl.T()),
-			xy:   linalg.Mul(xl, y),
-			a:    manifold(t, cfg.Manifold),
-			w:    linalg.NewMatrix(r, 3),
+			task:  t,
+			xlT:   xlT,
+			y:     y,
+			lhs:   linalg.Mul(xl, xlT),
+			xy:    linalg.Mul(xl, y),
+			a:     manifold(t, cfg.Manifold),
+			w:     linalg.NewMatrix(r, 3),
+			shift: linalg.NewMatrix(r, r),
+			pred:  linalg.NewMatrix(m, 3),
+			wT:    linalg.NewMatrix(3, r),
+			wTa:   linalg.NewMatrix(3, r),
+			wTaw:  linalg.NewMatrix(3, 3),
+			solve: make([]float64, 2*r),
 		}
+		linalg.AddInPlace(st.lhs, cfg.Lambda, st.a)
+		states[i] = st
+	})
+	rng := newRng(cfg.Seed)
+	for _, st := range states {
 		for j := range st.w.Data {
 			st.w.Data[j] = rng.NormFloat64() * 0.01
 		}
-		states[i] = st
 	}
 
 	res := &MultiTaskResult{Detectors: make(map[string]*LinearDetector, len(states))}
@@ -153,19 +183,28 @@ func TrainMultiTask(tasks []*Task, cfg MultiTaskConfig, hook IterationHook) (*Mu
 			}
 			d[i] = 1 / (2 * norm)
 		}
-		// Step: closed-form Wc update (Eq 20).
-		for _, st := range states {
-			lhs := st.xxT.Clone()
-			linalg.AddInPlace(lhs, cfg.Lambda, st.a)
+		// Step: closed-form Wc update (Eq 20) and the task's objective
+		// terms under it.
+		par.ForChunked(len(states), workers, 1, func(ti int) {
+			st := states[ti]
+			copy(st.shift.Data, st.lhs.Data)
 			for i := 0; i < r; i++ {
-				lhs.Add(i, i, cfg.Lambda*cfg.Beta*d[i]+cfg.Lambda*cfg.Gamma)
+				st.shift.Add(i, i, cfg.Lambda*cfg.Beta*d[i]+cfg.Lambda*cfg.Gamma)
 			}
-			w, err := linalg.SolveLinear(lhs, st.xy)
-			if err != nil {
+			if st.err = st.lu.Refactor(st.shift); st.err != nil {
+				return
+			}
+			// A fresh W each iteration: the hook may keep the detectors
+			// it was handed.
+			st.w = linalg.NewMatrix(r, 3)
+			st.lu.SolveInto(st.w, st.xy, st.solve)
+			st.terms()
+		})
+		for _, st := range states {
+			if st.err != nil {
 				return nil, fmt.Errorf("learn: multi-task solve for %q at iteration %d: %w",
-					st.task.Concept, iter, err)
+					st.task.Concept, iter, st.err)
 			}
-			st.w = w
 		}
 		obj := multiTaskObjective(states, cfg)
 		res.Objective = append(res.Objective, obj)
@@ -179,31 +218,56 @@ func TrainMultiTask(tasks []*Task, cfg MultiTaskConfig, hook IterationHook) (*Mu
 	return res, nil
 }
 
-// taskState caches the per-task constants of Algorithm 1.
+// taskState caches the per-task constants of Algorithm 1, the task's
+// current detector, its solve error and objective terms, and the
+// scratch its iterations reuse. The solve and products through scratch
+// are SolveLinear's and Mul's bit for bit (linalg.LU.Refactor,
+// linalg.MulInto).
 type taskState struct {
 	task *Task
-	xl   *linalg.Matrix
+	xlT  *linalg.Matrix
 	y    *linalg.Matrix
-	xxT  *linalg.Matrix
-	xy   *linalg.Matrix
-	a    *linalg.Matrix
-	w    *linalg.Matrix
+	// lhs is Xl·Xlᵀ + λA.
+	lhs *linalg.Matrix
+	xy  *linalg.Matrix
+	a   *linalg.Matrix
+	w   *linalg.Matrix
+	err error
+	// lossNorm is ‖Xlᵀ·Wc − Y‖F, trace Tr(WcᵀAWc) and wNorm ‖Wc‖F.
+	lossNorm, trace, wNorm float64
+
+	// shift is lhs plus the iteration's diagonal; pred, wT, wTa and
+	// wTaw hold the objective's products.
+	shift, pred, wT, wTa, wTaw *linalg.Matrix
+	lu                         linalg.LU
+	solve                      []float64
 }
 
-// multiTaskObjective evaluates Eq 18 for the current detector stack.
+// terms computes the task's objective terms under its current W.
+func (st *taskState) terms() {
+	linalg.MulInto(st.pred, st.xlT, st.w)
+	for i, v := range st.y.Data {
+		st.pred.Data[i] -= v
+	}
+	st.lossNorm = st.pred.FrobeniusNorm()
+	linalg.TransposeInto(st.wT, st.w)
+	linalg.MulInto(st.wTa, st.wT, st.a)
+	linalg.MulInto(st.wTaw, st.wTa, st.w)
+	st.trace = st.wTaw.Trace()
+	st.wNorm = st.w.FrobeniusNorm()
+}
+
+// multiTaskObjective evaluates Eq 18 for the current detector stack
+// from each task's terms, summed in task order.
 func multiTaskObjective(states []*taskState, cfg MultiTaskConfig) float64 {
 	var loss, manifold, frob float64
 	r := states[0].w.Rows
 	stacked := linalg.NewMatrix(r, 3*len(states))
 	for si, st := range states {
-		// ‖Xlᵀ·Wc − Y‖²F
-		pred := linalg.Mul(st.xl.T(), st.w)
-		diff := linalg.SubM(pred, st.y)
-		f := diff.FrobeniusNorm()
+		f := st.lossNorm
 		loss += f * f
-		// Tr(WcᵀAWc)
-		manifold += linalg.Mul(linalg.Mul(st.w.T(), st.a), st.w).Trace()
-		fw := st.w.FrobeniusNorm()
+		manifold += st.trace
+		fw := st.wNorm
 		frob += fw * fw
 		for i := 0; i < r; i++ {
 			for j := 0; j < 3; j++ {

@@ -65,14 +65,16 @@ func (f *LU) Refactor(a *Matrix) error {
 			sign = -sign
 		}
 		pk := lu.At(k, k)
+		rowK := lu.Data[k*n : (k+1)*n]
 		for i := k + 1; i < n; i++ {
-			f := lu.At(i, k) / pk
-			lu.Set(i, k, f)
+			rowI := lu.Data[i*n : (i+1)*n]
+			f := rowI[k] / pk
+			rowI[k] = f
 			if f == 0 {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				lu.Add(i, j, -f*lu.At(k, j))
+				rowI[j] += -f * rowK[j]
 			}
 		}
 	}

@@ -12,10 +12,11 @@
 package mutex
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"driftclean/internal/kb"
-	"driftclean/internal/sparsevec"
 )
 
 // Config holds the discovery thresholds.
@@ -36,38 +37,64 @@ func DefaultConfig() Config {
 	return Config{ExclusiveThreshold: 0.02, SimilarThreshold: 0.2, MinCoreSize: 5}
 }
 
-// Analysis is the result of concept-similarity discovery.
+// Analysis is the result of concept-similarity discovery. It holds
+// every relation by concept index — a concept's position in the
+// name-sorted concept list, so index order is name order — and maps
+// the IDs of the symbol table it was built on to those indices. The
+// string accessors translate at the boundary; ExclusiveSym answers by
+// ID. An Analysis is read-only once built and safe for concurrent use.
 type Analysis struct {
-	cfg      Config
+	syms     *kb.Symbols
 	concepts []string
-	core     map[string]map[string]struct{}
-	// sim holds cosine similarity for concept pairs with non-empty
-	// core overlap; absent pairs have similarity 0.
-	sim map[[2]string]float64
-	// exclusive maps each covered concept to its sorted exclusive set.
-	exclusive map[string][]string
-	similar   map[string][]string
-	covered   map[string]bool
+	// index maps a concept's ID to its index plus one; 0 (or an ID past
+	// the end) is no analyzed concept.
+	index []int32
+	// sims[i] lists, by ascending index, the concepts whose core
+	// overlaps concept i's, with the pair's cosine (Eq 5); every other
+	// pair has similarity 0.
+	sims    [][]overlap
+	covered []bool
+	// nCovered counts the covered concepts.
+	nCovered int
+	// exclusive is an n×n bit matrix, row i holding the exclusive set
+	// of concept i (direct and inherited); words is a row's length in
+	// uint64 words.
+	exclusive []uint64
+	words     int
+	// similar[i] lists concept i's highly-similar concepts by index.
+	similar [][]int32
 }
 
-// Analyze runs the discovery over the current KB. It lists every
-// concept's core with kb.InstancesAtIteration and hands the lists to
-// AnalyzeCores.
+// overlap is one entry of a concept's similarity row.
+type overlap struct {
+	j   int32
+	sim float64
+}
+
+// Analyze runs the discovery over the current KB: every concept of
+// k.Concepts() with its core read by ID (kb.CoreSyms). The analysis is
+// built on k's symbol table.
 func Analyze(k *kb.KB, cfg Config) *Analysis {
 	concepts := k.Concepts()
-	cores := make(map[string][]string, len(concepts))
-	for _, c := range concepts {
-		cores[c] = k.InstancesAtIteration(c, 1)
+	cores := make([][]kb.Sym, len(concepts))
+	for i, c := range concepts {
+		s, _ := k.Sym(c)
+		cores[i] = k.CoreSyms(s)
 	}
-	return AnalyzeCores(concepts, cores, cfg)
+	return Build(k.Symbols(), concepts, cores, cfg)
 }
 
-// AnalyzeCores runs the discovery over the given sorted concept list,
-// reading each concept's core E(C, 1) from cores. An analysis pass that
-// has already listed every concept's instances derives the cores from
-// those lists (kb.CoreOf) and passes them here instead of listing and
-// sorting each core again.
-func AnalyzeCores(concepts []string, cores map[string][]string, cfg Config) *Analysis {
+// Build runs the discovery over the given concepts, which must be
+// sorted by name and interned in t, reading concept i's core E(C, 1)
+// from cores[i]: the IDs, in t and without repeats, of its instances.
+// The analysis keeps the concept list and reads neither it nor the
+// cores again.
+//
+// Only concepts sharing a core instance can have non-zero cosine, so
+// the overlaps come from an inverted index over instance IDs, and each
+// cosine is the integer intersection size over sqrt(|A|·|B|), the
+// expression of sparsevec.SetCosine.
+func Build(t *kb.Symbols, concepts []string, cores [][]kb.Sym, cfg Config) *Analysis {
 	if cfg.ExclusiveThreshold <= 0 {
 		cfg.ExclusiveThreshold = DefaultConfig().ExclusiveThreshold
 	}
@@ -77,110 +104,152 @@ func AnalyzeCores(concepts []string, cores map[string][]string, cfg Config) *Ana
 	if cfg.MinCoreSize <= 0 {
 		cfg.MinCoreSize = DefaultConfig().MinCoreSize
 	}
+	n := len(concepts)
 	a := &Analysis{
-		cfg:       cfg,
-		core:      make(map[string]map[string]struct{}),
-		sim:       make(map[[2]string]float64),
-		exclusive: make(map[string][]string),
-		similar:   make(map[string][]string),
-		covered:   make(map[string]bool),
+		syms:     t,
+		concepts: concepts,
+		sims:     make([][]overlap, n),
+		covered:  make([]bool, n),
+		words:    (n + 63) / 64,
+		similar:  make([][]int32, n),
 	}
-	a.concepts = concepts
-	for _, c := range a.concepts {
-		set := make(map[string]struct{}, len(cores[c]))
-		for _, e := range cores[c] {
-			set[e] = struct{}{}
-		}
-		a.core[c] = set
+	ids := make([]kb.Sym, n)
+	maxID := -1
+	for i, c := range concepts {
+		ids[i], _ = t.Lookup(c)
+		maxID = max(maxID, int(ids[i]))
 	}
-	// Inverted index: instance -> concepts whose core holds it. Only
-	// concept pairs sharing a core instance can have non-zero cosine.
-	byInstance := map[string][]string{}
-	for _, c := range a.concepts {
-		for e := range a.core[c] {
-			//lint:ignore maporder each byInstance list accumulates c in a.concepts slice order; the map range only selects which key receives it
-			byInstance[e] = append(byInstance[e], c)
-		}
+	a.index = make([]int32, maxID+1)
+	for i, s := range ids {
+		a.index[s] = int32(i) + 1
 	}
-	overlapping := map[[2]string]bool{}
-	for _, cs := range byInstance {
-		for i := 0; i < len(cs); i++ {
-			for j := i + 1; j < len(cs); j++ {
-				overlapping[pairKey(cs[i], cs[j])] = true
-			}
+	a.overlaps(cores)
+	for i := range concepts {
+		if len(cores[i]) >= cfg.MinCoreSize {
+			a.covered[i] = true
+			a.nCovered++
 		}
 	}
-	for key := range overlapping {
-		s := sparsevec.SetCosine(a.core[key[0]], a.core[key[1]])
-		if s > 0 {
-			a.sim[key] = s
-		}
-	}
-	// Coverage and relations.
-	for _, c := range a.concepts {
-		if len(a.core[c]) >= cfg.MinCoreSize {
-			a.covered[c] = true
-		}
-	}
-	for _, c1 := range a.concepts {
-		if !a.covered[c1] {
+	// Relations between covered concepts, row by row over a dense
+	// scratch copy of the row's similarities.
+	direct := make([]uint64, n*a.words)
+	row := make([]float64, n)
+	for i := range concepts {
+		if !a.covered[i] {
 			continue
 		}
-		for _, c2 := range a.concepts {
-			if c1 == c2 || !a.covered[c2] {
+		for _, o := range a.sims[i] {
+			row[o.j] = o.sim
+		}
+		bits := direct[i*a.words : (i+1)*a.words]
+		for j := range concepts {
+			if j == i || !a.covered[j] {
 				continue
 			}
-			s := a.Sim(c1, c2)
-			switch {
+			switch s := row[j]; {
 			case s < cfg.ExclusiveThreshold:
-				a.exclusive[c1] = append(a.exclusive[c1], c2)
+				bits[j/64] |= 1 << (j % 64)
 			case s > cfg.SimilarThreshold:
-				a.similar[c1] = append(a.similar[c1], c2)
+				a.similar[i] = append(a.similar[i], int32(j))
 			}
+		}
+		for _, o := range a.sims[i] {
+			row[o.j] = 0
 		}
 	}
 	// Propagate exclusion across highly-similar concepts: if C and C' are
-	// highly similar, C' inherits C's exclusive set (Sec 3.2.1).
-	inherited := map[string]map[string]struct{}{}
-	for c, sims := range a.similar {
+	// highly similar, C' inherits C's exclusive set (Sec 3.2.1). Only the
+	// direct sets are inherited, and never C' itself.
+	a.exclusive = slices.Clone(direct)
+	for i, sims := range a.similar {
+		bits := a.exclusive[i*a.words : (i+1)*a.words]
 		for _, s := range sims {
-			for _, ex := range a.exclusive[s] {
-				if ex == c {
-					continue
-				}
-				if inherited[c] == nil {
-					inherited[c] = map[string]struct{}{}
-				}
-				inherited[c][ex] = struct{}{}
+			for w, v := range direct[int(s)*a.words : (int(s)+1)*a.words] {
+				bits[w] |= v
 			}
 		}
-	}
-	for c, set := range inherited {
-		have := map[string]struct{}{}
-		for _, ex := range a.exclusive[c] {
-			have[ex] = struct{}{}
-		}
-		for ex := range set {
-			if _, ok := have[ex]; !ok {
-				//lint:ignore maporder every a.exclusive list is sort.Strings-ed below before anyone reads it
-				a.exclusive[c] = append(a.exclusive[c], ex)
-			}
-		}
-	}
-	for c := range a.exclusive {
-		sort.Strings(a.exclusive[c])
-	}
-	for c := range a.similar {
-		sort.Strings(a.similar[c])
+		bits[i/64] &^= 1 << (i % 64)
 	}
 	return a
 }
 
-func pairKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
+// overlaps fills a.sims from an inverted index over the cores' instance
+// IDs: (instance, concept) entries sorted by instance, so the concepts
+// sharing an instance are one run, visited in index order.
+func (a *Analysis) overlaps(cores [][]kb.Sym) {
+	type entry struct {
+		e kb.Sym
+		c int32
 	}
-	return [2]string{a, b}
+	total := 0
+	for _, core := range cores {
+		total += len(core)
+	}
+	entries := make([]entry, 0, total)
+	for i, core := range cores {
+		for _, e := range core {
+			entries = append(entries, entry{e, int32(i)})
+		}
+	}
+	byInstance := func(x, y entry) int {
+		if x.e != y.e {
+			return cmp.Compare(x.e, y.e)
+		}
+		return cmp.Compare(x.c, y.c)
+	}
+	slices.SortFunc(entries, byInstance)
+	// inter[j] counts concept j's core instances shared with the row's
+	// concept i, for j > i; touched lists the j with a count.
+	inter := make([]int32, len(cores))
+	var touched []int32
+	for i, core := range cores {
+		for _, e := range core {
+			k, _ := slices.BinarySearchFunc(entries, entry{e, int32(i)}, byInstance)
+			for k++; k < len(entries) && entries[k].e == e; k++ {
+				j := entries[k].c
+				if inter[j] == 0 {
+					touched = append(touched, j)
+				}
+				inter[j]++
+			}
+		}
+		slices.Sort(touched)
+		for _, j := range touched {
+			s := float64(inter[j]) / math.Sqrt(float64(len(core))*float64(len(cores[j])))
+			a.sims[i] = append(a.sims[i], overlap{j, s})
+			a.sims[j] = append(a.sims[j], overlap{int32(i), s})
+			inter[j] = 0
+		}
+		touched = touched[:0]
+	}
+}
+
+// at returns the index of concept s, or ok=false when s is no analyzed
+// concept.
+func (a *Analysis) at(s kb.Sym) (int, bool) {
+	if int(s) >= len(a.index) || a.index[s] == 0 {
+		return 0, false
+	}
+	return int(a.index[s]) - 1, true
+}
+
+// find returns the index of the named concept.
+func (a *Analysis) find(c string) (int, bool) {
+	s, ok := a.syms.Lookup(c)
+	if !ok {
+		return 0, false
+	}
+	return a.at(s)
+}
+
+// sim returns the cosine of concepts i and j (i ≠ j).
+func (a *Analysis) sim(i, j int) float64 {
+	row := a.sims[i]
+	k, ok := slices.BinarySearchFunc(row, int32(j), func(o overlap, j int32) int { return cmp.Compare(o.j, j) })
+	if !ok {
+		return 0
+	}
+	return row[k].sim
 }
 
 // Sim returns the core-set cosine similarity of two concepts (Eq 5).
@@ -188,32 +257,79 @@ func (a *Analysis) Sim(c1, c2 string) float64 {
 	if c1 == c2 {
 		return 1
 	}
-	return a.sim[pairKey(c1, c2)]
+	i, ok1 := a.find(c1)
+	j, ok2 := a.find(c2)
+	if !ok1 || !ok2 {
+		return 0
+	}
+	return a.sim(i, j)
 }
 
 // Covered reports whether the concept has enough core instances to carry
 // exclusion relations.
-func (a *Analysis) Covered(c string) bool { return a.covered[c] }
+func (a *Analysis) Covered(c string) bool {
+	i, ok := a.find(c)
+	return ok && a.covered[i]
+}
 
 // Exclusive reports whether two concepts are discovered as mutually
 // exclusive. Uncovered concepts are exclusive with nothing.
 func (a *Analysis) Exclusive(c1, c2 string) bool {
-	if c1 == c2 || !a.covered[c1] || !a.covered[c2] {
-		return false
-	}
-	for _, ex := range a.exclusive[c1] {
-		if ex == c2 {
-			return true
-		}
-	}
-	return false
+	i, ok1 := a.find(c1)
+	j, ok2 := a.find(c2)
+	return ok1 && ok2 && a.exclusiveAt(i, j)
 }
 
-// ExclusiveConcepts returns the sorted exclusive set of a concept.
-func (a *Analysis) ExclusiveConcepts(c string) []string { return a.exclusive[c] }
+// ExclusiveSym is Exclusive by ID, for IDs of the symbol table the
+// analysis was built on (the analyzed KB's kb.Symbols): an ID that
+// names no analyzed concept is exclusive with nothing.
+func (a *Analysis) ExclusiveSym(c1, c2 kb.Sym) bool {
+	i, ok1 := a.at(c1)
+	j, ok2 := a.at(c2)
+	return ok1 && ok2 && a.exclusiveAt(i, j)
+}
 
-// SimilarConcepts returns the sorted highly-similar set of a concept.
-func (a *Analysis) SimilarConcepts(c string) []string { return a.similar[c] }
+// HasExclusive reports whether the concept with ID c has a non-empty
+// exclusive set.
+func (a *Analysis) HasExclusive(c kb.Sym) bool {
+	i, ok := a.at(c)
+	return ok && slices.ContainsFunc(a.row(i), func(w uint64) bool { return w != 0 })
+}
+
+// row returns concept i's exclusive bit row.
+func (a *Analysis) row(i int) []uint64 { return a.exclusive[i*a.words : (i+1)*a.words] }
+
+func (a *Analysis) exclusiveAt(i, j int) bool { return a.row(i)[j/64]&(1<<(j%64)) != 0 }
+
+// ExclusiveConcepts returns the sorted exclusive set of a concept, nil
+// when it is empty, in a fresh slice.
+func (a *Analysis) ExclusiveConcepts(c string) []string {
+	i, ok := a.find(c)
+	if !ok {
+		return nil
+	}
+	var out []string
+	for j := range a.concepts {
+		if a.exclusiveAt(i, j) {
+			out = append(out, a.concepts[j])
+		}
+	}
+	return out
+}
+
+// SimilarConcepts returns the sorted highly-similar set of a concept,
+// nil when it is empty, in a fresh slice.
+func (a *Analysis) SimilarConcepts(c string) []string {
+	i, ok := a.find(c)
+	if !ok {
+		return nil
+	}
+	var out []string
+	for _, j := range a.similar[i] {
+		out = append(out, a.concepts[j])
+	}
+	return out
+}
 
 // Concepts returns all analyzed concepts, sorted.
 func (a *Analysis) Concepts() []string { return a.concepts }
@@ -223,7 +339,7 @@ func (a *Analysis) CoverageRate() float64 {
 	if len(a.concepts) == 0 {
 		return 0
 	}
-	return float64(len(a.covered)) / float64(len(a.concepts))
+	return float64(a.nCovered) / float64(len(a.concepts))
 }
 
 // HistogramBucket is one bar of Fig 4: the number of covered concept
@@ -246,15 +362,15 @@ func (a *Analysis) Histogram(bounds []float64) []HistogramBucket {
 			buckets[i].Hi = 1.0000001
 		}
 	}
-	var covered []string
-	for _, c := range a.concepts {
-		if a.covered[c] {
-			covered = append(covered, c)
+	for i := range a.concepts {
+		if !a.covered[i] {
+			continue
 		}
-	}
-	for i := 0; i < len(covered); i++ {
-		for j := i + 1; j < len(covered); j++ {
-			s := a.Sim(covered[i], covered[j])
+		for j := i + 1; j < len(a.concepts); j++ {
+			if !a.covered[j] {
+				continue
+			}
+			s := a.sim(i, j)
 			for b := len(buckets) - 1; b >= 0; b-- {
 				if s >= buckets[b].Lo {
 					buckets[b].Count++

@@ -49,35 +49,18 @@ type Config struct {
 func DefaultConfig() Config { return Config{K: 4, WeakCountMax: 3, AccidentalCountMax: 2} }
 
 // Labeler computes seed labels over a KB with discovered exclusions.
+// It reads the KB's pair records by ID as it labels and precomputes
+// nothing, so building one is free; like the analysis it belongs to, it
+// describes the KB only while the KB is not mutated.
 type Labeler struct {
 	kb  *kb.KB
 	mx  *mutex.Analysis
 	cfg Config
-
-	// evidencedCorrect[c] is the set of evidenced-correct instances of c.
-	evidencedCorrect map[string]map[string]bool
-	// correctOf[e] lists concepts for which e is evidenced correct.
-	correctOf map[string][]string
 }
 
-// New builds a labeler. It lists every concept's core with
-// kb.InstancesAtIteration and hands the lists to NewFromCores.
+// New builds a labeler over k, whose exclusions mx was discovered on
+// (on k's symbol table).
 func New(k *kb.KB, mx *mutex.Analysis, cfg Config) *Labeler {
-	concepts := k.Concepts()
-	cores := make(map[string][]string, len(concepts))
-	for _, c := range concepts {
-		cores[c] = k.InstancesAtIteration(c, 1)
-	}
-	return NewFromCores(k, mx, concepts, cores, cfg)
-}
-
-// NewFromCores builds a labeler over the given sorted concept list,
-// reading each concept's core E(C, 1) from cores. An analysis pass that
-// has already listed every concept's instances derives the cores from
-// those lists (kb.CoreOf) and passes them here instead of listing and
-// sorting each core again. The construction cost is one pass over the
-// cores.
-func NewFromCores(k *kb.KB, mx *mutex.Analysis, concepts []string, cores map[string][]string, cfg Config) *Labeler {
 	def := DefaultConfig()
 	if cfg.K <= 0 {
 		cfg.K = def.K
@@ -88,29 +71,31 @@ func NewFromCores(k *kb.KB, mx *mutex.Analysis, concepts []string, cores map[str
 	if cfg.AccidentalCountMax <= 0 {
 		cfg.AccidentalCountMax = def.AccidentalCountMax
 	}
-	l := &Labeler{
-		kb:               k,
-		mx:               mx,
-		cfg:              cfg,
-		evidencedCorrect: make(map[string]map[string]bool),
-		correctOf:        make(map[string][]string),
-	}
-	for _, c := range concepts {
-		set := map[string]bool{}
-		for _, e := range cores[c] {
-			if k.Count(c, e) >= cfg.K {
-				set[e] = true
-				l.correctOf[e] = append(l.correctOf[e], c)
-			}
-		}
-		l.evidencedCorrect[c] = set
-	}
-	return l
+	return &Labeler{kb: k, mx: mx, cfg: cfg}
 }
+
+// correct reports whether record r is evidenced correct: a core pair
+// (first supported in iteration 1) with at least K supporting
+// sentences.
+func (l *Labeler) correct(r kb.Record) bool { return r.FirstIter <= 1 && r.Count >= l.cfg.K }
 
 // EvidencedCorrect reports whether the pair is evidenced correct.
 func (l *Labeler) EvidencedCorrect(concept, instance string) bool {
-	return l.evidencedCorrect[concept][instance]
+	r, ok := l.kb.RecordOf(concept, instance)
+	return ok && l.correct(r)
+}
+
+// exclusiveCorrect reports whether instance e is evidenced correct, with
+// a count of at least minCount, for some concept mutually exclusive
+// with c.
+func (l *Labeler) exclusiveCorrect(c, e kb.Sym, minCount int) bool {
+	found := false
+	l.kb.EachHolder(e, func(r kb.Record) {
+		if !found && l.correct(r) && r.Count >= minCount && l.mx.ExclusiveSym(c, r.Concept) {
+			found = true
+		}
+	})
+	return found
 }
 
 // EvidencedIncorrect reports whether the pair is evidenced incorrect:
@@ -122,12 +107,7 @@ func (l *Labeler) EvidencedIncorrect(concept, instance string) bool {
 	if !ok || r.Count < 1 || r.Count > l.cfg.AccidentalCountMax || r.FirstIter <= 1 {
 		return false
 	}
-	for _, other := range l.correctOf[instance] {
-		if l.mx.Exclusive(concept, other) {
-			return true
-		}
-	}
-	return false
+	return l.exclusiveCorrect(r.Concept, r.Instance, 0)
 }
 
 // driftEvidence reports whether sub looks like a drifting error triggered
@@ -137,16 +117,16 @@ func (l *Labeler) EvidencedIncorrect(concept, instance string) bool {
 // scale-free: drift errors accumulate support proportionally to corpus
 // density, but their true home always accumulates more.
 func (l *Labeler) driftEvidence(concept, sub string) bool {
-	if l.EvidencedCorrect(concept, sub) {
+	c, okc := l.kb.Sym(concept)
+	e, oke := l.kb.Sym(sub)
+	if !okc || !oke {
 		return false
 	}
-	here := l.kb.Count(concept, sub)
-	for _, other := range l.correctOf[sub] {
-		if l.mx.Exclusive(concept, other) && l.kb.Count(other, sub) >= 2*here {
-			return true
-		}
+	r, _ := l.kb.Record(c, e)
+	if l.correct(r) {
+		return false
 	}
-	return false
+	return l.exclusiveCorrect(c, e, 2*r.Count)
 }
 
 // Label applies Rules 1–3 to one instance whose sub(e) is subs (the

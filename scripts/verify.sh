@@ -35,11 +35,11 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-# The suppression budget is a ratchet: 6 //lint:ignore directives are
+# The suppression budget is a ratchet: 3 //lint:ignore directives are
 # reviewed and justified in-source today. Lowering the number is always
 # fine; raising it is a reviewed decision that belongs in this diff.
-echo "==> driftlint ./... (suppression budget: 6)"
-go run ./cmd/driftlint -maxignores 6 ./...
+echo "==> driftlint ./... (suppression budget: 3)"
+go run ./cmd/driftlint -maxignores 3 ./...
 
 echo "==> driftlint (serving + snapshot-format packages)"
 go run ./cmd/driftlint ./internal/snapshot/... ./internal/serve/... ./internal/kb/... \
@@ -53,9 +53,11 @@ echo "==> go test -race (admission control: bounded queue, shed as 429 over HTTP
 go test -race -run 'TestAdmission|TestBatchesDoesNotBlock|TestOverloadSurfacesAs429' \
   ./internal/serve ./cmd/driftserve
 
-echo "==> go test -race (parallel pipeline determinism, workers >= 4)"
+echo "==> go test -race (parallel pipeline determinism, workers >= 4; fanned-out multi-task training; memoized ID-keyed mutual-exclusion discovery = fresh = string reference)"
 go test -race -run 'TestPipelineParallelMatchesSerial' .
-go test -race -run 'TestDetectSerialMatchesParallel|TestAnalyzeFansOutPerConcept' ./internal/core
+go test -race -run 'TestDetectSerialMatchesParallel|TestAnalyzeFansOutPerConcept|TestMutexMemo' ./internal/core
+go test -race -run 'TestTrainMultiTaskSerialMatchesParallel' ./internal/learn
+go test -race -run 'TestQuickBuildMatchesStringReference' ./internal/mutex
 
 echo "==> go test -race (two-generation memos: unit tests, checkpoint reuse gate, multi-round incremental = batch)"
 go test -race ./internal/memo
