@@ -69,10 +69,10 @@ type IngestResult struct {
 	// cheaper keeping the KB current is than rebuilding it.
 	Speedup float64 `json:"speedup"`
 	// TaskReuse and WalkReuse total, over the delta batches, the
-	// concepts whose learning task (KPCA fit) and random-walk scores
-	// were reused instead of recomputed — the mechanism the speedup
-	// comes from. TaskRebuilds totals the task builds that missed and
-	// paid for a KPCA fit.
+	// learning tasks (KPCA fits) and random-walk lookups served from the
+	// memos instead of recomputed — the mechanism the speedup comes
+	// from (see core.IngestStats). TaskRebuilds totals the task builds
+	// that missed and paid for a KPCA fit.
 	TaskReuse    int `json:"task_reuse"`
 	TaskRebuilds int `json:"task_rebuilds"`
 	WalkReuse    int `json:"walk_reuse"`

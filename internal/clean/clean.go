@@ -54,9 +54,9 @@ type Config struct {
 	DisableCascade bool
 	// Cache, when non-nil, is the cross-round random-walk score cache
 	// shared with the analysis passes: the Eq 21 checks read scores
-	// through it (when its configuration matches Walk), and every
-	// rollback invalidates exactly the concepts it touched, so the next
-	// round — and the next analysis — re-walks only what changed.
+	// through it when its configuration matches Walk. It keys every walk
+	// on the concept's digest, so the next round — and the next
+	// analysis — re-walks only the concepts a rollback changed.
 	Cache *rank.Cache
 	// OnRound, when non-nil, is invoked before each detect-and-clean
 	// round with the 1-based round number; returning true stops the loop
@@ -167,42 +167,34 @@ func CleanRound(k *kb.KB, labels Labels, cfg Config) RoundResult {
 	// Eq 21 and roll back losers. Run before Accidental removal so the
 	// walk scores still reflect the full graph.
 	//
-	// The per-concept random walks behind Eq 21 dominate a round's cost,
-	// and the set of concepts Phase 1 will score is known up front: each
-	// checked extraction consults its chosen concept and every sentence
-	// candidate. Precompute those walks concurrently into the cache
-	// before the (order-sensitive, sequential) flagging pass; the lazy
-	// path below stays as the serial fallback and as a safety net for any
-	// concept the prepass missed. Walk scores are deterministic, so the
-	// flags are identical either way.
-	//
-	// When a shared cross-round cache with a matching walk configuration
-	// is wired in, both the prepass and the lazy path go through it:
-	// concepts the preceding analysis (or an earlier round) already
-	// walked — and that no rollback has touched since — are free.
-	var scoresOf func(concept string) rank.Scores
-	if cfg.Cache != nil && cfg.Cache.Config() == cfg.Walk {
-		if workers := par.Workers(cfg.Parallelism); workers > 1 && !cfg.DropAllIntentional {
-			if need := phase1Concepts(k, labels, concepts); len(need) > 0 {
-				cfg.Cache.Warm(k, need, workers)
-			}
+	// The per-concept random walks behind Eq 21 dominate a round's cost.
+	// Every score the flagging pass reads comes from one round-local
+	// map, filled through a score cache: the shared cross-round cache
+	// when one with a matching walk configuration is wired in — so the
+	// concepts the preceding analysis (or an earlier round) walked at
+	// their current digest are free — and a cache of this round's own
+	// otherwise. The set of concepts Phase 1 will score is known up
+	// front, so with more than one worker a prepass fills the map
+	// concurrently before the (order-sensitive, sequential) flagging
+	// pass; the lazy fill below is the serial path and a safety net for
+	// any concept the prepass missed. Walk scores are deterministic, so
+	// the flags are identical either way.
+	cache := cfg.Cache
+	if cache == nil || cache.Config() != cfg.Walk {
+		cache = rank.NewCache(cfg.Walk)
+	}
+	walk := func(concept string) rank.Scores { return cache.Scores(k, concept) }
+	scores := map[string]rank.Scores{}
+	if workers := par.Workers(cfg.Parallelism); workers > 1 && !cfg.DropAllIntentional {
+		scores = rank.WalkConcepts(phase1Concepts(k, labels, concepts), workers, walk)
+	}
+	scoresOf := func(concept string) rank.Scores {
+		s, ok := scores[concept]
+		if !ok {
+			s = walk(concept)
+			scores[concept] = s
 		}
-		scoresOf = func(concept string) rank.Scores { return cfg.Cache.Scores(k, concept) }
-	} else {
-		scoreCache := map[string]rank.Scores{}
-		if workers := par.Workers(cfg.Parallelism); workers > 1 && !cfg.DropAllIntentional {
-			if need := phase1Concepts(k, labels, concepts); len(need) > 0 {
-				scoreCache = rank.WalkConcepts(k, need, cfg.Walk, workers)
-			}
-		}
-		scoresOf = func(concept string) rank.Scores {
-			if s, ok := scoreCache[concept]; ok {
-				return s
-			}
-			s := rank.RandomWalk(rank.BuildGraph(k, concept), cfg.Walk)
-			scoreCache[concept] = s
-			return s
-		}
+		return s
 	}
 	var flagged, triggered []int
 	for _, concept := range concepts {
@@ -234,13 +226,6 @@ func CleanRound(k *kb.KB, labels Labels, cfg Config) RoundResult {
 	rb := k.RollbackExtractions(flagged)
 	rr.PairsRemoved += len(rb.PairsRemoved)
 	rr.ExtractionsRolled += rb.ExtractionsRolled
-	// Rollback-keyed invalidation: drop exactly the touched concepts'
-	// walks (regardless of whether this round read through the shared
-	// cache — the next analysis pass will) and re-sync the cache to the
-	// KB's new version so everything untouched stays warm.
-	if cfg.Cache != nil {
-		cfg.Cache.Invalidate(k, rb.TouchedConcepts()...)
-	}
 
 	// Phase 2: Accidental DPs — drop the pairs and cascade.
 	var drop []kb.Pair
@@ -269,9 +254,6 @@ func CleanRound(k *kb.KB, labels Labels, cfg Config) RoundResult {
 	}
 	rr.PairsRemoved += len(rb2.PairsRemoved)
 	rr.ExtractionsRolled += rb2.ExtractionsRolled
-	if cfg.Cache != nil {
-		cfg.Cache.Invalidate(k, rb2.TouchedConcepts()...)
-	}
 	return rr
 }
 

@@ -128,15 +128,13 @@ func DefaultConfig() Config {
 // System holds the built substrate: the world, the corpus and the
 // (drifted) extraction result.
 //
-// A System memoizes analysis work across calls. A full *Analysis is
-// reused verbatim when the KB has not mutated since it was computed.
-// Below that, every per-concept artifact of an analysis pass is keyed
-// on the concept's KB-maintained digest (kb.ConceptDigest), so finding
-// out that a concept is unchanged costs O(1) and a hit rebuilds
-// nothing: its random-walk scores (the shared score cache), its
-// instance and core lists, its sub(e) index and — through an index
-// keyed on the digest plus the cross-concept counts the task reads —
-// its learning task. Behind those, content-addressed memos keyed on
+// A System memoizes analysis work across calls. Every per-concept
+// artifact of an analysis pass is keyed on the concept's KB-maintained
+// digest (kb.ConceptDigest), so finding out that a concept is unchanged
+// costs O(1) and a hit rebuilds nothing: its random-walk scores (the
+// shared score cache), its instance and core lists, its sub(e) index
+// and — through an index keyed on the digest plus the cross-concept
+// counts the task reads — its learning task. Behind those, content-addressed memos keyed on
 // the computed inputs (the task's feature matrix, the walk's trigger
 // graph, the task pointer for manifold matrices) still catch a concept
 // whose records changed without changing the artifact. Every memo keeps
@@ -160,13 +158,6 @@ type System struct {
 	// trigger graph some recent round already walked skips the power
 	// iteration.
 	walkMemo *rank.WalkMemo
-	// memo holds the last Analysis with the KB identity + version it was
-	// computed from; a hit requires both to be unchanged.
-	memo struct {
-		k        *kb.KB
-		version  uint64
-		analysis *Analysis
-	}
 	// lists holds each concept's instance list, core and core term,
 	// keyed on (symbol table, concept, digest): the core is held by ID.
 	// subIndexes holds each concept's kb.SubIndex, keyed on (concept,
@@ -252,16 +243,16 @@ type taskRef struct {
 // creating it on first use. Its configuration matches the feature
 // extractor's (rank.DefaultConfig), which is also the cleaning loop's
 // default Eq 21 walk configuration. The cache remembers walks by
-// concept digest across KBs (rank.NewDigestCache) and computes a digest
-// miss through the system's signature-keyed walk memo, so a concept
-// whose records or trigger graph some recent round already had reuses
-// its scores across checkpoint replays.
+// concept digest across KBs (rank.Cache) and computes a digest miss
+// through the system's signature-keyed walk memo, so a concept whose
+// records or trigger graph some recent round already had reuses its
+// scores across rounds and checkpoint replays.
 func (s *System) ScoreCache() *rank.Cache {
 	if s.scoreCache == nil {
 		if s.walkMemo == nil {
 			s.walkMemo = rank.NewWalkMemo()
 		}
-		s.scoreCache = rank.NewDigestCache(rank.DefaultConfig())
+		s.scoreCache = rank.NewCache(rank.DefaultConfig())
 		s.scoreCache.SetWalk(s.walkMemo.Walk)
 	}
 	return s.scoreCache
@@ -390,17 +381,10 @@ type Analysis struct {
 // decide task eligibility, build the feature extractor's class
 // distributions, and feed each concept's buildTask.
 // Walks and class distributions are computed lazily, only for the
-// concepts whose task build misses its index.
-//
-// Analysis is a pure function of the KB state and the (fixed) config,
-// so a repeated call on an unmutated KB — detected by pointer identity
-// plus the KB's mutation version — returns the previous *Analysis
-// without recomputing anything.
+// concepts whose task build misses its index; a walk comes from the
+// shared score cache (ScoreCache), keyed on the concept's digest.
 func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 	s.Cfg.Fault.Check("core.analyze")
-	if s.memo.analysis != nil && s.memo.k == k && s.memo.version == k.Version() {
-		return s.memo.analysis, nil
-	}
 	parallelism := s.Cfg.workers()
 	concepts := k.Concepts()
 	lists := make([]conceptLists, len(concepts))
@@ -443,7 +427,6 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 		a.Tasks = append(a.Tasks, task)
 		a.Concepts = append(a.Concepts, eligible[i])
 	}
-	s.memo.k, s.memo.version, s.memo.analysis = k, k.Version(), a
 	return a, nil
 }
 
@@ -972,7 +955,7 @@ func (s *System) CleanDPs(kind DetectorKind) (*CleanResult, error) {
 // cleanConfig is the propagated cleaning config wired to the system's
 // shared score cache, so the Eq 21 walks of the cleaning loop and the
 // f3/f4 walks of each round's analysis pass are computed once per
-// concept per round, and untouched concepts carry over between rounds.
+// concept digest, and unchanged concepts carry over between rounds.
 func (s *System) cleanConfig() clean.Config {
 	cfg := s.Cfg.propagate().Clean
 	if cfg.Walk == s.ScoreCache().Config() {

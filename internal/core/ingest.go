@@ -76,8 +76,11 @@ type IngestStats struct {
 	// plus the pre-cleaning instance snapshot for evaluation.
 	Result *CleanResult
 	// TaskReuse and WalkReuse report how many per-concept tasks and
-	// random walks were served from the memos during this checkpoint —
-	// the dirty-concept scoping at work.
+	// random-walk lookups were served from the memos during this
+	// checkpoint — the dirty-concept scoping at work. WalkReuse counts
+	// score-cache lookups answered by the digest memo or by the
+	// signature-keyed walk memo, not distinct concepts: the analysis
+	// pass and the Eq 21 check of one round each count their lookup.
 	TaskReuse, WalkReuse int
 	// TaskRebuilds counts the task builds that missed the task memo and
 	// paid for a KPCA fit during this checkpoint.

@@ -34,14 +34,15 @@ const Dim = 6
 const WeakCount = 2
 
 // Extractor computes feature vectors over one KB snapshot. Random-walk
-// scores live in a rank.Cache — private by default, or shared across
+// scores come from a rank.Cache — private by default, or shared across
 // extractors and cleaning rounds via NewExtractorWithCache so a walk
 // survives from one cleaning round to the next as long as its concept
-// is untouched. Class frequency distributions (and their L2 norms) are
-// cached per concept with the same single-flight discipline. Both are
-// computed lazily, by whichever goroutine first asks for a concept, so
-// every method is safe to call from many goroutines at once and no
-// concept pays for a walk until one of its features is read.
+// is untouched. The extractor asks the cache once per concept and keeps
+// the scores, next to the concept's class frequency distribution (and
+// its L2 norm). Both are computed lazily, once, by whichever goroutine
+// first asks for a concept while the rest wait, so every method is safe
+// to call from many goroutines at once and no concept pays for a walk
+// until one of its features is read.
 //
 // The extractor never computes sub(e) itself: the sub(e)-based features
 // (f1, f4, f5, f6) take the list from the caller, and Matrix reads every
@@ -54,18 +55,23 @@ type Extractor struct {
 
 	cache *rank.Cache
 
-	mu     sync.Mutex
-	coreFq map[string]*freqEntry
+	mu        sync.Mutex
+	byConcept map[string]*conceptEntry
 
 	// instances[c] is kb.Instances(c) for every concept at construction
 	// time, read-only after construction.
 	instances map[string][]string
 }
 
-type freqEntry struct {
-	ready chan struct{}
-	v     sparsevec.Vector
-	norm  float64
+// conceptEntry holds one concept's class frequency distribution with
+// its L2 norm, and its random-walk scores, each computed on first use.
+type conceptEntry struct {
+	freqOnce sync.Once
+	freq     sparsevec.Vector
+	norm     float64
+
+	walkOnce sync.Once
+	scores   rank.Scores
 }
 
 // NewExtractor builds a feature extractor over the KB with discovered
@@ -80,10 +86,10 @@ func NewExtractor(k *kb.KB, mx *mutex.Analysis) *Extractor {
 }
 
 // NewExtractorWithCache builds a feature extractor that reads and fills
-// the given shared score cache. The cache invalidation protocol
-// (rank.Cache) keeps entries consistent across KB mutations; sharing one
-// cache across the analysis passes of consecutive cleaning rounds means
-// only the concepts a round touched are re-walked.
+// the given shared score cache. The cache keys each walk on the
+// concept's digest (rank.Cache), so sharing one cache across the
+// analysis passes of consecutive cleaning rounds means only the
+// concepts a round changed are re-walked.
 //
 // instances[c] must be k.Instances(c) for every concept of k — the lists
 // the caller's analysis pass already holds, so the extractor sorts
@@ -100,7 +106,7 @@ func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache, inst
 		kb:        k,
 		mx:        mx,
 		cache:     cache,
-		coreFq:    make(map[string]*freqEntry),
+		byConcept: make(map[string]*conceptEntry),
 		instances: instances,
 	}
 }
@@ -109,39 +115,44 @@ func NewExtractorWithCache(k *kb.KB, mx *mutex.Analysis, cache *rank.Cache, inst
 // with positive count (kb.ConceptsOfInstance), in a fresh slice.
 func (x *Extractor) ConceptsOf(instance string) []string { return x.kb.ConceptsOfInstance(instance) }
 
-// Scores returns (building on first use) the random-walk scores of a
-// concept — also reused by the cleaning stage's Eq 21. Concurrent
-// callers missing the cache coalesce onto one walk (single-flight).
+// entry returns the concept's entry, creating an empty one on first use.
+func (x *Extractor) entry(concept string) *conceptEntry {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	e, ok := x.byConcept[concept]
+	if !ok {
+		e = &conceptEntry{}
+		x.byConcept[concept] = e
+	}
+	return e
+}
+
+// Scores returns the random-walk scores of a concept, read from the
+// score cache once per extractor: concurrent first callers wait for
+// the one that asks the cache.
 func (x *Extractor) Scores(concept string) rank.Scores {
-	return x.cache.Scores(x.kb, concept)
+	e := x.entry(concept)
+	e.walkOnce.Do(func() { e.scores = x.cache.Scores(x.kb, concept) })
+	return e.scores
 }
 
 // classFreq returns the concept's full learned frequency distribution and
 // its L2 norm, computing both once per concept: concurrent first callers
-// coalesce, the leader builds the vector and the rest wait for it. The
-// entries are support counts — small integers — so every partial sum of
-// squares is exact and the cached norm is bit-identical to recomputing
-// it in any map order.
+// wait for the one that builds them. The entries are support counts —
+// small integers — so every partial sum of squares is exact and the
+// cached norm is bit-identical to recomputing it in any map order.
 func (x *Extractor) classFreq(concept string) (sparsevec.Vector, float64) {
-	x.mu.Lock()
-	e, ok := x.coreFq[concept]
-	if ok {
-		x.mu.Unlock()
-		<-e.ready
-		return e.v, e.norm
-	}
-	e = &freqEntry{ready: make(chan struct{})}
-	x.coreFq[concept] = e
-	x.mu.Unlock()
-	insts := x.instances[concept]
-	v := make(sparsevec.Vector, len(insts))
-	c, known := x.kb.Sym(concept)
-	for _, inst := range insts {
-		v.Inc(inst, float64(x.count(c, known, inst)))
-	}
-	e.v, e.norm = v, v.L2()
-	close(e.ready)
-	return e.v, e.norm
+	e := x.entry(concept)
+	e.freqOnce.Do(func() {
+		insts := x.instances[concept]
+		e.freq = make(sparsevec.Vector, len(insts))
+		c, known := x.kb.Sym(concept)
+		for _, inst := range insts {
+			e.freq.Inc(inst, float64(x.count(c, known, inst)))
+		}
+		e.norm = e.freq.L2()
+	})
+	return e.freq, e.norm
 }
 
 // F1 is the Eq 1 distribution-similarity feature of an instance whose
@@ -196,10 +207,14 @@ func (x *Extractor) F3(concept, instance string) float64 {
 // F4 is the Eq 4 average sub-instance score feature of an instance whose
 // sub(e) is subs.
 func (x *Extractor) F4(concept string, subs []string) float64 {
+	return f4(x.Scores(concept), subs)
+}
+
+// f4 is F4 over the concept's scores.
+func f4(scores rank.Scores, subs []string) float64 {
 	if len(subs) == 0 {
 		return 0
 	}
-	scores := x.Scores(concept)
 	var sum float64
 	for _, s := range subs {
 		sum += scores[s]
@@ -284,7 +299,7 @@ const crossEvidenceMin = 3
 // single-instance sub(e) lookup).
 func (x *Extractor) Vector(concept, instance string, subs []string) []float64 {
 	row := make([]float64, Dim)
-	x.fill(row, concept, instance, subs)
+	x.fill(row, concept, x.Scores(concept), instance, subs)
 	return row
 }
 
@@ -296,20 +311,22 @@ func (x *Extractor) Vector(concept, instance string, subs []string) []float64 {
 func (x *Extractor) Matrix(concept string, instances []string, subs map[string][]string) [][]float64 {
 	out := make([][]float64, len(instances))
 	flat := make([]float64, len(instances)*Dim)
+	scores := x.Scores(concept)
 	for i, e := range instances {
 		row := flat[i*Dim : (i+1)*Dim : (i+1)*Dim]
-		x.fill(row, concept, e, subs[e])
+		x.fill(row, concept, scores, e, subs[e])
 		out[i] = row
 	}
 	return out
 }
 
-// fill writes [f1 … f6] of one instance into row.
-func (x *Extractor) fill(row []float64, concept, instance string, subs []string) {
+// fill writes [f1 … f6] of one instance into row, reading f3 and f4
+// from the concept's scores.
+func (x *Extractor) fill(row []float64, concept string, scores rank.Scores, instance string, subs []string) {
 	row[0] = x.F1(concept, subs)
 	row[1] = x.F2(concept, instance)
-	row[2] = x.F3(concept, instance)
-	row[3] = x.F4(concept, subs)
+	row[2] = scores[instance]
+	row[3] = f4(scores, subs)
 	row[4] = x.F5(concept, subs)
 	row[5] = x.F6(concept, subs)
 }

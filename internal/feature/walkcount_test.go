@@ -13,8 +13,9 @@ import (
 // TestScoresSingleWalkUnderConcurrency is the regression test for the
 // duplicated-work race: concurrent feature reads used to each run their
 // own random walk when they missed the score cache at the same time.
-// With single-flight semantics, N goroutines hammering M concepts must
-// trigger exactly M walks.
+// An extractor asks its cache once per concept while concurrent first
+// readers wait, so N goroutines hammering M concepts must trigger
+// exactly M walks.
 func TestScoresSingleWalkUnderConcurrency(t *testing.T) {
 	k := scenarioKB()
 	mx := mutex.Analyze(k, mutex.Config{ExclusiveThreshold: 0.3, SimilarThreshold: 0.9, MinCoreSize: 3})
@@ -80,9 +81,9 @@ func TestClassFreqSingleBuildUnderConcurrency(t *testing.T) {
 		}
 	}
 	x.mu.Lock()
-	entries := len(x.coreFq)
+	entries := len(x.byConcept)
 	x.mu.Unlock()
 	if entries != 1 {
-		t.Fatalf("coreFq has %d entries after hammering one concept, want 1", entries)
+		t.Fatalf("byConcept has %d entries after hammering one concept, want 1", entries)
 	}
 }

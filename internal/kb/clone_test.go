@@ -121,8 +121,7 @@ func TestCloneSharesHolderListsCopyOnWrite(t *testing.T) {
 func TestSealedKBRejectsMutation(t *testing.T) {
 	k := buildCloneFixture()
 	k.Seal()
-	stats := k.Stats()
-	version := k.Version()
+	stats, digests, pairs := k.Stats(), conceptDigests(k), k.Pairs()
 	dog := []Pair{{Concept: "animal", Instance: "dog"}}
 	for name, mutate := range map[string]func(){
 		"AddExtraction":        func() { k.AddExtraction(9, "animal", nil, []string{"ferret"}, nil, 1) },
@@ -140,8 +139,8 @@ func TestSealedKBRejectsMutation(t *testing.T) {
 			mutate()
 		}()
 	}
-	if k.Stats() != stats || k.Version() != version {
-		t.Errorf("rejected mutations changed the sealed KB: %+v v%d, was %+v v%d", k.Stats(), k.Version(), stats, version)
+	if k.Stats() != stats || !reflect.DeepEqual(conceptDigests(k), digests) || !reflect.DeepEqual(k.Pairs(), pairs) {
+		t.Errorf("rejected mutations changed the sealed KB: %+v %v, was %+v %v", k.Stats(), conceptDigests(k), stats, digests)
 	}
 	if !k.Has("animal", "dog") || len(k.Instances("animal")) != 4 {
 		t.Error("reads of a sealed KB changed")
@@ -156,4 +155,13 @@ func TestSealedKBRejectsMutation(t *testing.T) {
 	if !c.Has("animal", "ferret") || c.Has("animal", "dog") || !k.Has("animal", "dog") || k.Has("animal", "ferret") {
 		t.Error("mutating the clone of a sealed KB went wrong or leaked into it")
 	}
+}
+
+// conceptDigests maps every concept of k to its ConceptDigest.
+func conceptDigests(k *KB) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, c := range k.Concepts() {
+		out[c] = k.ConceptDigest(c)
+	}
+	return out
 }

@@ -157,10 +157,6 @@ type KB struct {
 	// state is indexed by Sym and grows on demand: an ID past its end
 	// has zero state.
 	state []symState
-	// version counts mutations (extraction adds, pair removals,
-	// rollbacks). Caches keyed on KB state compare versions to detect
-	// that their entries went stale.
-	version uint64
 	// numPairs counts the pair records with positive count. It changes
 	// only at a record's 0↔positive count transitions (activate,
 	// deactivate).
@@ -211,30 +207,15 @@ func pairKey(c, e Sym) uint64 { return uint64(c)<<32 | uint64(e) }
 // AddExtractionSyms, RemovePairs, RemovePairsNoCascade or
 // RollbackExtractions call panics. A published snapshot serves its KB
 // without copying it, so a mutation that would corrupt what readers see
-// fails loudly instead. Sealing counts as a mutation for Version. Clone
-// returns an unsealed copy.
-func (kb *KB) Seal() {
-	if !kb.sealed {
-		kb.version++
-		kb.sealed = true
-	}
-}
+// fails loudly instead. Clone returns an unsealed copy.
+func (kb *KB) Seal() { kb.sealed = true }
 
-// mutation starts a mutating call named op: it panics on a sealed KB
-// and bumps the version otherwise.
+// mutation starts a mutating call named op: it panics on a sealed KB.
 func (kb *KB) mutation(op string) {
 	if kb.sealed {
 		panic("kb: " + op + " on a sealed KB: a published KB is read-only; mutate a Clone")
 	}
-	kb.version++
 }
-
-// Version returns the KB's mutation counter. It increases on every
-// mutating call (AddExtraction, AddExtractionSyms, RemovePairs,
-// RemovePairsNoCascade, RollbackExtractions, and the first Seal), so two
-// reads returning the same value bracket a window in which the KB was
-// not modified.
-func (kb *KB) Version() uint64 { return kb.version }
 
 // stateOf returns the state of s, zero past the end of the array.
 func (kb *KB) stateOf(s Sym) symState {
@@ -473,7 +454,6 @@ func (kb *KB) Clone() *KB {
 		index:    maps.Clone(kb.index),
 		links:    slices.Clone(kb.links),
 		state:    slices.Clone(kb.state),
-		version:  kb.version,
 		numPairs: kb.numPairs,
 	}
 }
@@ -836,32 +816,6 @@ type RollbackResult struct {
 	CascadeDepth       int
 	CountsDecremented  int
 	InitiallyRequested int
-
-	// touched records every concept whose pair counts or extraction set
-	// the operation modified — read it through TouchedConcepts.
-	touched map[string]struct{}
-}
-
-// TouchedConcepts returns, sorted, every concept whose pair counts or
-// active extraction set the rollback changed. Per-concept caches (the
-// random-walk score cache in particular) invalidate exactly this set:
-// rollbacks are concept-local — an extraction's triggers are pairs of
-// its own concept, so a cascade never crosses into another concept —
-// and this method reports what actually changed rather than assuming it.
-func (r *RollbackResult) TouchedConcepts() []string {
-	out := make([]string, 0, len(r.touched))
-	for c := range r.touched {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (r *RollbackResult) touch(concept string) {
-	if r.touched == nil {
-		r.touched = make(map[string]struct{})
-	}
-	r.touched[concept] = struct{}{}
 }
 
 // removeAll force-removes the listed pairs that are present with
@@ -883,7 +837,6 @@ func (kb *KB) removeAll(pairs []Pair, res *RollbackResult) []uint32 {
 		kb.addDigest(c, kb.setCount(i, 0))
 		queue = append(queue, i)
 		res.PairsRemoved = append(res.PairsRemoved, p)
-		res.touch(p.Concept)
 	}
 	return queue
 }
@@ -971,9 +924,7 @@ func (kb *KB) rollbackExtraction(id int, res *RollbackResult) []uint32 {
 	d := -kb.extractionTerm(x)
 	x.active = false
 	d += kb.extractionTerm(x)
-	concept := kb.syms.Name(x.concept)
 	res.ExtractionsRolled++
-	res.touch(concept)
 	var zeroed []uint32
 	for _, e := range kb.instances(x) {
 		i, ok := kb.pairIndex(x.concept, e)
@@ -984,7 +935,7 @@ func (kb *KB) rollbackExtraction(id int, res *RollbackResult) []uint32 {
 		res.CountsDecremented++
 		if kb.recs[i].count == 0 {
 			zeroed = append(zeroed, i)
-			res.PairsRemoved = append(res.PairsRemoved, Pair{concept, kb.syms.Name(e)})
+			res.PairsRemoved = append(res.PairsRemoved, Pair{kb.syms.Name(x.concept), kb.syms.Name(e)})
 		}
 	}
 	kb.addDigest(x.concept, d)

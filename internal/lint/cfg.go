@@ -7,11 +7,11 @@ import (
 
 // This file is the control-flow half of driftlint's dataflow layer: a
 // lightweight intra-procedural CFG built from a function body's AST,
-// pure go/ast with no dependency beyond the standard library. The new
-// whole-program analyzers (versionbump, lockhold, maporder, hotalloc)
-// phrase their invariants as path properties — "every mutating path
-// bumps the version", "no blocking op between Lock and Unlock" — and
-// answer them by walking these blocks instead of guessing from syntax.
+// pure go/ast with no dependency beyond the standard library. The
+// whole-program analyzers (lockhold, maporder, hotalloc) phrase their
+// invariants as path properties — "no blocking op between Lock and
+// Unlock" — and answer them by walking these blocks instead of guessing
+// from syntax.
 //
 // The model is deliberately simple and conservative:
 //

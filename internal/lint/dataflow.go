@@ -6,10 +6,10 @@ import "go/ast"
 // purpose-built path queries over a function's CFG. They are phrased as
 // *may* analyses over the over-approximated graph, which makes the
 // analyzers' *must* obligations sound: "some path reaches this point
-// without a version bump" can only over-report, never miss.
+// without an Unlock" can only over-report, never miss.
 
-// eventFn classifies AST nodes as events for a path query (a version
-// bump, an Unlock call, ...).
+// eventFn classifies AST nodes as events for a path query (an Unlock
+// call, ...).
 type eventFn func(ast.Node) bool
 
 // hasEvent reports whether any node of the block satisfies ev.

@@ -25,14 +25,12 @@
 //	              uniquely named "pkg.op", covering every stage, and the
 //	              generated registry (internal/fault/sites_gen.go) is
 //	              current.
-//	versionbump — every exported kb.KB mutator bumps the mutation
-//	              version on all paths (rank.Cache soundness).
 //	hotalloc    — no heap allocations inside loop bodies of the declared
 //	              hot packages (linalg, kpca, rank, feature).
 //	lockhold    — no blocking operation on any path between Lock and
 //	              Unlock.
 //
-// The last five are dataflow analyzers: they walk a lightweight
+// The last four are dataflow analyzers: they walk a lightweight
 // intra-procedural CFG (cfg.go, dataflow.go) and a conservative static
 // call graph (callgraph.go) built over the same Loader results, so the
 // invariants PR 3–5 enforce dynamically (fingerprint A/Bs, chaos
@@ -156,7 +154,6 @@ func All() []*Analyzer {
 		NoShadowBuiltin,
 		MapOrder,
 		FaultSite,
-		VersionBump,
 		HotAlloc,
 		LockHold,
 	}

@@ -134,11 +134,10 @@ func TestExportedDoc(t *testing.T)  { checkFixture(t, "exporteddoc", "exporteddo
 func TestNoShadowBuiltin(t *testing.T) {
 	checkFixture(t, "noshadowbuiltin", "noshadowbuiltin")
 }
-func TestMapOrder(t *testing.T)    { checkFixture(t, "maporder", "maporder") }
-func TestFaultSite(t *testing.T)   { checkFixture(t, "faultsite", "faultsite") }
-func TestVersionBump(t *testing.T) { checkFixture(t, "versionbump", "versionbump") }
-func TestHotAlloc(t *testing.T)    { checkFixture(t, "hotalloc", "hotalloc") }
-func TestLockHold(t *testing.T)    { checkFixture(t, "lockhold", "lockhold") }
+func TestMapOrder(t *testing.T)  { checkFixture(t, "maporder", "maporder") }
+func TestFaultSite(t *testing.T) { checkFixture(t, "faultsite", "faultsite") }
+func TestHotAlloc(t *testing.T)  { checkFixture(t, "hotalloc", "hotalloc") }
+func TestLockHold(t *testing.T)  { checkFixture(t, "lockhold", "lockhold") }
 
 // TestFaultSiteProgram exercises the whole-program rules of faultsite —
 // per-stage coverage and registry freshness — over a three-package

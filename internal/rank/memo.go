@@ -49,11 +49,10 @@ func (g *Graph) Signature() uint64 {
 
 // WalkMemo memoizes random-walk results across KB snapshots and
 // cleaning rounds, keyed by the walked concept and its trigger-graph
-// Signature. It is the fallback behind a digest cache (NewDigestCache):
-// a lookup reaches it only when the concept's digest missed, so it pays
-// off when a concept's records changed but its trigger graph did not
-// (a count change outside the core, say), and for caches made by
-// NewCache, which key nothing on the digest.
+// Signature. It is the fallback behind a Cache: a lookup reaches it
+// only when the concept's digest missed, so it pays off when a
+// concept's records changed but its trigger graph did not (a count
+// change outside the core, say).
 //
 // Entries live in a two-generation memo.Memo: Rotate once per committed
 // checkpoint, and an entry is kept while some checkpoint still walks
@@ -67,9 +66,12 @@ type WalkMemo struct {
 	m memo.Memo[walkKey, Scores]
 }
 
+// walkKey names one walk: the concept and a hash that fixes its trigger
+// graph — its kb.ConceptDigest (Cache) or its graph's Signature
+// (WalkMemo).
 type walkKey struct {
 	concept string
-	sig     uint64
+	hash    uint64
 }
 
 // NewWalkMemo returns an empty walk memo.

@@ -32,14 +32,28 @@ if [ -n "$unformatted" ]; then
   exit 1
 fi
 
+# Line-count ratchet: non-test Go in the root module (tracked or new
+# files, without perfbench/ and internal/lint/testdata/) must not grow
+# past the ceiling. Lowering the ceiling is always fine; raising it is a
+# reviewed decision that belongs in the same diff as the growth.
+GO_LINES_MAX=21187
+echo "==> non-test Go line count (ceiling: ${GO_LINES_MAX})"
+go_lines=$(git ls-files --cached --others --exclude-standard -- '*.go' ':!*_test.go' ':!perfbench/' ':!internal/lint/testdata/' \
+  | while read -r f; do if [ -f "$f" ]; then cat "$f"; fi; done | wc -l)
+echo "    non-test Go: ${go_lines} lines"
+if [ "$go_lines" -gt "$GO_LINES_MAX" ]; then
+  echo "non-test Go grew to ${go_lines} lines, past the ceiling ${GO_LINES_MAX}" >&2
+  exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
-# The suppression budget is a ratchet: 3 //lint:ignore directives are
+# The suppression budget is a ratchet: 2 //lint:ignore directives are
 # reviewed and justified in-source today. Lowering the number is always
 # fine; raising it is a reviewed decision that belongs in this diff.
-echo "==> driftlint ./... (suppression budget: 3)"
-go run ./cmd/driftlint -maxignores 3 ./...
+echo "==> driftlint ./... (suppression budget: 2)"
+go run ./cmd/driftlint -maxignores 2 ./...
 
 echo "==> driftlint (serving + snapshot-format packages)"
 go run ./cmd/driftlint ./internal/snapshot/... ./internal/serve/... ./internal/kb/... \
@@ -73,9 +87,9 @@ echo "==> go test -race (shorter round: support-restricted walk teleport, fanned
 go test -race -run 'TestRandomWalkMatchesReference|TestBuildGraphCoreMatchesIteration1' ./internal/rank
 go test -race -run 'TestDetectMatchesReferenceLoop' ./internal/core
 
-echo "==> go test -race (concept digests: incremental = recompute = every load path, digest-keyed artifacts, task index = fresh analysis, lazily filled feature caches)"
+echo "==> go test -race (concept digests: incremental = recompute = every load path, digest-keyed artifacts and walk cache, task index = fresh analysis, lazily filled feature caches)"
 go test -race -run 'TestQuickDigestMatchesRecompute|TestDigestKeysArtifactsAcrossCheckpoints' ./internal/kb
-go test -race -run 'TestDigestCacheReusesAcrossKBs' ./internal/rank
+go test -race -run 'TestDigestCacheReusesAcrossKBs|TestCacheConcurrentScoresAgree|TestCacheRewalksOnlyRolledBackConcept' ./internal/rank
 go test -race -run 'TestTaskIndexMatchesFreshAnalysis' ./internal/core
 go test -race -run 'TestWarmRaceHammer|TestWarmParallelMatchesSerial' ./internal/feature
 
