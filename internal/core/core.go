@@ -137,7 +137,10 @@ func DefaultConfig() Config {
 // counts the task reads — its learning task. Behind those, content-addressed memos keyed on
 // the computed inputs (the task's feature matrix, the walk's trigger
 // graph, the task pointer for manifold matrices) still catch a concept
-// whose records changed without changing the artifact. Every memo keeps
+// whose records changed without changing the artifact. The oracle
+// report is memoized the same way: each concept's pair counts on its
+// digest, and its cleaning metrics on its digests before and after
+// cleaning (KBPrecision, Cleaning). Every memo keeps
 // two generations; Ingestor rotates them once per committed checkpoint,
 // and a System driven without one (a batch run) stays in a single
 // generation. Like the KB itself, a System's orchestration methods
@@ -187,6 +190,13 @@ type System struct {
 	// pointer identity is exactly "same matrix", and detection skips the
 	// O(n²) k-NN graph for every task it has seen before.
 	manifolds memo.Memo[*learn.Task, *linalg.Matrix]
+	// pairCounts memoizes each concept's oracle pair counts
+	// (eval.Oracle.PairCounts) keyed on (concept, digest), and cleanings
+	// each concept's eval.CleaningMetrics keyed on (concept, digest
+	// before cleaning, digest after), so a checkpoint's report re-scores
+	// only the concepts whose records changed (KBPrecision, Cleaning).
+	pairCounts memo.Memo[conceptKey, [2]int]
+	cleanings  memo.Memo[cleaningKey, eval.CleaningMetrics]
 }
 
 // conceptKey names one concept's artifact by a 64-bit key of its
@@ -194,6 +204,13 @@ type System struct {
 type conceptKey struct {
 	concept string
 	key     uint64
+}
+
+// cleaningKey names a concept's cleaning metrics by the concept's
+// digest before and after cleaning.
+type cleaningKey struct {
+	concept       string
+	before, after uint64
 }
 
 // listKey keys a concept's lists: IDs are only meaningful on the table
@@ -272,6 +289,8 @@ func (s *System) rotateMemos() {
 	s.taskIndex.Rotate()
 	s.tasks.Rotate()
 	s.manifolds.Rotate()
+	s.pairCounts.Rotate()
+	s.cleanings.Rotate()
 	if s.scoreCache != nil {
 		s.scoreCache.Rotate()
 	}
@@ -284,14 +303,11 @@ func (s *System) rotateMemos() {
 // the list memo, listing them on a digest miss. The lists are shared.
 func (s *System) listsOf(k *kb.KB, concept string) conceptLists {
 	key := listKey{k.Symbols(), conceptKey{concept, k.ConceptDigest(concept)}}
-	if l, ok := s.lists.Get(key); ok {
-		return l
-	}
-	c, _ := k.Sym(concept)
-	core := k.CoreSyms(c)
-	l := conceptLists{k.Instances(concept), core, coreTerm(k.Symbols(), c, core)}
-	s.lists.Put(key, l)
-	return l
+	return s.lists.Load(key, func() conceptLists {
+		c, _ := k.Sym(concept)
+		core := k.CoreSyms(c)
+		return conceptLists{k.Instances(concept), core, coreTerm(k.Symbols(), c, core)}
+	})
 }
 
 // mutexOf returns the mutual-exclusion analysis of the given concepts
@@ -307,28 +323,20 @@ func (s *System) mutexOf(k *kb.KB, concepts []string, lists []conceptLists) *mut
 		acc = memo.Mix(acc + l.term)
 	}
 	key := mutexKey{k.Symbols(), s.Cfg.Mutex, memo.Mix(acc + uint64(len(lists)))}
-	if a, ok := s.mutexes.Get(key); ok {
-		return a
-	}
-	cores := make([][]kb.Sym, len(lists))
-	for i, l := range lists {
-		cores[i] = l.core
-	}
-	a := mutex.Build(k.Symbols(), concepts, cores, s.Cfg.Mutex)
-	s.mutexes.Put(key, a)
-	return a
+	return s.mutexes.Load(key, func() *mutex.Analysis {
+		cores := make([][]kb.Sym, len(lists))
+		for i, l := range lists {
+			cores[i] = l.core
+		}
+		return mutex.Build(k.Symbols(), concepts, cores, s.Cfg.Mutex)
+	})
 }
 
 // subIndexOf returns the concept's kb.SubIndex from the sub(e) memo,
 // computing it on a digest miss. The index is shared.
 func (s *System) subIndexOf(k *kb.KB, concept string) map[string][]string {
 	key := conceptKey{concept, k.ConceptDigest(concept)}
-	if subs, ok := s.subIndexes.Get(key); ok {
-		return subs
-	}
-	subs := k.SubIndex(concept)
-	s.subIndexes.Put(key, subs)
-	return subs
+	return s.subIndexes.Load(key, func() map[string][]string { return k.SubIndex(concept) })
 }
 
 // Prepare generates the world and corpus and wires up the oracle, but
@@ -726,20 +734,22 @@ func (s *System) Detect(a *Analysis, kind DetectorKind) (clean.Labels, error) {
 			}
 		}
 	case DetectSemiSupervised:
+		seeds := learn.NewSeedSet(a.Tasks...)
 		for _, t := range a.Tasks {
 			det, err := learn.TrainSemiSupervised(t, learn.DefaultSemiSupervisedConfig())
 			if err != nil {
 				continue // concepts without seeds stay undetected
 			}
-			out[t.Concept] = learn.PredictTask(calibrateFor(det, t, a.Tasks), t, false)
+			out[t.Concept] = learn.PredictTask(calibrateFor(det, t, seeds), t, false)
 		}
 	case DetectRidge:
+		seeds := learn.NewSeedSet(a.Tasks...)
 		for _, t := range a.Tasks {
 			det, err := learn.TrainRidge(t, 1e-2)
 			if err != nil {
 				continue
 			}
-			out[t.Concept] = learn.PredictTask(calibrateFor(det, t, a.Tasks), t, false)
+			out[t.Concept] = learn.PredictTask(calibrateFor(det, t, seeds), t, false)
 		}
 	case DetectSupervised:
 		// The paper's conventional supervised baseline trains per
@@ -775,15 +785,17 @@ func (s *System) Detect(a *Analysis, kind DetectorKind) (clean.Labels, error) {
 // predictMultiTask calibrates each task's trained detector (calibrateFor)
 // and labels the task's instances with it, before the DP guard, one task
 // per worker claim; labels[i] is nil when no detector was trained at
-// all. Knowledge transfer to label-less concepts: a task without a
-// detector gets the averaged one, which carries the shared structure.
-// TrainMultiTask trains every task that has seeds, so such a task has
-// none and calibrateFor would pool it: all of them share one pooled
-// calibration, computed by the first worker to need it.
+// all. The pooled seeds are gathered once for the pass and read by
+// every pooled calibration. Knowledge transfer to label-less concepts:
+// a task without a detector gets the averaged one, which carries the
+// shared structure. TrainMultiTask trains every task that has seeds, so
+// such a task has none and calibrateFor would pool it: all of them
+// share one pooled calibration, computed by the first worker to need it.
 func predictMultiTask(tasks []*learn.Task, dets map[string]*learn.LinearDetector, workers int) []map[string]dp.Label {
+	seeds := learn.NewSeedSet(tasks...)
 	fallback := meanDetector(dets)
 	pooled := sync.OnceValue(func() *learn.CalibratedLinear {
-		return learn.Calibrate(fallback, tasks...)
+		return seeds.Calibrate(fallback)
 	})
 	labels := make([]map[string]dp.Label, len(tasks))
 	par.ForChunked(len(tasks), workers, 1, func(i int) {
@@ -791,7 +803,7 @@ func predictMultiTask(tasks []*learn.Task, dets map[string]*learn.LinearDetector
 		var cal *learn.CalibratedLinear
 		switch det := dets[t.Concept]; {
 		case det != nil:
-			cal = calibrateFor(det, t, tasks)
+			cal = calibrateFor(det, t, seeds)
 		case fallback == nil:
 			return
 		default:
@@ -824,12 +836,7 @@ func (s *System) warmManifolds(tasks []*learn.Task, cfg learn.ManifoldConfig) {
 // and builds and stores it otherwise. See System.manifolds for why
 // pointer identity is sound.
 func (s *System) manifoldFor(t *learn.Task, cfg learn.ManifoldConfig) *linalg.Matrix {
-	if a, ok := s.manifolds.Get(t); ok {
-		return a
-	}
-	a := learn.ManifoldMatrix(t, cfg)
-	s.manifolds.Put(t, a)
-	return a
+	return s.manifolds.Load(t, func() *linalg.Matrix { return learn.ManifoldMatrix(t, cfg) })
 }
 
 // guardDPs demotes DP predictions with no observable exclusive-class
@@ -865,36 +872,20 @@ func guardDPs(labels map[string]dp.Label, t *learn.Task) {
 }
 
 // calibrateFor tunes a linear detector's DP margin on the task's own
-// seeds when they contain enough examples of *both* sides
-// (calibratesAlone), and otherwise on the pooled seeds of all tasks. A
-// concept whose seeds contain no DP examples cannot estimate a margin at
-// all (plain argmax then over-fires on every borderline trigger), so
-// borrowing the global margin is the same cross-concept transfer that
-// motivates the multi-task objective. The pooled result depends only on
-// the detector and the task list, which is why Detect computes it once
-// for all tasks sharing the fallback detector.
-func calibrateFor(det *learn.LinearDetector, t *learn.Task, all []*learn.Task) *learn.CalibratedLinear {
-	if calibratesAlone(t) {
-		return learn.Calibrate(det, t)
+// seeds when they contain examples of *both* sides (learn.SeedSet's
+// BothSides), and otherwise on the pooled seeds of all tasks, gathered
+// once per pass. A concept whose seeds contain no DP examples cannot
+// estimate a margin at all (plain argmax then over-fires on every
+// borderline trigger), so borrowing the global margin is the same
+// cross-concept transfer that motivates the multi-task objective. The
+// pooled result depends only on the detector and the seeds, which is
+// why Detect computes it once for all tasks sharing the fallback
+// detector.
+func calibrateFor(det *learn.LinearDetector, t *learn.Task, pooled learn.SeedSet) *learn.CalibratedLinear {
+	if own := learn.NewSeedSet(t); own.BothSides() {
+		return own.Calibrate(det)
 	}
-	return learn.Calibrate(det, all...)
-}
-
-// calibratesAlone reports whether a task's seeds hold at least one DP
-// and one non-DP example, enough to tune a margin on the task alone.
-func calibratesAlone(t *learn.Task) bool {
-	dpSeeds, nonSeeds := 0, 0
-	for _, in := range t.Instances {
-		if !in.Labeled {
-			continue
-		}
-		if in.Label.IsDP() {
-			dpSeeds++
-		} else {
-			nonSeeds++
-		}
-	}
-	return dpSeeds >= 1 && nonSeeds >= 1
+	return pooled.Calibrate(det)
 }
 
 // meanDetector averages the W matrices of all trained detectors — the
@@ -920,17 +911,21 @@ func meanDetector(dets map[string]*learn.LinearDetector) *learn.LinearDetector {
 type CleanResult struct {
 	Clean *clean.Result
 	// BeforeInstances snapshots each concept's instances prior to
-	// cleaning, for before/after evaluation. The lists are shared with
-	// the system's memos and are read-only.
+	// cleaning, for before/after evaluation, and BeforeDigests each
+	// concept's kb.ConceptDigest at the same point. The lists are shared
+	// with the system's memos and are read-only.
 	BeforeInstances map[string][]string
+	BeforeDigests   map[string]uint64
 }
 
 // CleanDPs runs the iterative detect-and-clean loop of Sec 4 on the
 // system's KB using the given detection method, mutating the KB.
 func (s *System) CleanDPs(kind DetectorKind) (*CleanResult, error) {
 	before := map[string][]string{}
+	digests := map[string]uint64{}
 	for _, c := range s.KB.Concepts() {
 		before[c] = s.listsOf(s.KB, c).instances
+		digests[c] = s.KB.ConceptDigest(c)
 	}
 	var detectErr error
 	res := clean.Run(s.KB, func(k *kb.KB) clean.Labels {
@@ -949,7 +944,44 @@ func (s *System) CleanDPs(kind DetectorKind) (*CleanResult, error) {
 	if detectErr != nil {
 		return nil, detectErr
 	}
-	return &CleanResult{Clean: res, BeforeInstances: before}, nil
+	return &CleanResult{Clean: res, BeforeInstances: before, BeforeDigests: digests}, nil
+}
+
+// KBPrecision is s.Oracle.KBPrecision(k, nil), each concept's pair
+// counts read from the pair-count memo and counted only on a miss. The
+// counts are integers, so the sum, and the ratio, equal the direct one.
+func (s *System) KBPrecision(k *kb.KB) float64 {
+	correct, total := 0, 0
+	for _, c := range k.Concepts() {
+		n := s.pairCounts.Load(conceptKey{c, k.ConceptDigest(c)}, func() [2]int {
+			correct, total := s.Oracle.PairCounts(k, c)
+			return [2]int{correct, total}
+		})
+		correct += n[0]
+		total += n[1]
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(correct) / float64(total)
+}
+
+// Cleaning merges (eval.MergeCleaning), in sorted concept order, each
+// concept's s.Oracle.Cleaning(concept, cr.BeforeInstances[concept],
+// s.KB), read from the cleaning memo and computed only on a miss.
+func (s *System) Cleaning(cr *CleanResult) eval.CleaningMetrics {
+	concepts := make([]string, 0, len(cr.BeforeInstances))
+	for c := range cr.BeforeInstances {
+		concepts = append(concepts, c)
+	}
+	sort.Strings(concepts)
+	per := make([]eval.CleaningMetrics, len(concepts))
+	for i, c := range concepts {
+		per[i] = s.cleanings.Load(cleaningKey{c, cr.BeforeDigests[c], s.KB.ConceptDigest(c)}, func() eval.CleaningMetrics {
+			return s.Oracle.Cleaning(c, cr.BeforeInstances[c], s.KB)
+		})
+	}
+	return eval.MergeCleaning(per)
 }
 
 // cleanConfig is the propagated cleaning config wired to the system's

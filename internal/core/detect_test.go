@@ -123,7 +123,7 @@ func TestCalibrateForFallsBackWhenOneSided(t *testing.T) {
 	}
 	// One-sided task borrows the pool; pooled calibration can find a
 	// separating margin while the task alone cannot.
-	cal := calibrateFor(det, oneSided, []*learn.Task{oneSided, pool})
+	cal := calibrateFor(det, oneSided, learn.NewSeedSet(oneSided, pool))
 	calOwn := learn.Calibrate(det, oneSided)
 	if calOwn.Delta != 0 {
 		t.Fatalf("one-sided calibration should be inert, delta=%v", calOwn.Delta)

@@ -187,12 +187,12 @@ func TestDetectMatchesReferenceLoop(t *testing.T) {
 			case det == nil:
 				det = fallback
 				pooledFallback++
-			case calibratesAlone(task):
+			case learn.NewSeedSet(task).BothSides():
 				alone++
 			default:
 				pooledOwn++
 			}
-			unguarded[i] = learn.PredictTask(calibrateFor(det, task, a.Tasks), task, false)
+			unguarded[i] = learn.PredictTask(calibrateFor(det, task, learn.NewSeedSet(a.Tasks...)), task, false)
 			want[task.Concept] = maps.Clone(unguarded[i])
 			guardDPs(want[task.Concept], task)
 		}

@@ -112,35 +112,40 @@ func (o *Oracle) ConceptStats(k *kb.KB, concept string) ConceptStats {
 }
 
 // KBPrecision returns the fraction of active pairs (over the given
-// concepts, or all concepts when nil) that are correct. It only counts,
-// so it visits each concept's pair records in whatever order the KB
-// holds them rather than listing sorted instances, and resolves each
-// concept in the KB and the world once.
+// concepts, or all concepts when nil) that are correct: the PairCounts
+// of the concepts, summed.
 func (o *Oracle) KBPrecision(k *kb.KB, concepts []string) float64 {
 	if concepts == nil {
 		concepts = k.Concepts()
 	}
 	correct, total := 0, 0
 	for _, c := range concepts {
-		cs, ok := k.Sym(c)
-		if !ok {
-			continue
+		cc, ct := o.PairCounts(k, c)
+		correct += cc
+		total += ct
+	}
+	return ratio(correct, total)
+}
+
+// PairCounts counts a concept's active pairs and the correct ones among
+// them, visiting its pair records in KB order (a function of the
+// records, so equal wherever its kb.ConceptDigest is).
+func (o *Oracle) PairCounts(k *kb.KB, concept string) (correct, total int) {
+	cs, ok := k.Sym(concept)
+	if !ok {
+		return 0, 0
+	}
+	truth := o.W.Concept(concept)
+	k.EachRecord(cs, func(r kb.Record) {
+		if r.Count <= 0 {
+			return
 		}
-		truth := o.W.Concept(c)
-		k.EachRecord(cs, func(r kb.Record) {
-			if r.Count <= 0 {
-				return
-			}
-			total++
-			if truth != nil && truth.Has(k.Name(r.Instance)) {
-				correct++
-			}
-		})
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
+		total++
+		if truth != nil && truth.Has(k.Name(r.Instance)) {
+			correct++
+		}
+	})
+	return correct, total
 }
 
 // CleaningMetrics are the four dimensions of Tables 3 and 5:
@@ -154,7 +159,8 @@ type CleaningMetrics struct {
 }
 
 // Cleaning compares a concept's instance set before and after cleaning.
-// The concept is resolved in the world and in the KB once.
+// The concept is resolved in the world and in the KB once. The metrics
+// are a function of before and of the concept's records in after.
 func (o *Oracle) Cleaning(concept string, before []string, after *kb.KB) CleaningMetrics {
 	var m CleaningMetrics
 	truth := o.W.Concept(concept)
@@ -179,11 +185,7 @@ func (o *Oracle) Cleaning(concept string, before []string, after *kb.KB) Cleanin
 			}
 		}
 	}
-	m.PError = ratio(m.RemovedErrors, m.Removed)
-	m.RError = ratio(m.RemovedErrors, m.Errors)
-	m.PCorr = ratio(m.RemainingCorrect, m.Remaining)
-	m.RCorr = ratio(m.RemainingCorrect, m.Correct)
-	return m
+	return m.withRatios()
 }
 
 // CleaningRemovedSet scores a removal set directly (for baselines that
@@ -209,11 +211,7 @@ func (o *Oracle) CleaningRemovedSet(concept string, before []string, removed map
 			}
 		}
 	}
-	m.PError = ratio(m.RemovedErrors, m.Removed)
-	m.RError = ratio(m.RemovedErrors, m.Errors)
-	m.PCorr = ratio(m.RemainingCorrect, m.Remaining)
-	m.RCorr = ratio(m.RemainingCorrect, m.Correct)
-	return m
+	return m.withRatios()
 }
 
 // MergeCleaning micro-aggregates per-concept cleaning metrics.
@@ -227,11 +225,14 @@ func MergeCleaning(ms []CleaningMetrics) CleaningMetrics {
 		t.RemovedErrors += m.RemovedErrors
 		t.RemainingCorrect += m.RemainingCorrect
 	}
-	t.PError = ratio(t.RemovedErrors, t.Removed)
-	t.RError = ratio(t.RemovedErrors, t.Errors)
-	t.PCorr = ratio(t.RemainingCorrect, t.Remaining)
-	t.RCorr = ratio(t.RemainingCorrect, t.Correct)
-	return t
+	return t.withRatios()
+}
+
+// withRatios returns m with its four ratios computed from its counts.
+func (m CleaningMetrics) withRatios() CleaningMetrics {
+	m.PError, m.RError = ratio(m.RemovedErrors, m.Removed), ratio(m.RemovedErrors, m.Errors)
+	m.PCorr, m.RCorr = ratio(m.RemainingCorrect, m.Remaining), ratio(m.RemainingCorrect, m.Correct)
+	return m
 }
 
 // PRF1 is a precision/recall/F1 triple.

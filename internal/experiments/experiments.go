@@ -19,7 +19,6 @@ import (
 	"driftclean/internal/eval"
 	"driftclean/internal/kb"
 	"driftclean/internal/rank"
-	"driftclean/internal/seedlabel"
 )
 
 // Options configures an experiment run.
@@ -464,13 +463,4 @@ func sortDedupInts(xs []int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// sharedLabeler builds a seed labeler for the current system KB state.
-func (r *Runner) sharedLabeler() (*seedlabel.Labeler, error) {
-	a, err := r.sys.Analyze(r.sys.KB)
-	if err != nil {
-		return nil, err
-	}
-	return a.Labeler, nil
 }

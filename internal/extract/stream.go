@@ -43,9 +43,6 @@ func NewStream(cfg Config) *Stream {
 // Sentences returns the number of sentences appended so far.
 func (s *Stream) Sentences() int { return s.sentences }
 
-// Pending returns the current size of the ambiguous parse pool.
-func (s *Stream) Pending() int { return len(s.pool.pending) }
-
 // StreamMark is an opaque position in a Stream's append history,
 // captured by Mark and restored by Rewind.
 type StreamMark struct {

@@ -45,6 +45,19 @@ func (m *Memo[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
+// Load returns the value stored under key, as Get does, and on a miss
+// computes it and stores it (Put). compute runs outside the lock, so
+// concurrent misses on one key may each compute it; a compute that
+// panics stores nothing.
+func (m *Memo[K, V]) Load(key K, compute func() V) V {
+	if v, ok := m.Get(key); ok {
+		return v
+	}
+	v := compute()
+	m.Put(key, v)
+	return v
+}
+
 // Put stores value under key in the current generation.
 func (m *Memo[K, V]) Put(key K, value V) {
 	m.mu.Lock()

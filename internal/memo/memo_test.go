@@ -103,3 +103,27 @@ func TestConcurrentGetPut(t *testing.T) {
 		t.Fatalf("hits %d + misses %d != %d Gets", hits, misses, workers*ops)
 	}
 }
+
+// TestLoadComputesOnlyOnMiss: Load computes and stores on a miss, serves
+// later calls (and Get) from the memo, counts like Get, and stores
+// nothing when compute panics.
+func TestLoadComputesOnlyOnMiss(t *testing.T) {
+	var m Memo[string, int]
+	calls := 0
+	compute := func() int { calls++; return 7 }
+	if got := m.Load("a", compute); got != 7 || calls != 1 {
+		t.Fatalf("first Load = %d after %d computes, want 7 after 1", got, calls)
+	}
+	if got := m.Load("a", compute); got != 7 || calls != 1 {
+		t.Fatalf("second Load = %d after %d computes, want 7 after 1", got, calls)
+	}
+	mustGet(t, &m, "a", 7)
+	if hits, misses := m.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("Stats = (%d, %d), want (2, 1)", hits, misses)
+	}
+	func() {
+		defer func() { _ = recover() }()
+		m.Load("b", func() int { panic("compute failed") })
+	}()
+	mustMiss(t, &m, "b")
+}

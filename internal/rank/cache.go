@@ -54,11 +54,7 @@ func (c *Cache) SetWalk(walk func(*Graph, Config) Scores) { c.walk = walk }
 // is remembered. The returned map is shared and must be treated as
 // read-only. A walk that panics stores nothing.
 func (c *Cache) Scores(k *kb.KB, concept string) Scores {
-	key := walkKey{concept, k.ConceptDigest(concept)}
-	if s, ok := c.memo.Get(key); ok {
-		return s
-	}
-	s := c.walk(BuildGraph(k, concept), c.cfg)
-	c.memo.Put(key, s)
-	return s
+	return c.memo.Load(walkKey{concept, k.ConceptDigest(concept)}, func() Scores {
+		return c.walk(BuildGraph(k, concept), c.cfg)
+	})
 }

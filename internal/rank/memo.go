@@ -82,13 +82,7 @@ func NewWalkMemo() *WalkMemo { return &WalkMemo{} }
 // the current or previous generation, and otherwise computes RandomWalk
 // and stores it.
 func (m *WalkMemo) Walk(g *Graph, cfg Config) Scores {
-	key := walkKey{g.Concept, g.Signature()}
-	if s, ok := m.m.Get(key); ok {
-		return s
-	}
-	s := RandomWalk(g, cfg)
-	m.m.Put(key, s)
-	return s
+	return m.m.Load(walkKey{g.Concept, g.Signature()}, func() Scores { return RandomWalk(g, cfg) })
 }
 
 // Rotate ends a memo generation (see memo.Memo.Rotate).

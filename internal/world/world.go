@@ -405,14 +405,6 @@ func (w *World) NERType(instance string) (conceptID int, ok bool) {
 	return d, ok
 }
 
-// DomainOf returns the domain index of a named concept, or -1.
-func (w *World) DomainOf(concept string) int {
-	if c := w.byName[concept]; c != nil {
-		return c.Domain
-	}
-	return -1
-}
-
 // ConceptNames returns all concept names, sorted.
 func (w *World) ConceptNames() []string {
 	names := make([]string, len(w.Concepts))

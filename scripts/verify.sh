@@ -36,7 +36,7 @@ fi
 # files, without perfbench/ and internal/lint/testdata/) must not grow
 # past the ceiling. Lowering the ceiling is always fine; raising it is a
 # reviewed decision that belongs in the same diff as the growth.
-GO_LINES_MAX=21187
+GO_LINES_MAX=21181
 echo "==> non-test Go line count (ceiling: ${GO_LINES_MAX})"
 go_lines=$(git ls-files --cached --others --exclude-standard -- '*.go' ':!*_test.go' ':!perfbench/' ':!internal/lint/testdata/' \
   | while read -r f; do if [ -f "$f" ]; then cat "$f"; fi; done | wc -l)

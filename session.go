@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"driftclean/internal/core"
 	"driftclean/internal/corpus"
-	"driftclean/internal/eval"
 	"driftclean/internal/snapshot"
 )
 
@@ -142,7 +140,7 @@ func (s *Session) Ingest(ctx context.Context, batch []Sentence) (*Report, error)
 	var ingestErr error
 	if err := runStage("ingest", func() {
 		st, ingestErr = s.ing.Ingest(batch, func(sys *core.System) {
-			rep.PrecisionBefore = sys.Oracle.KBPrecision(sys.KB, nil)
+			rep.PrecisionBefore = sys.KBPrecision(sys.KB)
 			rep.PairsBefore = sys.KB.NumPairs()
 			extracted = true
 		})
@@ -206,24 +204,13 @@ func (s *Session) Close() error {
 }
 
 // evaluateReport fills a report's after-cleaning metrics from the
-// system's oracle and the checkpoint's cleaning result.
+// system's oracle, through its memos, and the checkpoint's cleaning
+// result.
 func evaluateReport(rep *Report, sys *System, cr *CleanResult) {
-	rep.PrecisionAfter = sys.Oracle.KBPrecision(sys.KB, nil)
+	rep.PrecisionAfter = sys.KBPrecision(sys.KB)
 	rep.PairsAfter = sys.KB.NumPairs()
 	rep.Rounds = len(cr.Clean.Rounds)
 	rep.Converged = cr.Clean.Converged
-	// Merge per-concept metrics in sorted concept order: float sums
-	// are order-sensitive, and map order would make the reported
-	// metrics drift across runs of the same experiment.
-	concepts := make([]string, 0, len(cr.BeforeInstances))
-	for concept := range cr.BeforeInstances {
-		concepts = append(concepts, concept)
-	}
-	sort.Strings(concepts)
-	per := make([]eval.CleaningMetrics, 0, len(concepts))
-	for _, concept := range concepts {
-		per = append(per, sys.Oracle.Cleaning(concept, cr.BeforeInstances[concept], sys.KB))
-	}
-	m := eval.MergeCleaning(per)
+	m := sys.Cleaning(cr)
 	rep.PError, rep.RError, rep.PCorr, rep.RCorr = m.PError, m.RError, m.PCorr, m.RCorr
 }

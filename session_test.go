@@ -3,11 +3,14 @@ package driftclean
 import (
 	"context"
 	"errors"
+	"math"
+	"sort"
 	"testing"
 
 	"driftclean/internal/bench"
 	"driftclean/internal/core"
 	"driftclean/internal/corpus"
+	"driftclean/internal/eval"
 	"driftclean/internal/extract"
 	"driftclean/internal/fault"
 	"driftclean/internal/serve"
@@ -280,4 +283,102 @@ func TestSessionChaosMidIngestNeverTorn(t *testing.T) {
 func faultFree(cfg Config) Config {
 	cfg.Fault = nil
 	return cfg
+}
+
+// TestSessionReportMatchesDirectOracle: at every checkpoint, the
+// report's precisions and cleaning metrics, which Ingest reads through
+// the system's digest-keyed memos, equal a direct Oracle computation on
+// the KB before and after cleaning, bit for bit. The sequence covers a
+// bulk checkpoint whose first attempt fails mid-cleaning, one-sentence
+// batches, an empty batch, a mid-session failure retried, and an empty
+// batch re-run at a higher round cap: every concept's digest before
+// cleaning repeats while the cleaned KB differs, so a memo that ignored
+// the digest after cleaning would return stale metrics.
+func TestSessionReportMatchesDirectOracle(t *testing.T) {
+	cfg := sessionConfig(6000)
+	cfg.Fault = fault.New(7, map[string]fault.Rule{"clean.round": {FailFirst: 1}})
+	var sess *Session
+	var wantBefore float64
+	var beforeLists map[string][]string
+	onClean := func(p Phase, r Round) {
+		if p != PhaseClean || r != 1 {
+			return
+		}
+		sys := sess.System()
+		wantBefore = sys.Oracle.KBPrecision(sys.KB, nil)
+		beforeLists = map[string][]string{}
+		for _, c := range sys.KB.Concepts() {
+			beforeLists[c] = sys.KB.Instances(c)
+		}
+	}
+	ctx := context.Background()
+	sess, err := Open(ctx, WithConfig(cfg), WithProgress(onClean))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	sents := sess.Sentences()
+	n := len(sents)
+
+	type step struct {
+		batch  []Sentence
+		fail   bool // fail the step's first attempt at clean.round
+		rounds int  // the round cap from this step on; 0 keeps it
+	}
+	steps := []step{
+		{batch: sents[:n-3]}, // the open-time fault fails its first attempt
+		{batch: sents[n-3 : n-2]},
+		{batch: sents[n-2 : n-1]},
+		{batch: nil},
+		{batch: sents[n-1:], fail: true},
+		{batch: nil, rounds: DefaultConfig().Clean.MaxRounds},
+	}
+	failures, prevPairs := 0, -1
+	for i, st := range steps {
+		if st.fail {
+			sess.System().Cfg.Clean.Fault = fault.New(3, map[string]fault.Rule{"clean.round": {FailFirst: 1}})
+		}
+		if st.rounds != 0 {
+			sess.System().Cfg.Clean.MaxRounds = st.rounds
+		}
+		rep, err := sess.Ingest(ctx, st.batch)
+		if errors.Is(err, fault.ErrInjected) {
+			failures++
+			rep, err = sess.Ingest(ctx, st.batch)
+		}
+		if err != nil && !errors.Is(err, ErrNoDPsDetected) {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		sys := sess.System()
+		if got, want := rep.PrecisionBefore, wantBefore; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: PrecisionBefore %v, direct %v", i, got, want)
+		}
+		if got, want := rep.PrecisionAfter, sys.Oracle.KBPrecision(sys.KB, nil); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: PrecisionAfter %v, direct %v", i, got, want)
+		}
+		concepts := make([]string, 0, len(beforeLists))
+		for c := range beforeLists {
+			concepts = append(concepts, c)
+		}
+		sort.Strings(concepts)
+		per := make([]eval.CleaningMetrics, len(concepts))
+		for j, c := range concepts {
+			per[j] = sys.Oracle.Cleaning(c, beforeLists[c], sys.KB)
+		}
+		m := eval.MergeCleaning(per)
+		got := [4]float64{rep.PError, rep.RError, rep.PCorr, rep.RCorr}
+		want := [4]float64{m.PError, m.RError, m.PCorr, m.RCorr}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("step %d: cleaning metrics (PError, RError, PCorr, RCorr) %v, direct %v", i, got, want)
+			}
+		}
+		if st.rounds != 0 && rep.PairsAfter == prevPairs {
+			t.Fatalf("premise: step %d re-ran the checkpoint at %d rounds but cleaned to the same %d pairs", i, st.rounds, prevPairs)
+		}
+		prevPairs = rep.PairsAfter
+	}
+	if failures != 2 {
+		t.Fatalf("premise: %d attempts failed, want 2", failures)
+	}
 }
