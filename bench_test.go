@@ -109,6 +109,9 @@ func BenchmarkFigure5cConvergence(b *testing.B)  { benchExperiment(b, "fig5c") }
 //	go test -run '^$' -bench SessionCheckpoint -benchtime 40x
 //
 // The two sizes chart how a checkpoint's cost grows with the session.
+// kpca-fits/op counts the learning tasks each checkpoint rebuilt (task
+// memo misses, each paying for a KPCA fit): it shows a memo change that
+// time alone would hide in noise.
 func BenchmarkSessionCheckpoint(b *testing.B) {
 	for _, n := range []int{6000, 40000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) { benchmarkCheckpoint(b, n) })
@@ -133,6 +136,7 @@ func benchmarkCheckpoint(b *testing.B, sentences int) {
 	if _, err := sess.Ingest(ctx, sents[:bulk]); err != nil && !errors.Is(err, ErrNoDPsDetected) {
 		b.Fatal(err)
 	}
+	_, misses0 := sess.System().TaskCacheStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,6 +147,8 @@ func benchmarkCheckpoint(b *testing.B, sentences int) {
 			b.Fatal(err)
 		}
 	}
+	_, misses := sess.System().TaskCacheStats()
+	b.ReportMetric(float64(misses-misses0)/float64(b.N), "kpca-fits/op")
 }
 
 // --- substrate micro-benchmarks ---

@@ -2,9 +2,7 @@ package driftclean
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -113,47 +111,14 @@ func TestChaosLatencyOnlyIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosSmokeFingerprintMatchesBenchArtifact: the KB the chaos
-// harness produces at the bench smoke scale must match the fingerprint
-// the PR 3 benchmark artifact records for that scale, proving the fault
-// seams did not fork the production code path.
-func TestChaosSmokeFingerprintMatchesBenchArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench-scale pipeline run")
-	}
-	data, err := os.ReadFile("BENCH_pipeline.json")
-	if err != nil {
-		t.Skipf("no bench artifact: %v", err)
-	}
-	var artifact struct {
-		Scales []struct {
-			Name      string `json:"name"`
-			Sentences int    `json:"sentences"`
-			Rounds    int    `json:"clean_rounds"`
-			Serial    struct {
-				Fingerprint string `json:"kb_fingerprint"`
-			} `json:"serial"`
-		} `json:"scales"`
-	}
-	if err := json.Unmarshal(data, &artifact); err != nil {
-		t.Fatalf("parsing BENCH_pipeline.json: %v", err)
-	}
-	if len(artifact.Scales) == 0 {
-		t.Skip("bench artifact has no scales")
-	}
-	sc := artifact.Scales[0]
-	cfg := DefaultConfig()
-	cfg.Corpus.NumSentences = sc.Sentences
-	cfg.Clean.MaxRounds = sc.Rounds
-	cfg.Fault = fault.New(1, nil) // armed, ruleless: must be a pure no-op
+// TestChaosSmokeFingerprintMatchesPinnedRow: an armed but ruleless
+// fault injector at the smoke scale must reproduce the pinned smoke
+// row, proving the fault seams did not fork the production code path.
+func TestChaosSmokeFingerprintMatchesPinnedRow(t *testing.T) {
+	cfg := smokeRow.config()
+	cfg.Fault = fault.New(1, nil)
 	rep, err := CleanContext(context.Background(), WithConfig(cfg))
-	if err != nil && !errors.Is(err, ErrNoDPsDetected) {
-		t.Fatal(err)
-	}
-	if got := bench.Fingerprint(rep.System.KB); got != sc.Serial.Fingerprint {
-		t.Fatalf("scale %s fingerprint %s != bench artifact %s",
-			sc.Name, got, sc.Serial.Fingerprint)
-	}
+	smokeRow.check(t, rep, err)
 }
 
 // TestChaosPanicSurfacesAsReportError: acceptance (c) — a panic injected

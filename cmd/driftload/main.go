@@ -2,8 +2,8 @@
 // it through one serve.Service, fingerprints a canonical response set,
 // then sweeps closed-loop (fixed workers) and open-loop (fixed offered
 // rate) load over the service, reporting exact p50/p99/p999/max
-// latencies per cell. The artifact is BENCH_serve.json, next to
-// BENCH_pipeline.json (schema documented in DESIGN.md §11).
+// latencies per cell. The artifact is BENCH_serve.json (schema
+// documented in DESIGN.md §11).
 //
 // Usage:
 //

@@ -456,7 +456,7 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 // identical signature returns that task bit for bit; only a miss there
 // pays for a KPCA fit. Either way the index learns the mapping.
 func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []string) (*learn.Task, error) {
-	in := conceptKey{concept, taskInputKey(k, a, concept, s.Cfg.KPCA)}
+	in := conceptKey{concept, taskInputKey(k, a, concept)}
 	ref, indexed := s.taskIndex.Get(in)
 	if indexed {
 		if ref.none {
@@ -488,7 +488,7 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []st
 	if !indexed {
 		// An indexed entry whose task was evicted already knows its key
 		// and has counted the task memo's miss.
-		key = conceptKey{concept, taskSignature(concept, names, seeds, raw, s.Cfg.KPCA)}
+		key = conceptKey{concept, taskSignature(concept, names, seeds, raw)}
 		if task, ok := s.tasks.Get(key); ok {
 			s.taskIndex.Put(in, taskRef{key: key})
 			return task, nil
@@ -580,13 +580,12 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string, instances []st
 //     every concept O holding e that is mutually exclusive with it, the
 //     tuple (O, Count(O, e), FirstIter(O, e) ≤ 1): f2 and f6 compare
 //     Count(O, e) with fixed thresholds, and Rules 1 and 2 ask whether e
-//     is evidenced correct for O, which is core membership plus a count;
-//   - the KPCA solver, as in taskSignature.
+//     is evidenced correct for O, which is core membership plus a count.
 //
 // Instances are combined by a sum of mixed terms, so the key does not
 // depend on map order; an instance held by no exclusive concept adds
 // nothing, which is unambiguous since its tuple list is empty.
-func taskInputKey(k *kb.KB, a *Analysis, concept string, kcfg kpca.Config) uint64 {
+func taskInputKey(k *kb.KB, a *Analysis, concept string) uint64 {
 	// The fold reads the KB and the exclusion relation by ID and each
 	// name's stored hash, never a string.
 	c, known := k.Sym(concept)
@@ -612,20 +611,16 @@ func taskInputKey(k *kb.KB, a *Analysis, concept string, kcfg kpca.Config) uint6
 			}
 		})
 	}
-	return memo.Mix(memo.Mix(k.ConceptDigest(concept)+uint64(kcfg.Solver))) + sum
+	return memo.Mix(memo.Mix(k.ConceptDigest(concept))) + sum
 }
 
 // taskSignature hashes the exact inputs a concept's learning task is a
 // function of: the sorted instance names, each name's seed label (or
-// its absence), the raw feature matrix bit for bit, and the KPCA solver
-// configuration. The solver byte matters for the Session delta-reuse
-// path: a cached task embeds the eigensolver's numerical fingerprint,
-// so a config that switches solvers mid-flight — e.g. the Jacobi escape
-// hatch — must miss rather than replay top-k projections. Names are
-// sorted and the matrix rows follow name order, so the signature is
+// its absence) and the raw feature matrix bit for bit. Names are sorted
+// and the matrix rows follow name order, so the signature is
 // deterministic; equal signatures mean the previously built task is
 // byte-identical to what a rebuild would produce.
-func taskSignature(concept string, names []string, seeds map[string]dp.Label, raw [][]float64, kcfg kpca.Config) uint64 {
+func taskSignature(concept string, names []string, seeds map[string]dp.Label, raw [][]float64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	u64 := func(v uint64) {
@@ -634,7 +629,6 @@ func taskSignature(concept string, names []string, seeds map[string]dp.Label, ra
 	}
 	_, _ = h.Write([]byte(concept))
 	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte{byte(kcfg.Solver)})
 	u64(uint64(len(names)))
 	for i, e := range names {
 		_, _ = h.Write([]byte(e))

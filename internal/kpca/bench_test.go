@@ -19,23 +19,22 @@ func benchPoints(n, d int) [][]float64 {
 	return x
 }
 
-// BenchmarkFit compares the two eigensolvers on the same point cloud:
-// topk (default) and the Jacobi oracle.
+// BenchmarkFit compares Fit's top-k eigensolver with the Jacobi oracle
+// on the same point cloud.
 func BenchmarkFit(b *testing.B) {
 	x := benchPoints(80, 6)
 	variants := []struct {
 		name string
-		cfg  func() Config
+		fit  func([][]float64, Config) (*Transform, error)
 	}{
-		{"topk", DefaultConfig},
-		{"jacobi", func() Config { c := DefaultConfig(); c.Solver = SolverJacobi; return c }},
+		{"topk", Fit},
+		{"jacobi", fitJacobi},
 	}
 	for _, v := range variants {
-		cfg := v.cfg()
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Fit(x, cfg); err != nil {
+				if _, err := v.fit(x, DefaultConfig()); err != nil {
 					b.Fatal(err)
 				}
 			}

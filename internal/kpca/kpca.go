@@ -6,11 +6,10 @@
 // from the mutual-exclusion relation — from over-fitting to the single f2
 // dimension.
 //
-// Only the top MaxComponents eigenpairs are consumed, so the default
-// eigensolver (Config.Solver = SolverTopK) recovers exactly that many
-// eigenvectors via linalg.EigenSymTopK; SolverJacobi is the full-spectrum
-// escape hatch, kept bit-identical to the pre-top-k pipeline and used as
-// the oracle by the differential test suite.
+// Only the top MaxComponents eigenpairs are consumed, so Fit recovers
+// exactly that many eigenvectors via linalg.EigenSymTopK. The
+// full-spectrum Jacobi solver (linalg.EigenSym) is the oracle the
+// differential tests check it against.
 package kpca
 
 import (
@@ -19,36 +18,6 @@ import (
 
 	"driftclean/internal/linalg"
 )
-
-// Solver selects the eigendecomposition backend Fit runs on the
-// centered kernel matrix.
-type Solver int
-
-const (
-	// SolverTopK — the default — tridiagonalizes the kernel matrix and
-	// recovers eigenvectors only for the component budget via
-	// linalg.EigenSymTopK. KPCA consumes at most MaxComponents
-	// components, so paying Jacobi's full-spectrum O(n³)-per-sweep cost
-	// was the analyze stage's dominant waste.
-	SolverTopK Solver = iota
-	// SolverJacobi is the full cyclic Jacobi eigendecomposition
-	// (linalg.EigenSym): the escape hatch that reproduces the pre-top-k
-	// pipeline output bit for bit, and the oracle the differential test
-	// suite checks SolverTopK against.
-	SolverJacobi
-)
-
-// String names the solver the way the bench artifact spells it.
-func (s Solver) String() string {
-	switch s {
-	case SolverTopK:
-		return "topk"
-	case SolverJacobi:
-		return "jacobi"
-	default:
-		return fmt.Sprintf("Solver(%d)", int(s))
-	}
-}
 
 // Config controls the transformation.
 type Config struct {
@@ -61,9 +30,6 @@ type Config struct {
 	// MinEigenvalue discards components with eigenvalues below this
 	// multiple of the largest eigenvalue.
 	MinEigenvalue float64
-	// Solver picks the eigensolver backend; the zero value is the top-k
-	// path. SolverJacobi is the full-spectrum escape hatch.
-	Solver Solver
 }
 
 // DefaultConfig caps the representation at 12 components — enough
@@ -88,6 +54,14 @@ type Transform struct {
 // Fit learns the transformation from training feature vectors. It returns
 // an error when fewer than two points are supplied.
 func Fit(x [][]float64, cfg Config) (*Transform, error) {
+	return fit(x, cfg, linalg.EigenSymTopK)
+}
+
+// fit is Fit with the eigensolver as a parameter: eig(kc, k) returns at
+// least the top k eigenpairs of kc, eigenvalues descending and
+// eigenvectors as columns. Tests pass the full-spectrum Jacobi solver
+// as the oracle.
+func fit(x [][]float64, cfg Config, eig func(a *linalg.Matrix, k int) ([]float64, *linalg.Matrix)) (*Transform, error) {
 	n := len(x)
 	if n < 2 {
 		return nil, fmt.Errorf("kpca: need at least 2 training points, got %d", n)
@@ -128,20 +102,9 @@ func Fit(x [][]float64, cfg Config) (*Transform, error) {
 	kc, rowMNs, allMN := centerKernel(k)
 	t.rowMNs, t.allMN = rowMNs, allMN
 
-	// The component budget r is at most MaxComponents, so the default
-	// solver only recovers that many eigenvectors; Jacobi is the
-	// full-spectrum escape hatch (and the differential-test oracle).
-	var vals []float64
-	var vecs *linalg.Matrix
-	if cfg.Solver == SolverJacobi {
-		vals, vecs = linalg.EigenSym(kc)
-	} else {
-		budget := cfg.MaxComponents
-		if budget > n {
-			budget = n
-		}
-		vals, vecs = linalg.EigenSymTopK(kc, budget)
-	}
+	// The component budget r is at most MaxComponents, so the solver
+	// only recovers that many eigenvectors.
+	vals, vecs := eig(kc, min(cfg.MaxComponents, n))
 	if len(vals) == 0 || vals[0] <= 0 {
 		return nil, fmt.Errorf("kpca: centered kernel matrix has no positive eigenvalues")
 	}
@@ -151,8 +114,8 @@ func Fit(x [][]float64, cfg Config) (*Transform, error) {
 	}
 	t.r = r
 	// Normalize eigenvectors so projected coordinates have unit variance
-	// structure: alpha_p = v_p / sqrt(lambda_p). vecs is n×n from Jacobi
-	// but only n×budget from the top-k path, so the row stride differs.
+	// structure: alpha_p = v_p / sqrt(lambda_p). vecs has at least r
+	// columns (n from the full-spectrum oracle), so read it by its stride.
 	t.alphas = linalg.NewMatrix(n, r)
 	ad, vd, stride := t.alphas.Data, vecs.Data, vecs.Cols
 	for p := 0; p < r; p++ {

@@ -5,7 +5,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"driftclean/internal/linalg"
 )
+
+// fitJacobi fits through the full-spectrum Jacobi solver, the oracle
+// the top-k path is checked against.
+func fitJacobi(x [][]float64, cfg Config) (*Transform, error) {
+	return fit(x, cfg, func(a *linalg.Matrix, _ int) ([]float64, *linalg.Matrix) { return linalg.EigenSym(a) })
+}
 
 func twoBlobs(rng *rand.Rand, n int) ([][]float64, []int) {
 	x := make([][]float64, n)
@@ -191,8 +199,8 @@ func alignSignsTo(want, got [][]float64) {
 	}
 }
 
-// TestSolverEquivalence: the top-k default and the Jacobi escape hatch
-// must produce the same fitted transform — same component count, same
+// TestSolverEquivalence: the top-k path and the Jacobi oracle must
+// produce the same fitted transform — same component count, same
 // projections up to the per-component sign freedom — on KPCA's own input
 // family, not just on the linalg-level differential suite.
 func TestSolverEquivalence(t *testing.T) {
@@ -202,9 +210,7 @@ func TestSolverEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jcfg := DefaultConfig()
-	jcfg.Solver = SolverJacobi
-	jac, err := Fit(x, jcfg)
+	jac, err := fitJacobi(x, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

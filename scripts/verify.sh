@@ -36,7 +36,7 @@ fi
 # files, without perfbench/ and internal/lint/testdata/) must not grow
 # past the ceiling. Lowering the ceiling is always fine; raising it is a
 # reviewed decision that belongs in the same diff as the growth.
-GO_LINES_MAX=21181
+GO_LINES_MAX=20462
 echo "==> non-test Go line count (ceiling: ${GO_LINES_MAX})"
 go_lines=$(git ls-files --cached --others --exclude-standard -- '*.go' ':!*_test.go' ':!perfbench/' ':!internal/lint/testdata/' \
   | while read -r f; do if [ -f "$f" ]; then cat "$f"; fi; done | wc -l)
@@ -131,11 +131,12 @@ echo "==> hot-path benchmarks (compile + one iteration each)"
 go test -run '^$' -bench . -benchtime=1x \
   ./internal/linalg ./internal/kpca ./internal/rank ./internal/feature ./internal/learn ./internal/serve
 
-echo "==> driftbench smoke (serial vs parallel A/B + old-vs-new fingerprint check)"
-go run ./cmd/driftbench -smoke -check BENCH_pipeline.json -out BENCH_pipeline.smoke.json
-
-echo "==> driftbench ingest smoke (incremental vs from-scratch fingerprint identity)"
-go run ./cmd/driftbench -scales ingest-smoke -check BENCH_pipeline.json -out BENCH_ingest.smoke.json
+# The pinned rows are the cleaned-KB fingerprints of the default
+# pipeline up to 120k sentences, batch at 1 and 4 workers and as
+# one-sentence Session checkpoints; under -race only the smoke rows run.
+echo "==> pinned pipeline fingerprints (every row; smoke rows again under -race)"
+go test -count=1 -run 'TestPinnedFingerprints' .
+go test -race -count=1 -run 'TestPinnedFingerprints' .
 
 echo "==> driftload smoke (response fingerprint + latency sweep + snapshot reload)"
 go run ./cmd/driftload -smoke -out BENCH_serve.smoke.json
