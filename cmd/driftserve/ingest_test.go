@@ -21,6 +21,16 @@ import (
 // inspection.
 func newSessionServer(t *testing.T, opts serve.Options) (*httptest.Server, *driftclean.Session) {
 	t.Helper()
+	sess := openTestSession(t)
+	ts := httptest.NewServer(sessionHandler(sess, opts, 0, log.New(io.Discard, "", 0)))
+	t.Cleanup(ts.Close)
+	return ts, sess
+}
+
+// openTestSession opens a session over a small two-domain corpus,
+// closed when the test ends.
+func openTestSession(t *testing.T) *driftclean.Session {
+	t.Helper()
 	cfg := driftclean.DefaultConfig()
 	cfg.World.NumDomains = 2
 	cfg.World.InstancesPerConceptMin = 40
@@ -32,10 +42,7 @@ func newSessionServer(t *testing.T, opts serve.Options) (*httptest.Server, *drif
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Close() })
-
-	ts := httptest.NewServer(sessionHandler(sess, opts, 0, log.New(io.Discard, "", 0)))
-	t.Cleanup(ts.Close)
-	return ts, sess
+	return sess
 }
 
 // postIngest issues a POST /v1/ingest and decodes the response.

@@ -68,7 +68,7 @@ func main() {
 		inflight  = flag.Int("inflight", 0, "max concurrently executing queries (0 = unlimited)")
 		queue     = flag.Int("queue", 0, "queries queued beyond -inflight before shedding with 429")
 		addr      = flag.String("addr", ":8080", "listen address")
-		timeout   = flag.Duration("timeout", 5*time.Second, "per-request timeout (0 disables; ingest exempt)")
+		timeout   = flag.Duration("timeout", 5*time.Second, "per-query deadline (0 disables; ingest and reload exempt)")
 		cache     = flag.Int("cache", serve.DefaultCacheSize, "result cache entries (negative disables)")
 	)
 	flag.Parse()

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -265,6 +266,79 @@ func TestRequestTimeout(t *testing.T) {
 	}
 	if !strings.Contains(body, "timed out") {
 		t.Errorf("timeout body = %s", body)
+	}
+	assertTimeoutEnvelope(t, ts.URL+"/v1/concepts")
+}
+
+// TestRequestTimeoutWhileQueued: a query queued for admission behind a
+// busy slot answers 503 when its deadline passes, neither shed with 429
+// nor held until the slot frees.
+func TestRequestTimeoutWhileQueued(t *testing.T) {
+	snap, err := freezeFile(writeTestKB(t, t.TempDir(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every drifted query blocks in its fault site, after admission,
+	// until released.
+	held, unblock := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(unblock) })
+	defer release() // before the server's cleanup waits for the holder
+	stall := fault.New(1, map[string]fault.Rule{"serve.drifted": {Latency: time.Nanosecond}})
+	stall.SetSleep(func(time.Duration) {
+		held <- struct{}{}
+		<-unblock
+	})
+	svc := serve.New(snap, serve.Options{MaxInflight: 1, QueueDepth: 1, Fault: stall})
+	ts := newTestServer(t, handlerConfig{svc: svc, timeout: 50 * time.Millisecond}, "")
+
+	holder := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/drifted")
+		if err != nil {
+			holder <- 0
+			return
+		}
+		resp.Body.Close()
+		holder <- resp.StatusCode
+	}()
+	select {
+	case <-held: // the drifted query holds the only slot
+	case code := <-holder:
+		t.Fatalf("drifted query answered %d without reaching its fault site", code)
+	}
+	assertTimeoutEnvelope(t, ts.URL+"/v1/stats")
+	release()
+	// The holder's own deadline has passed too, but its context reports
+	// that only once the runtime has run the deadline's timer, so either
+	// answer is right here.
+	if code := <-holder; code != http.StatusOK && code != http.StatusServiceUnavailable {
+		t.Errorf("slot holder = %d, want 200 or 503", code)
+	}
+	if shed := svc.Metrics().Shed; shed != 0 {
+		t.Errorf("%d queries shed, want 0", shed)
+	}
+}
+
+// assertTimeoutEnvelope requires GET url to answer 503 with the JSON
+// error envelope {"error":"request timed out"}, within a bound far
+// beyond any query budget the tests set.
+func assertTimeoutEnvelope(t *testing.T, url string) {
+	t.Helper()
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("GET %s = %d, want 503", url, resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != jsonType {
+		t.Errorf("GET %s: Content-Type %q, want JSON", url, ct)
+	}
+	var e errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error != "request timed out" {
+		t.Errorf("GET %s: error envelope %+v (%v), want \"request timed out\"", url, e, err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -23,10 +24,11 @@ type handlerConfig struct {
 	// the new checkpoint's snapshot in; nil (the -kb mode) disables the
 	// /v1/ingest endpoint.
 	ingest func(ctx context.Context, req ingestRequest) (ingestResponse, error)
-	// timeout bounds each request end to end; 0 disables. /v1/ingest is
-	// exempt: a checkpoint (extraction replay plus cleaning rounds)
-	// legitimately outlives a query budget, and cancellation is still
-	// honored through the request context when the client disconnects.
+	// timeout is each /v1 query's deadline, carried by its context; 0
+	// disables. A query past it answers 503 where it next checks the
+	// context: waiting for admission, before computing, and every 1,024
+	// rows of a listing. /v1/ingest is exempt: a checkpoint legitimately
+	// outlives a query budget, and still stops if the client disconnects.
 	timeout time.Duration
 	// beforeQuery, when non-nil, runs before every /v1 query handler —
 	// a test seam for exercising the timeout path deterministically.
@@ -70,17 +72,9 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// newHandler builds the full driftserve route table:
-//
-//	GET  /v1/stats                               aggregate KB statistics
-//	GET  /v1/concepts                            concepts with instance counts
-//	GET  /v1/instances?concept=C                 a concept's instances
-//	GET  /v1/explain?concept=C&instance=E[&n=N]  provenance of one pair
-//	GET  /v1/drifted[?concept=C][&n=N]           deepest provenance chains (KB-wide without concept)
-//	GET  /v1/generation                          serving generation + stale flag
-//	POST /v1/ingest                              advance the session pipeline (-session)
-//	POST /v1/reload                              re-freeze from the -kb file
-//	GET  /debug/vars                             service metrics (expvar style)
+// newHandler builds the route table of the package doc. Handlers run on
+// the connection's goroutine and write straight to it; no response is
+// buffered whole.
 func newHandler(cfg handlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /v1/stats", query(cfg, func(w http.ResponseWriter, r *http.Request) {
@@ -92,7 +86,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 		respond(w, result, err)
 	}))
 	mux.Handle("GET /v1/instances", query(cfg, func(w http.ResponseWriter, r *http.Request) {
-		concept, ok := requireParam(w, r, "concept")
+		concept, ok := requireParam(w, r.URL.Query(), "concept")
 		if !ok {
 			return
 		}
@@ -100,15 +94,16 @@ func newHandler(cfg handlerConfig) http.Handler {
 		respond(w, result, err)
 	}))
 	mux.Handle("GET /v1/explain", query(cfg, func(w http.ResponseWriter, r *http.Request) {
-		concept, ok := requireParam(w, r, "concept")
+		q := r.URL.Query()
+		concept, ok := requireParam(w, q, "concept")
 		if !ok {
 			return
 		}
-		instance, ok := requireParam(w, r, "instance")
+		instance, ok := requireParam(w, q, "instance")
 		if !ok {
 			return
 		}
-		n, ok := intParam(w, r, "n", 5)
+		n, ok := intParam(w, q, "n", 5)
 		if !ok {
 			return
 		}
@@ -118,8 +113,9 @@ func newHandler(cfg handlerConfig) http.Handler {
 	mux.Handle("GET /v1/drifted", query(cfg, func(w http.ResponseWriter, r *http.Request) {
 		// concept is optional: scoped ranking when given, KB-wide
 		// ranking when absent.
-		concept := r.URL.Query().Get("concept")
-		n, ok := intParam(w, r, "n", 10)
+		q := r.URL.Query()
+		concept := q.Get("concept")
+		n, ok := intParam(w, q, "n", 10)
 		if !ok {
 			return
 		}
@@ -149,19 +145,8 @@ func newHandler(cfg handlerConfig) http.Handler {
 		})
 	}
 	mux.Handle("GET /debug/vars", cfg.svc.ExpvarHandler())
-
-	var h http.Handler = mux
-	if cfg.timeout > 0 {
-		// TimeoutHandler both caps the handler's wall time (503 on
-		// expiry) and cancels the request context, which the service's
-		// query path observes before computing.
-		h = http.TimeoutHandler(h, cfg.timeout, `{"error":"request timed out"}`)
-	}
 	if cfg.ingest != nil {
-		// Ingest is routed around the timeout wrapper: one checkpoint of
-		// pipeline work is allowed to take as long as it takes.
-		outer := http.NewServeMux()
-		outer.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
 			var req ingestRequest
 			if err := json.NewDecoder(io.LimitReader(r.Body, maxIngestBody)).Decode(&req); err != nil {
 				writeError(w, http.StatusBadRequest, "malformed ingest request: "+err.Error())
@@ -175,18 +160,21 @@ func newHandler(cfg handlerConfig) http.Handler {
 			resp, err := cfg.ingest(r.Context(), req)
 			respond(w, resp, err)
 		})
-		outer.Handle("/", h)
-		h = outer
 	}
-	return h
+	return mux
 }
 
-// query wraps a /v1 query handler with the stale marker and the test
-// seam. The X-Driftclean-Stale header is set before the handler writes
-// so clients can tell they are reading a last-good snapshot that a
-// failed reload has left behind.
+// query wraps a /v1 query handler with the cfg.timeout deadline, the
+// stale marker and the test seam. The X-Driftclean-Stale header is set
+// before the handler writes so clients can tell they are reading a
+// last-good snapshot that a failed reload has left behind.
 func query(cfg handlerConfig, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if cfg.timeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), cfg.timeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
 		if cfg.svc.Stale() {
 			w.Header().Set("X-Driftclean-Stale", "true")
 		}
@@ -199,8 +187,8 @@ func query(cfg handlerConfig, h http.HandlerFunc) http.Handler {
 
 // respond writes the result as JSON, mapping service errors to HTTP
 // status codes: ErrNotFound → 404, ErrOverloaded → 429 (admission shed:
-// back off and retry), ErrNoSnapshot / canceled or timed-out contexts →
-// 503, anything else → 500.
+// back off and retry), a passed deadline → 503 "request timed out",
+// ErrNoSnapshot / canceled contexts → 503, anything else → 500.
 func respond(w http.ResponseWriter, result any, err error) {
 	if err != nil {
 		switch {
@@ -208,9 +196,10 @@ func respond(w http.ResponseWriter, result any, err error) {
 			writeError(w, http.StatusNotFound, err.Error())
 		case errors.Is(err, serve.ErrOverloaded):
 			writeError(w, http.StatusTooManyRequests, err.Error())
+		case errors.Is(err, context.DeadlineExceeded):
+			writeError(w, http.StatusServiceUnavailable, "request timed out")
 		case errors.Is(err, serve.ErrNoSnapshot),
-			errors.Is(err, context.Canceled),
-			errors.Is(err, context.DeadlineExceeded):
+			errors.Is(err, context.Canceled):
 			writeError(w, http.StatusServiceUnavailable, err.Error())
 		default:
 			writeError(w, http.StatusInternalServerError, err.Error())
@@ -218,16 +207,13 @@ func respond(w http.ResponseWriter, result any, err error) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if err := json.NewEncoder(w).Encode(result); err != nil {
-		// Headers are gone; nothing more to do than drop the conn.
-		_ = err
-	}
+	_ = json.NewEncoder(w).Encode(result) // on error the response is committed; nothing to send
 }
 
 // requireParam extracts a mandatory query parameter, writing a 400 when
 // it is absent or empty.
-func requireParam(w http.ResponseWriter, r *http.Request, name string) (string, bool) {
-	v := r.URL.Query().Get(name)
+func requireParam(w http.ResponseWriter, q url.Values, name string) (string, bool) {
+	v := q.Get(name)
 	if v == "" {
 		writeError(w, http.StatusBadRequest, "missing required parameter "+strconv.Quote(name))
 		return "", false
@@ -237,8 +223,8 @@ func requireParam(w http.ResponseWriter, r *http.Request, name string) (string, 
 
 // intParam parses an optional positive integer parameter, writing a 400
 // on malformed values.
-func intParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
-	v := r.URL.Query().Get(name)
+func intParam(w http.ResponseWriter, q url.Values, name string, def int) (int, bool) {
+	v := q.Get(name)
 	if v == "" {
 		return def, true
 	}
@@ -254,7 +240,5 @@ func intParam(w http.ResponseWriter, r *http.Request, name string, def int) (int
 func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(errorBody{Error: msg}); err != nil {
-		_ = err // response already committed
-	}
+	_ = json.NewEncoder(w).Encode(errorBody{Error: msg}) // response already committed
 }

@@ -36,7 +36,7 @@ fi
 # files, without perfbench/ and internal/lint/testdata/) must not grow
 # past the ceiling. Lowering the ceiling is always fine; raising it is a
 # reviewed decision that belongs in the same diff as the growth.
-GO_LINES_MAX=20462
+GO_LINES_MAX=20446
 echo "==> non-test Go line count (ceiling: ${GO_LINES_MAX})"
 go_lines=$(git ls-files --cached --others --exclude-standard -- '*.go' ':!*_test.go' ':!perfbench/' ':!internal/lint/testdata/' \
   | while read -r f; do if [ -f "$f" ]; then cat "$f"; fi; done | wc -l)
@@ -101,10 +101,10 @@ echo "==> go test -race (interned IDs: lock-free name table under a concurrent w
 go test -race -run 'TestSymbols|TestQuickDigestMatchesRecompute|TestQuickIndexMatchesScan' ./internal/kb
 go test -race -run 'TestTaskKeyCoversExclusiveHolderCore' ./internal/core
 
-echo "==> go test -race (chaos: injected faults, panics, reload breaker)"
+echo "==> go test -race (chaos: injected faults, panics, reload breaker; query deadlines running and queued; pinned HTTP answers)"
 go test -race ./internal/fault
 go test -race -run 'TestChaosDisabledFaultsAreNoOp|TestChaosPanicSurfacesAsReportError' .
-go test -race -run 'TestReload|TestQuery' ./internal/serve ./cmd/driftserve
+go test -race -run 'TestReload|TestQuery|TestRequestTimeout|TestHTTPResponsesPinned' ./internal/serve ./cmd/driftserve
 
 echo "==> fuzz seed corpus (hearst parser + lint CFG + top-k eigensolver + binary snapshot decoder, seeds only)"
 go test -run 'FuzzParseSentence' ./internal/hearst
