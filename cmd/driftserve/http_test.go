@@ -7,11 +7,13 @@ import (
 	"hash/fnv"
 	"io"
 	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -39,9 +41,11 @@ func writePipelineKB(tb testing.TB, sentences int) string {
 	return path
 }
 
-// pinnedRequests is the fixed request list of TestHTTPResponsesPinned.
-// {c} and {e} expand to the served KB's deepest-drifted pair; repeated
-// requests are cache hits.
+// pinnedRequests is the fixed request list of TestHTTPResponsesPinned:
+// a method, a target and, for a POST, an optional body ("{}" when
+// absent). {c} and {e} expand to the served KB's deepest-drifted pair;
+// repeated requests are cache hits. The explicit one-sentence ingest
+// comes last: in -session mode it publishes the first snapshot.
 var pinnedRequests = []string{
 	"GET /v1/stats",
 	"GET /v1/stats",
@@ -70,6 +74,8 @@ var pinnedRequests = []string{
 	"GET /v1/nosuch",
 	"POST /v1/stats",
 	"POST /v1/ingest",
+	"POST /v1/reload",
+	`POST /v1/ingest {"sentences":[{"ID":0,"Text":"animal such as dog , cat and duck ."}]}`,
 }
 
 const (
@@ -117,6 +123,8 @@ var httpPins = map[string][]httpPin{
 		{404, textType, "549c53e274b689c7"},
 		{405, textType, "3536e7adc28d51dd"},
 		{404, textType, "549c53e274b689c7"},
+		{200, jsonType, "d08f9ac471faed89"},
+		{404, textType, "549c53e274b689c7"},
 	},
 	"6k": {
 		{200, jsonType, "a794e8ada4efec02"},
@@ -145,6 +153,8 @@ var httpPins = map[string][]httpPin{
 		{404, jsonType, "58864b62ce381d7d"},
 		{404, textType, "549c53e274b689c7"},
 		{405, textType, "3536e7adc28d51dd"},
+		{404, textType, "549c53e274b689c7"},
+		{200, jsonType, "d08f9ac471faed89"},
 		{404, textType, "549c53e274b689c7"},
 	},
 	"session": {
@@ -175,6 +185,8 @@ var httpPins = map[string][]httpPin{
 		{404, textType, "549c53e274b689c7"},
 		{405, textType, "3536e7adc28d51dd"},
 		{400, jsonType, "f2f0c8e0459b5bfc"},
+		{404, textType, "549c53e274b689c7"},
+		{200, jsonType, "1aef8c090b2dfeab"},
 	},
 }
 
@@ -213,15 +225,27 @@ func TestHTTPResponsesPinned(t *testing.T) {
 				}
 				top := snap.FleetDriftRanking(1)[0]
 				c, e = top.Concept, top.Name
-				h = newHandler(handlerConfig{svc: serve.New(snap, serve.Options{}), timeout: 5 * time.Second})
+				svc := serve.New(snap, serve.Options{})
+				reload := func() error {
+					next, err := freezeFile(path)
+					if err == nil {
+						svc.Swap(next)
+					}
+					return err
+				}
+				h = newHandler(handlerConfig{svc: svc, reload: reload, timeout: 5 * time.Second})
 			}
 			expand := strings.NewReplacer("{c}", url.QueryEscape(c), "{e}", url.QueryEscape(e))
 			var got []httpPin
 			for _, req := range pinnedRequests {
-				method, target, _ := strings.Cut(expand.Replace(req), " ")
+				method, rest, _ := strings.Cut(expand.Replace(req), " ")
+				target, payload, _ := strings.Cut(rest, " ")
 				var body io.Reader
 				if method == http.MethodPost {
-					body = strings.NewReader("{}")
+					if payload == "" {
+						payload = "{}"
+					}
+					body = strings.NewReader(payload)
 				}
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, httptest.NewRequest(method, target, body))
@@ -259,13 +283,22 @@ func pinLiterals(pins []httpPin) string {
 	return b.String()
 }
 
-// BenchmarkHandler measures one cached query through newHandler, with
-// the default 5s deadline and without one, on the cleaned KB of the
-// default 40,000-sentence pipeline. The requests follow driftserve's
-// hot load mix — 40% instance listings, 30% explains, 10% concept drift
-// rankings, 10% fleet-wide rankings, 10% concept listings — and every
-// one is answered once before the timer starts, so each timed request
-// is a cache hit.
+// BenchmarkHandler measures one query through newHandler on the
+// cleaned KB of the default 40,000-sentence pipeline, in two arms.
+//
+//   - hot: the requests follow driftserve's hot load mix — 40% instance
+//     listings, 30% explains, 10% concept drift rankings, 10% fleet-wide
+//     rankings, 10% concept listings — and every one is answered once
+//     before the timer starts, so each timed request is a cache hit. It
+//     runs with the default 5s deadline and without one.
+//   - cold: the same endpoint mix drawn as perfbench's serve-cold draws
+//     it — explains with n in 1–64, concept rankings with n in 1–7000,
+//     fleet-wide rankings with n up to the pair count — from 10,000
+//     requests. A request recurs only after some 6,000 others have
+//     pushed it out of the 4,096-entry cache, so every explain and
+//     ranking is computed and encoded afresh; the few listings stay
+//     cached (they are answered once before the timer starts), as they
+//     do in serve-cold.
 func BenchmarkHandler(b *testing.B) {
 	snap, err := freezeFile(writePipelineKB(b, 40000))
 	if err != nil {
@@ -278,37 +311,67 @@ func BenchmarkHandler(b *testing.B) {
 			pairs = append(pairs, [2]string{c, e})
 		}
 	}
-	var reqs []*http.Request
+	get := func(target string) *http.Request { return httptest.NewRequest(http.MethodGet, target, nil) }
+	instances := func(c string) *http.Request { return get("/v1/instances?concept=" + url.QueryEscape(c)) }
+	explain := func(p [2]string, n int) *http.Request {
+		return get("/v1/explain?concept=" + url.QueryEscape(p[0]) + "&instance=" + url.QueryEscape(p[1]) + "&n=" + strconv.Itoa(n))
+	}
+	drifted := func(c string, n int) *http.Request {
+		return get("/v1/drifted?concept=" + url.QueryEscape(c) + "&n=" + strconv.Itoa(n))
+	}
+	var hot, cold []*http.Request
 	for i := 0; i < 100; i++ {
-		c := url.QueryEscape(concepts[i%len(concepts)])
-		p := pairs[i*7919%len(pairs)]
-		target := "/v1/concepts"
+		c := concepts[i%len(concepts)]
 		switch i % 10 {
 		case 0, 1, 2, 3:
-			target = "/v1/instances?concept=" + c
+			hot = append(hot, instances(c))
 		case 4, 5, 6:
-			target = "/v1/explain?concept=" + url.QueryEscape(p[0]) + "&instance=" + url.QueryEscape(p[1]) + "&n=3"
+			hot = append(hot, explain(pairs[i*7919%len(pairs)], 3))
 		case 7:
-			target = "/v1/drifted?concept=" + c + "&n=10"
+			hot = append(hot, drifted(c, 10))
 		case 8:
-			target = "/v1/drifted?n=20"
+			hot = append(hot, get("/v1/drifted?n=20"))
+		default:
+			hot = append(hot, get("/v1/concepts"))
 		}
-		reqs = append(reqs, httptest.NewRequest(http.MethodGet, target, nil))
 	}
-	for _, timeout := range []time.Duration{5 * time.Second, 0} {
-		b.Run("timeout="+timeout.String(), func(b *testing.B) {
+	listings := []*http.Request{get("/v1/concepts")}
+	for _, c := range concepts {
+		listings = append(listings, instances(c))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		switch pick := rng.Intn(10); {
+		case pick < 4:
+			cold = append(cold, instances(concepts[rng.Intn(len(concepts))]))
+		case pick < 7:
+			cold = append(cold, explain(pairs[rng.Intn(len(pairs))], 1+rng.Intn(64)))
+		case pick < 8:
+			cold = append(cold, drifted(concepts[rng.Intn(len(concepts))], 1+rng.Intn(7000)))
+		case pick < 9:
+			cold = append(cold, get("/v1/drifted?n="+strconv.Itoa(1+rng.Intn(len(pairs)))))
+		default:
+			cold = append(cold, get("/v1/concepts"))
+		}
+	}
+	run := func(name string, timeout time.Duration, warm, reqs []*http.Request) {
+		b.Run(name, func(b *testing.B) {
 			h := newHandler(handlerConfig{svc: serve.New(snap, serve.Options{}), timeout: timeout})
-			for _, r := range reqs {
-				rec := httptest.NewRecorder()
-				if h.ServeHTTP(rec, r); rec.Code != http.StatusOK {
-					b.Fatalf("%s = %d: %s", r.URL, rec.Code, rec.Body)
-				}
+			for _, r := range warm {
+				h.ServeHTTP(httptest.NewRecorder(), r)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h.ServeHTTP(httptest.NewRecorder(), reqs[i%len(reqs)])
+				rec := httptest.NewRecorder()
+				if h.ServeHTTP(rec, reqs[i%len(reqs)]); rec.Code != http.StatusOK {
+					b.Fatalf("%s = %d: %s", reqs[i%len(reqs)].URL, rec.Code, rec.Body)
+				}
 			}
 		})
 	}
+	for _, timeout := range []time.Duration{5 * time.Second, 0} {
+		run("hot/timeout="+timeout.String(), timeout, hot, hot)
+	}
+	run("cold", 5*time.Second, listings, cold)
 }

@@ -67,23 +67,29 @@ type generationResponse struct {
 	Stale      bool   `json:"stale"`
 }
 
+// reloadResponse is the POST /v1/reload payload: the generation now
+// serving.
+type reloadResponse struct {
+	Generation uint64 `json:"generation"`
+}
+
 // errorBody is the JSON error envelope every non-200 response carries.
 type errorBody struct {
 	Error string `json:"error"`
 }
 
 // newHandler builds the route table of the package doc. Handlers run on
-// the connection's goroutine and write straight to it; no response is
-// buffered whole.
+// the connection's goroutine; each answer is encoded into one pooled
+// buffer (encode.go) and written to the connection in one call.
 func newHandler(cfg handlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /v1/stats", query(cfg, func(w http.ResponseWriter, r *http.Request) {
 		result, err := cfg.svc.Stats(r.Context())
-		respond(w, result, err)
+		respond(w, statsBody(result), err)
 	}))
 	mux.Handle("GET /v1/concepts", query(cfg, func(w http.ResponseWriter, r *http.Request) {
 		result, err := cfg.svc.Concepts(r.Context())
-		respond(w, result, err)
+		respond(w, conceptList(result), err)
 	}))
 	mux.Handle("GET /v1/instances", query(cfg, func(w http.ResponseWriter, r *http.Request) {
 		concept, ok := requireParam(w, r.URL.Query(), "concept")
@@ -91,7 +97,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 			return
 		}
 		result, err := cfg.svc.Instances(r.Context(), concept)
-		respond(w, result, err)
+		respond(w, instanceList(result), err)
 	}))
 	mux.Handle("GET /v1/explain", query(cfg, func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -108,7 +114,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 			return
 		}
 		result, err := cfg.svc.Explain(r.Context(), concept, instance, n)
-		respond(w, result, err)
+		respond(w, explanation(result), err)
 	}))
 	mux.Handle("GET /v1/drifted", query(cfg, func(w http.ResponseWriter, r *http.Request) {
 		// concept is optional: scoped ranking when given, KB-wide
@@ -120,7 +126,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 			return
 		}
 		result, err := cfg.svc.Drifted(r.Context(), concept, n)
-		respond(w, result, err)
+		respond(w, driftList(result), err)
 	}))
 	mux.HandleFunc("GET /v1/generation", func(w http.ResponseWriter, r *http.Request) {
 		respond(w, generationResponse{
@@ -141,7 +147,7 @@ func newHandler(cfg handlerConfig) http.Handler {
 				writeError(w, status, err.Error())
 				return
 			}
-			respond(w, map[string]uint64{"generation": cfg.svc.Generation()}, nil)
+			respond(w, reloadResponse{Generation: cfg.svc.Generation()}, nil)
 		})
 	}
 	mux.Handle("GET /debug/vars", cfg.svc.ExpvarHandler())
@@ -189,7 +195,7 @@ func query(cfg handlerConfig, h http.HandlerFunc) http.Handler {
 // status codes: ErrNotFound → 404, ErrOverloaded → 429 (admission shed:
 // back off and retry), a passed deadline → 503 "request timed out",
 // ErrNoSnapshot / canceled contexts → 503, anything else → 500.
-func respond(w http.ResponseWriter, result any, err error) {
+func respond(w http.ResponseWriter, result body, err error) {
 	if err != nil {
 		switch {
 		case errors.Is(err, serve.ErrNotFound):
@@ -206,8 +212,7 @@ func respond(w http.ResponseWriter, result any, err error) {
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = json.NewEncoder(w).Encode(result) // on error the response is committed; nothing to send
+	writeJSON(w, http.StatusOK, result)
 }
 
 // requireParam extracts a mandatory query parameter, writing a 400 when
@@ -238,7 +243,5 @@ func intParam(w http.ResponseWriter, q url.Values, name string, def int) (int, b
 
 // writeError sends the JSON error envelope with the given status.
 func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: msg}) // response already committed
+	writeJSON(w, status, errorBody{Error: msg})
 }

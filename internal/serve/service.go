@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,7 +167,7 @@ type DriftedInstance = snapshot.DriftRow
 
 // Stats returns aggregate statistics of the current snapshot.
 func (s *Service) Stats(ctx context.Context) (StatsResult, error) {
-	v, err := s.do(ctx, "stats", "", func(snap *snapshot.Snapshot) (any, error) {
+	v, err := s.do(ctx, "serve.stats", "", func(snap *snapshot.Snapshot) (any, error) {
 		return StatsResult{Generation: snap.Generation(), Stats: snap.Stats()}, nil
 	})
 	if err != nil {
@@ -177,7 +178,7 @@ func (s *Service) Stats(ctx context.Context) (StatsResult, error) {
 
 // Concepts lists every concept with its instance count.
 func (s *Service) Concepts(ctx context.Context) ([]ConceptInfo, error) {
-	v, err := s.do(ctx, "concepts", "", func(snap *snapshot.Snapshot) (any, error) {
+	v, err := s.do(ctx, "serve.concepts", "", func(snap *snapshot.Snapshot) (any, error) {
 		concepts := snap.Concepts()
 		out := make([]ConceptInfo, 0, len(concepts))
 		for i, c := range concepts {
@@ -199,7 +200,7 @@ func (s *Service) Concepts(ctx context.Context) ([]ConceptInfo, error) {
 // Instances lists a concept's instances with support counts and
 // sub-instance fan-out. Unknown concepts yield ErrNotFound.
 func (s *Service) Instances(ctx context.Context, concept string) ([]InstanceInfo, error) {
-	v, err := s.do(ctx, "instances", concept, func(snap *snapshot.Snapshot) (any, error) {
+	v, err := s.do(ctx, "serve.instances", concept, func(snap *snapshot.Snapshot) (any, error) {
 		if !snap.HasConcept(concept) {
 			return nil, fmt.Errorf("%w: concept %q", ErrNotFound, concept)
 		}
@@ -229,7 +230,7 @@ func (s *Service) Instances(ctx context.Context, concept string) ([]InstanceInfo
 // ErrNotFound. At most maxSupports supports are traced (0 means all).
 func (s *Service) Explain(ctx context.Context, concept, instance string, maxSupports int) (kb.Explanation, error) {
 	key := concept + "\x1f" + instance + "\x1f" + strconv.Itoa(maxSupports)
-	v, err := s.do(ctx, "explain", key, func(snap *snapshot.Snapshot) (any, error) {
+	v, err := s.do(ctx, "serve.explain", key, func(snap *snapshot.Snapshot) (any, error) {
 		ex, ok := snap.Explain(concept, instance, maxSupports)
 		if !ok {
 			return nil, fmt.Errorf("%w: pair (%s isA %s)", ErrNotFound, instance, concept)
@@ -253,7 +254,7 @@ func (s *Service) Explain(ctx context.Context, concept, instance string, maxSupp
 // modified, and its capacity equals its length, so an append copies.
 func (s *Service) Drifted(ctx context.Context, concept string, n int) ([]DriftedInstance, error) {
 	key := concept + "\x1f" + strconv.Itoa(n)
-	v, err := s.do(ctx, "drifted", key, func(snap *snapshot.Snapshot) (any, error) {
+	v, err := s.do(ctx, "serve.drifted", key, func(snap *snapshot.Snapshot) (any, error) {
 		if concept == "" {
 			return snap.FleetDriftRanking(n), nil
 		}
@@ -290,22 +291,25 @@ func (s *Service) Metrics() Metrics {
 // current snapshot, consult the (generation, query)-keyed cache,
 // coalesce identical in-flight computations, record metrics. compute
 // runs against one pinned snapshot, so a concurrent Swap never gives a
-// query a torn view.
-func (s *Service) do(ctx context.Context, endpoint, qkey string, compute func(*snapshot.Snapshot) (any, error)) (any, error) {
+// query a torn view. site is the endpoint's fault site,
+// "serve.<endpoint>", passed as a constant so that a query builds no
+// site string.
+func (s *Service) do(ctx context.Context, site, qkey string, compute func(*snapshot.Snapshot) (any, error)) (any, error) {
+	endpoint := strings.TrimPrefix(site, "serve.")
 	m := s.metrics[endpoint]
 	start := time.Now()
 	if err := s.adm.acquire(ctx); err != nil {
 		m.observe(time.Since(start), err)
 		return nil, err
 	}
-	v, err := s.doPinned(ctx, m, endpoint, qkey, compute)
+	v, err := s.doPinned(ctx, m, site, endpoint, qkey, compute)
 	s.adm.release()
 	m.observe(time.Since(start), err)
 	return v, err
 }
 
-func (s *Service) doPinned(ctx context.Context, m *endpointMetrics, endpoint, qkey string, compute func(*snapshot.Snapshot) (any, error)) (any, error) {
-	if err := s.fault.Hit("serve." + endpoint); err != nil {
+func (s *Service) doPinned(ctx context.Context, m *endpointMetrics, site, endpoint, qkey string, compute func(*snapshot.Snapshot) (any, error)) (any, error) {
+	if err := s.fault.Hit(site); err != nil {
 		return nil, fmt.Errorf("serve: %s: %w", endpoint, err)
 	}
 	if err := ctx.Err(); err != nil {

@@ -36,7 +36,7 @@ fi
 # files, without perfbench/ and internal/lint/testdata/) must not grow
 # past the ceiling. Lowering the ceiling is always fine; raising it is a
 # reviewed decision that belongs in the same diff as the growth.
-GO_LINES_MAX=20446
+GO_LINES_MAX=20393
 echo "==> non-test Go line count (ceiling: ${GO_LINES_MAX})"
 go_lines=$(git ls-files --cached --others --exclude-standard -- '*.go' ':!*_test.go' ':!perfbench/' ':!internal/lint/testdata/' \
   | while read -r f; do if [ -f "$f" ]; then cat "$f"; fi; done | wc -l)
@@ -101,16 +101,17 @@ echo "==> go test -race (interned IDs: lock-free name table under a concurrent w
 go test -race -run 'TestSymbols|TestQuickDigestMatchesRecompute|TestQuickIndexMatchesScan' ./internal/kb
 go test -race -run 'TestTaskKeyCoversExclusiveHolderCore' ./internal/core
 
-echo "==> go test -race (chaos: injected faults, panics, reload breaker; query deadlines running and queued; pinned HTTP answers)"
+echo "==> go test -race (chaos: injected faults, panics, reload breaker; query deadlines running and queued; pinned HTTP answers; pooled response buffers under concurrent requests)"
 go test -race ./internal/fault
 go test -race -run 'TestChaosDisabledFaultsAreNoOp|TestChaosPanicSurfacesAsReportError' .
-go test -race -run 'TestReload|TestQuery|TestRequestTimeout|TestHTTPResponsesPinned' ./internal/serve ./cmd/driftserve
+go test -race -run 'TestReload|TestQuery|TestRequestTimeout|TestHTTPResponsesPinned|TestConcurrentBodiesMatchSequential' ./internal/serve ./cmd/driftserve
 
-echo "==> fuzz seed corpus (hearst parser + lint CFG + top-k eigensolver + binary snapshot decoder, seeds only)"
+echo "==> fuzz seed corpus (hearst parser + lint CFG + top-k eigensolver + binary snapshot decoder + driftserve response encoder, seeds only)"
 go test -run 'FuzzParseSentence' ./internal/hearst
 go test -run 'FuzzCFG' ./internal/lint
 go test -run 'FuzzEigenSymTopK' ./internal/linalg
 go test -run 'FuzzDecode' ./internal/kb/binsnap
+go test -run 'FuzzAppendBody|TestAppendBodyMatchesEncodingJSON' ./cmd/driftserve
 
 echo "==> snapshot representation differential (heap KB vs binary mmap, byte-identical /v1/* responses)"
 go test -race -run 'TestFormatsServeIdenticalResponses' ./internal/serve
@@ -129,7 +130,8 @@ awk -v got="$total" -v min="$COVER_MIN" 'BEGIN { exit got >= min ? 0 : 1 }' || {
 
 echo "==> hot-path benchmarks (compile + one iteration each)"
 go test -run '^$' -bench . -benchtime=1x \
-  ./internal/linalg ./internal/kpca ./internal/rank ./internal/feature ./internal/learn ./internal/serve
+  ./internal/linalg ./internal/kpca ./internal/rank ./internal/feature ./internal/learn ./internal/serve \
+  ./cmd/driftserve
 
 # The pinned rows are the cleaned-KB fingerprints of the default
 # pipeline up to 120k sentences, batch at 1 and 4 workers and as
